@@ -204,25 +204,25 @@ def _ln_np_tail(ctx, s):
 FORMULAS: dict[str, _FormulaSpec] = {
     "CanciC": _FormulaSpec(
         ("s",),
-        lambda ctx, s: _ln_canci_c(ctx, s),
+        _ln_canci_c,
         lambda s: None,
         lambda s: f"[e^(10^12) (s+1)^8 ln(5(s+1))^8]^s with s={s}",
     ),
     "MortonSilverman": _FormulaSpec(
         ("t", "D"),
-        lambda ctx, t, D: _ln_morton_silverman(ctx, t, D),
+        _ln_morton_silverman,
         lambda t, D: None,
         lambda t, D: f"[12(t+2) ln(5(t+2))]^(4D) with t={t}, D={D}",
     ),
     "PezdaBR": _FormulaSpec(
         ("s", "D"),
-        lambda ctx, s, D: _ln_pezda_br(ctx, s, D),
+        _ln_pezda_br,
         lambda s, D: None,
         lambda s, D: f"[12 s ln(5 s)]^(2D+1) with s={s}, D={D}",
     ),
     "NarkiewiczPezdaOrbit": _FormulaSpec(
         ("s", "D"),
-        lambda ctx, s, D: _ln_narkiewicz_pezda(ctx, s, D),
+        _ln_narkiewicz_pezda,
         lambda s, D: None,
         lambda s, D: f"(1/3) [12 s ln(5 s)]^(2D+1) (31 + 2^(1031 s)) - 1 with s={s}, D={D}",
     ),
@@ -240,7 +240,7 @@ FORMULAS: dict[str, _FormulaSpec] = {
     ),
     "NpTail": _FormulaSpec(
         ("s",),
-        lambda ctx, s: _ln_np_tail(ctx, s),
+        _ln_np_tail,
         lambda s: None,
         lambda s: f"e^(10^12 s) - 2 with s={s}",
     ),

@@ -34,8 +34,6 @@ from .suites import SUITE_NAMES, run_suite
 
 __all__ = ["main"]
 
-SCHEMA_TAG = "orbita/1"
-
 
 class _InputError(Exception):
     """User-supplied value failed to parse; reported as exit status 2."""

@@ -211,15 +211,16 @@ def vp(x: Rational | int, p: int) -> int:
     x = Fraction(x)
     if x == 0:
         raise ValueError("valuation of 0 is undefined at this layer")
+    return _valuation(x.numerator, p) - _valuation(x.denominator, p)
 
-    def _ival(n: int) -> int:
-        v = 0
-        while n % p == 0:
-            n //= p
-            v += 1
-        return v
 
-    return _ival(x.numerator) - _ival(x.denominator)
+def _valuation(n: int, p: int) -> int:
+    """Exponent of p in the nonzero integer n, for a p already known to be prime."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
 
 
 @dataclass(frozen=True)
@@ -227,11 +228,8 @@ class PlaceSet:
     """Finite set of places of Q: the archimedean place plus listed primes."""
 
     finite_primes: tuple[int, ...]
-    includes_archimedean: bool = True
 
     def __post_init__(self):
-        if not self.includes_archimedean:
-            raise ValueError("the archimedean place is always included")
         ps = self.finite_primes
         if list(ps) != sorted(set(ps)):
             raise ValueError("finite primes must be sorted and duplicate-free")

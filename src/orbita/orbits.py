@@ -6,12 +6,16 @@ are re-verified at every construction (including deserialization). The
 pipeline collapse_to_fixed_point -> normalize_orbit -> verify_np_conditions /
 check_tail_divisibility reduces a certificate to a fixed-point orbit at [0:1]
 and checks the structural conditions that make tail lengths bounded.
+run_certificate_checks re-verifies the distance propositions (triangle,
+non-expansion, repeated differences) on the certificate's own points, all
+read from one distance_table of the orbit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 from . import bounds as _bounds
@@ -27,14 +31,8 @@ from .maps import (
     make_map,
     make_moebius,
 )
-from .numtheory import S_UNIT, PlaceSet, factor, s_membership, vp
-from .projective import (
-    INFINITE_DISTANCE,
-    ProjectivePoint,
-    cross_term,
-    log_distance,
-    relevant_primes,
-)
+from .numtheory import S_UNIT, PlaceSet, _valuation, factor, s_membership
+from .projective import INFINITE_DISTANCE, ProjectivePoint, cross_term, distance_table
 
 __all__ = [
     "OrbitCertificate",
@@ -190,10 +188,9 @@ def collapse_to_fixed_point(
     composite = iterate_map(cert.map, n, max_bits)
     k = cert.tail_length // n
     tail = [cert.points[cert.tail_length - i * n] for i in range(k, -1, -1)]
-    q0 = tail[-1]
-    assert evaluate(composite, q0) == q0, "composite must fix Q_0"
-    for i in range(len(tail) - 1):
-        assert evaluate(composite, tail[i]) == tail[i + 1]
+    for P, Q in zip(tail, tail[1:] + tail[-1:]):
+        if evaluate(composite, P) != Q:
+            raise CertificateCheckError(f"composite does not walk {P} along the tail")
     return composite, tail
 
 
@@ -218,12 +215,14 @@ def normalize_orbit(
         r = pow(x0, -1, y0)  # 0 <= r < y0, exists since gcd(x0, y0) = 1
         s = (1 - r * x0) // y0
     A = make_moebius(y0, -x0, r, s)
-    assert A.det == 1
+    if A.det != 1:
+        raise CertificateCheckError(f"normalizing matrix has determinant {A.det}")
     map2 = conjugate(m, A)
     tail2 = [A.apply(P) for P in tail]
-    assert tail2[-1] == ProjectivePoint(0, 1)
-    assert evaluate(map2, tail2[-1]) == tail2[-1]
-    assert abs(map2.res) == abs(m.res), "determinant-1 conjugation preserves bad primes"
+    if tail2[-1] != ProjectivePoint(0, 1) or evaluate(map2, tail2[-1]) != tail2[-1]:
+        raise CertificateCheckError("normalization must fix [0:1] at the tail's end")
+    if abs(map2.res) != abs(m.res):
+        raise CertificateCheckError("determinant-1 conjugation must preserve bad primes")
     return map2, tail2, A
 
 
@@ -345,7 +344,7 @@ def check_tail_divisibility(
         for p, e in factor(x_here).factors:
             if p in S:
                 continue
-            v_next = INFINITE_DISTANCE if x_next == 0 else vp(x_next, p)
+            v_next = INFINITE_DISTANCE if x_next == 0 else _valuation(x_next, p)
             comparisons += 1
             if e > v_next:
                 raise TailDivisibilityError(i, p, e, v_next)
@@ -439,52 +438,59 @@ class CertificateCheckError(Exception):
     """A certificate-level structural check failed; means an arithmetic bug."""
 
 
-def _check_triangle(points: tuple[ProjectivePoint, ...]) -> int:
-    pts = list(dict.fromkeys(points))
+def _triangle_witness(
+    dpq: dict[int, int], dqr: dict[int, int], dpr: dict[int, int]
+) -> tuple[int, tuple[int, tuple[int, int, int]] | None]:
+    """Ultrametric inequality on a triple (P, Q, R), for all three middle points.
+
+    Takes the positive distances {p: d_p} of (P, Q), (Q, R) and (P, R); a
+    prime absent from a map has distance 0 there. For every prime in
+    ascending order it checks d(A, C) >= min(d(A, B), d(B, C)) with middle B
+    = Q, then R, then P. Returns the comparison count and the first failure
+    as (p, (a, b, c)), the triple's indices of A, B and C, or None.
+    """
     comparisons = 0
-    for i, P1 in enumerate(pts):
-        for j, P2 in enumerate(pts):
-            for k, P3 in enumerate(pts):
-                if len({i, j, k}) != 3:
-                    continue
-                primes = set()
-                for a, b in ((P1, P2), (P2, P3), (P1, P3)):
-                    primes.update(p for p, _ in relevant_primes(a, b))
-                for p in primes:
-                    lhs = log_distance(P1, P3, p)
-                    rhs = min(log_distance(P1, P2, p), log_distance(P2, P3, p))
-                    comparisons += 1
-                    if lhs < rhs:
-                        raise CertificateCheckError(
-                            f"triangle inequality fails at p={p} for {P1},{P2},{P3}"
-                        )
-    return comparisons
+    for p in sorted(dpq.keys() | dqr.keys() | dpr.keys()):
+        pq, qr, pr = dpq.get(p, 0), dqr.get(p, 0), dpr.get(p, 0)
+        for lhs, rhs, order in (
+            (pr, min(pq, qr), (0, 1, 2)),
+            (pq, min(pr, qr), (0, 2, 1)),
+            (qr, min(pq, pr), (1, 0, 2)),
+        ):
+            comparisons += 1
+            if lhs < rhs:
+                return comparisons, (p, order)
+    return comparisons, None
 
 
-def _check_non_expansion(cert: OrbitCertificate) -> int:
+def _check_triangle(points: tuple[ProjectivePoint, ...], table: dict) -> None:
+    for i, j, k in combinations(range(len(points)), 3):
+        _, failure = _triangle_witness(table[i, j], table[j, k], table[i, k])
+        if failure:
+            p, order = failure
+            triple = (points[i], points[j], points[k])
+            P1, P2, P3 = (triple[t] for t in order)
+            raise CertificateCheckError(
+                f"triangle inequality fails at p={p} for {P1},{P2},{P3}"
+            )
+
+
+def _check_non_expansion(cert: OrbitCertificate, table: dict) -> None:
     bad = set(cert.bad_primes)
-    pts = cert.points
-    comparisons = 0
-    for i, P in enumerate(pts):
-        for j, Q in enumerate(pts):
-            if i >= j:
-                continue
-            FP, FQ = evaluate(cert.map, P), evaluate(cert.map, Q)
-            primes = {p for p, _ in relevant_primes(P, Q)}
-            if FP != FQ:
-                primes.update(p for p, _ in relevant_primes(FP, FQ))
-            for p in primes:
-                if p in bad:
-                    continue
-                comparisons += 1
-                if log_distance(FP, FQ, p) < log_distance(P, Q, p):
-                    raise CertificateCheckError(
-                        f"non-expansion fails at p={p} for points {i},{j}"
-                    )
-    return comparisons
+    # point i maps to point i + 1, and the last one back to point m, the cycle's entry
+    image = [*range(1, cert.length), cert.tail_length]
+    for (i, j), before in table.items():
+        after = table.get(tuple(sorted((image[i], image[j]))))
+        if after is None:
+            continue  # the images coincide: infinite distance
+        for p, v in before.items():
+            if p not in bad and after.get(p, 0) < v:
+                raise CertificateCheckError(
+                    f"non-expansion fails at p={p} for points {i},{j}"
+                )
 
 
-def _check_remark(cert: OrbitCertificate) -> int:
+def _check_remark(cert: OrbitCertificate, table: dict) -> int:
     m, n = cert.tail_length, cert.period
     bad = set(cert.bad_primes)
     comparisons = 0
@@ -493,17 +499,13 @@ def _check_remark(cert: OrbitCertificate) -> int:
             for k in range(2, m + n):
                 if not -m <= a + k * b < n:
                     continue
-                qa = cert.point_at(a)
-                qab = cert.point_at(a + b)
-                qakb = cert.point_at(a + k * b)
-                primes = {p for p, _ in relevant_primes(qa, qab)}
-                if qa != qakb:
-                    primes.update(p for p, _ in relevant_primes(qa, qakb))
-                for p in primes:
+                near = table[m + a, m + a + b]
+                far = table[m + a, m + a + k * b]
+                for p in near.keys() | far.keys():
                     if p in bad:
                         continue
                     comparisons += 1
-                    if log_distance(qa, qakb, p) < log_distance(qa, qab, p):
+                    if far.get(p, 0) < near.get(p, 0):
                         raise CertificateCheckError(
                             f"remark fails at p={p}, a={a}, b={b}, k={k}"
                         )
@@ -523,9 +525,10 @@ def run_certificate_checks(cert: OrbitCertificate) -> dict[str, bool]:
     Raises CertificateCheckError on any violation; with exact arithmetic a
     violation can only mean an implementation bug, never new mathematics.
     """
-    _check_triangle(cert.points)
-    _check_non_expansion(cert)
-    _check_remark(cert)
+    table = distance_table(cert.points)
+    _check_triangle(cert.points, table)
+    _check_non_expansion(cert, table)
+    _check_remark(cert, table)
     _check_divisibility(cert)
     return {"prop51": True, "prop52": True, "remark": True, "divisibility": True}
 

@@ -2,7 +2,9 @@
 
 Points are stored in canonical coprime integer coordinates [x:y] with y > 0,
 or y = 0 and x = 1 for the point at infinity. With both points canonical the
-distance reduces to the valuation of the cross term x1*y2 - x2*y1.
+distance reduces to the valuation of the cross term x1*y2 - x2*y1, and
+distance_table reads every pairwise distance of a point list from one
+factorization per cross term.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, inf, isinf
 
-from .numtheory import Rational, factor, vp
+from .numtheory import FactorizationBudgetError, Rational, _valuation, factor, vp
 
 __all__ = [
     "ProjectivePoint",
@@ -21,6 +23,7 @@ __all__ = [
     "parse_point",
     "log_distance",
     "relevant_primes",
+    "distance_table",
 ]
 
 # distance value for equal points; compares above every integer
@@ -135,3 +138,39 @@ def relevant_primes(P: ProjectivePoint, Q: ProjectivePoint) -> list[tuple[int, i
     if c in (1, -1):
         return []
     return [(p, e) for p, e in factor(c).factors]
+
+
+def distance_table(
+    points: tuple[ProjectivePoint, ...],
+) -> dict[tuple[int, int], dict[int, int]]:
+    """Positive distances {(i, j): {p: d_p(P_i, P_j)}} of distinct points, i < j.
+
+    Each of the N(N-1)/2 cross terms is factored once. Pairs are visited in
+    order of increasing gap j - i, and each cross term first has the primes
+    already found divided out, so only the cofactor left over reaches factor.
+    A prime absent from a pair's map has distance 0 for that pair. A budget
+    error names the whole cross term and carries the exponents already found.
+    """
+    table: dict[tuple[int, int], dict[int, int]] = {}
+    known: set[int] = set()
+    for gap in range(1, len(points)):
+        for i in range(len(points) - gap):
+            c = cross_term(points[i], points[i + gap])
+            if c == 0:
+                raise ValueError("distance_table requires distinct points")
+            found: dict[int, int] = {}
+            m = abs(c)
+            for p in known:
+                v = _valuation(m, p)
+                if v:
+                    found[p] = v
+                    m //= p**v
+            if m > 1:
+                try:
+                    found.update(factor(m).factors)
+                except FactorizationBudgetError as exc:
+                    partial = tuple(sorted({**found, **dict(exc.partial)}.items()))
+                    raise FactorizationBudgetError(c, exc.cofactor, partial) from None
+            known.update(found)
+            table[i, i + gap] = found
+    return table

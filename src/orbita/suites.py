@@ -4,29 +4,31 @@ Each suite re-checks one structural property on generated or recorded data
 and returns a deterministic SuiteReport: same name, same seed, same report,
 with no timing or environment noise. Generators are engineered so that every
 cross term that must be factored splits into tractable pieces even when the
-point coordinates themselves are large.
+point coordinates themselves are large. The triangle and remark suites read
+their distances from projective.distance_table and run the same checks as
+the certificate (orbits._triangle_witness, orbits._check_remark).
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .maps import RationalMap, bad_primes, evaluate, make_map, parse_map
-from .numtheory import FactorizationBudgetError, PlaceSet, factor
+from .numtheory import PlaceSet
 from .orbits import (
     CertificateCheckError,
     OrbitCertificate,
     TailDivisibilityError,
     _check_remark,
+    _triangle_witness,
     check_tail_divisibility,
     detect_orbit,
     synthesize_map,
 )
 from .projective import (
     ProjectivePoint,
-    cross_term,
+    distance_table,
     from_pair,
     log_distance,
     parse_point,
@@ -104,7 +106,8 @@ def corpus_certificates() -> list[OrbitCertificate]:
     certs = []
     for expr, start in CORPUS:
         result = detect_orbit(parse_map(expr), parse_point(start))
-        assert isinstance(result, OrbitCertificate), f"corpus entry {expr!r} must close"
+        if not isinstance(result, OrbitCertificate):
+            raise CertificateCheckError(f"corpus entry {expr!r} does not close")
         certs.append(result)
     return certs
 
@@ -153,88 +156,35 @@ def _triangle_triple(
             return P, Q, R
 
 
-def _cross_valuations(c: int, known: Iterable[int]) -> dict[int, int]:
-    """{p: v_p(c)} for every prime dividing the nonzero integer c.
-
-    The known primes are divided out first, which counts their exponents
-    exactly; only the cofactor left over goes to factor. A budget error
-    names c itself and carries the exponents already found as its partial.
-    """
-    if c == 0:
-        raise ValueError("cross term of equal points has no valuations")
-    found: dict[int, int] = {}
-    m = abs(c)
-    for p in known:
-        v = 0
-        while m % p == 0:
-            m //= p
-            v += 1
-        if v:
-            found[p] = v
-    if m > 1:
-        try:
-            rest = factor(m)
-        except FactorizationBudgetError as exc:
-            partial = tuple(sorted({**found, **dict(exc.partial)}.items()))
-            raise FactorizationBudgetError(c, exc.cofactor, partial) from None
-        found.update(rest.factors)
-    return found
-
-
-def _triple_valuations(
-    P: ProjectivePoint, Q: ProjectivePoint, R: ProjectivePoint
-) -> tuple[dict[int, int], dict[int, int], dict[int, int]]:
-    """Positive distances {p: d_p} of (P, Q), (Q, R) and (P, R), one factorization each.
-
-    The cross terms are split in that order, each after dividing out the
-    primes the earlier ones produced. For a wide triple (see
-    _triangle_triple) the cofactor left of cross(Q, R) divides a and that of
-    cross(P, R) divides b, so rho never splits the primes of cross(P, Q)
-    again. A prime absent from a map has distance 0 for that pair.
-    """
-    pq = _cross_valuations(cross_term(P, Q), ())
-    qr = _cross_valuations(cross_term(Q, R), pq)
-    pr = _cross_valuations(cross_term(P, R), pq.keys() | qr.keys())
-    return pq, qr, pr
-
-
 def run_prop51(iterations: int = SUITE_DEFAULTS["prop51"], seed: int = 0) -> SuiteReport:
     """Ultrametric triangle inequality on random point triples.
 
     For each triple and every prime dividing any pairwise cross term, checks
-    d(P, R) >= min(d(P, Q), d(Q, R)) for all three choices of middle point.
-    The distances are the exponents of one factorization per cross term
-    (_triple_valuations). Dividing out the primes already found before
-    factoring the rest counts each exponent exactly, whatever the triple;
-    by the wide-family identities in _triangle_triple, what is left of
-    cross(Q, R) and cross(P, R) divides a and b, so only the multipliers
-    reach rho.
+    d(P, R) >= min(d(P, Q), d(Q, R)) for all three choices of middle point
+    (orbits._triangle_witness). The distances come from distance_table, one
+    factorization per cross term in the order (P, Q), (Q, R), (P, R), each
+    after dividing out the primes already found; by the wide-family
+    identities in _triangle_triple, what is left of cross(Q, R) and
+    cross(P, R) divides a and b, so only the multipliers reach rho.
     """
     rng = _rng("prop51", seed)
     comparisons = 0
     for i in range(iterations):
-        P, Q, R = _triangle_triple(rng, i)
-        vpq, vqr, vpr = _triple_valuations(P, Q, R)
-        for p in sorted(vpq.keys() | vqr.keys() | vpr.keys()):
-            dpq = vpq.get(p, 0)
-            dqr = vqr.get(p, 0)
-            dpr = vpr.get(p, 0)
-            for lhs, rhs, triple in (
-                (dpr, min(dpq, dqr), (P, Q, R)),
-                (dpq, min(dpr, dqr), (P, R, Q)),
-                (dqr, min(dpq, dpr), (Q, P, R)),
-            ):
-                comparisons += 1
-                if lhs < rhs:
-                    a_, b_, c_ = triple
-                    return SuiteReport(
-                        suite="prop51",
-                        seed=seed,
-                        cases=i + 1,
-                        comparisons=comparisons,
-                        passed=False,
-                        counterexample=f"p={p}: d({a_},{c_}) < min over middle {b_}",
-                    )
+        triple = _triangle_triple(rng, i)
+        table = distance_table(triple)
+        count, failure = _triangle_witness(table[0, 1], table[1, 2], table[0, 2])
+        comparisons += count
+        if failure:
+            p, order = failure
+            P1, P2, P3 = (triple[t] for t in order)
+            return SuiteReport(
+                suite="prop51",
+                seed=seed,
+                cases=i + 1,
+                comparisons=comparisons,
+                passed=False,
+                counterexample=f"p={p}: d({P1},{P3}) < min over middle {P2}",
+            )
     return SuiteReport(
         suite="prop51", seed=seed, cases=iterations, comparisons=comparisons, passed=True
     )
@@ -297,7 +247,7 @@ def run_remark(iterations: int | None = None, seed: int = 0) -> SuiteReport:
     comparisons = 0
     for cert in certs:
         try:
-            comparisons += _check_remark(cert)
+            comparisons += _check_remark(cert, distance_table(cert.points))
         except CertificateCheckError as exc:
             return SuiteReport(
                 suite="remark",

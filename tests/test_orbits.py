@@ -3,15 +3,20 @@ from fractions import Fraction
 
 import pytest
 
+from orbita import projective
 from orbita.maps import bad_primes, evaluate, make_moebius, parse_map
-from orbita.numtheory import PlaceSet
+from orbita.numtheory import PlaceSet, factor
 from orbita.orbits import (
     BITS_EXHAUSTED,
     STEPS_EXHAUSTED,
+    CertificateCheckError,
     NpConditionError,
     OrbitCertificate,
     TailDivisibilityError,
     UndecidedOrbit,
+    _check_non_expansion,
+    _check_remark,
+    _check_triangle,
     certificate_from_json,
     certificate_to_json,
     check_tail_divisibility,
@@ -22,7 +27,14 @@ from orbita.orbits import (
     synthesize_map,
     verify_np_conditions,
 )
-from orbita.projective import ProjectivePoint, canonical_point, parse_point
+from orbita.projective import (
+    ProjectivePoint,
+    canonical_point,
+    distance_table,
+    log_distance,
+    parse_point,
+)
+from orbita.suites import corpus_certificates
 
 O = ProjectivePoint(0, 1)
 
@@ -322,6 +334,67 @@ class TestCertificateChecks:
                 "remark": True,
                 "divisibility": True,
             }
+
+    def test_each_cross_term_factored_at_most_once(self, monkeypatch):
+        certs = corpus_certificates()
+        calls = []
+
+        def counting_factor(n):
+            calls.append(n)
+            return factor(n)
+
+        monkeypatch.setattr(projective, "factor", counting_factor)
+        total = 0
+        for cert in certs:
+            calls.clear()
+            run_certificate_checks(cert)
+            assert len(calls) <= cert.length * (cert.length - 1) // 2, str(cert.map)
+            total += len(calls)
+        assert total > 0
+
+    def test_distance_table_matches_log_distance(self):
+        absent = 0
+        for cert in corpus_certificates():
+            pts = cert.points
+            table = distance_table(pts)
+            assert list(table) == sorted(table, key=lambda ij: (ij[1] - ij[0], ij[0]))
+            assert set(table) == {(i, j) for j in range(len(pts)) for i in range(j)}
+            primes = set().union(*table.values())
+            for (i, j), vals in table.items():
+                for p in primes:
+                    assert vals.get(p, 0) == log_distance(pts[i], pts[j], p)
+                    absent += p not in vals
+        assert absent > 0
+
+
+class TestForgedDistances:
+    """Each distance check raises on a table holding one violation."""
+
+    @pytest.fixture
+    def cert(self):
+        # m = 1, n = 3, bad primes (2,)
+        return detect_orbit(parse_map("z^2 - 29/16"), parse_point("7/4"))
+
+    @staticmethod
+    def forged(cert, pair, distances):
+        table = {(i, j): {} for j in range(cert.length) for i in range(j)}
+        table[pair] = distances
+        return table
+
+    def test_triangle(self):
+        table = {(0, 1): {5: 2}, (1, 2): {5: 2}, (0, 2): {5: 1}}
+        with pytest.raises(CertificateCheckError, match="p=5"):
+            _check_triangle(tuple(_affine(1, 2, 3)), table)
+
+    def test_non_expansion(self, cert):
+        # points 0 and 1 at 7-adic distance 1; their images, points 1 and 2, at 0
+        with pytest.raises(CertificateCheckError, match="p=7"):
+            _check_non_expansion(cert, self.forged(cert, (0, 1), {7: 1}))
+
+    def test_remark(self, cert):
+        # a = -1, b = 1, k = 2: d(Q_-1, Q_1) = 0 < d(Q_-1, Q_0) = 2
+        with pytest.raises(CertificateCheckError, match="p=7"):
+            _check_remark(cert, self.forged(cert, (0, 1), {7: 2}))
 
 
 class TestJson:

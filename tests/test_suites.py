@@ -4,17 +4,17 @@ import random
 
 import pytest
 
-from orbita import suites
+from orbita import projective, suites
 from orbita.maps import parse_map
 from orbita.numtheory import FactorizationBudgetError, factor
-from orbita.projective import cross_term, log_distance, parse_point
+from orbita.orbits import CertificateCheckError
+from orbita.projective import cross_term, distance_table, log_distance, parse_point
 from orbita.suites import (
     CORPUS,
     SUITE_DEFAULTS,
     SUITE_NAMES,
     SuiteReport,
     _triangle_triple,
-    _triple_valuations,
     corpus_certificates,
     run_divisibility,
     run_prop51,
@@ -40,6 +40,12 @@ class TestCorpus:
     def test_corpus_has_nontrivial_tails(self):
         # the remark suite needs orbits with m >= 1 to have anything to check
         assert any(c.tail_length >= 1 for c in corpus_certificates())
+
+    def test_entry_that_never_closes_is_an_error(self, monkeypatch):
+        # an explicit check, not an assert, so it holds under python -O
+        monkeypatch.setattr(suites, "CORPUS", (("z + 1", "0"),))
+        with pytest.raises(CertificateCheckError):
+            corpus_certificates()
 
 
 class TestTriangleSuite:
@@ -87,7 +93,8 @@ class TestTriangleSuite:
         absent = 0
         for i in range(24):  # even i: narrow family, odd i: wide family
             P, Q, R = _triangle_triple(rng, i)
-            maps = _triple_valuations(P, Q, R)
+            table = distance_table((P, Q, R))
+            maps = (table[0, 1], table[1, 2], table[0, 2])
             pairs = ((P, Q), (Q, R), (P, R))
             primes = set().union(*maps)
             for (A, B), vals in zip(pairs, maps):
@@ -107,9 +114,9 @@ class TestTriangleSuite:
                 raise FactorizationBudgetError(m, m, ())
             return factor(m)
 
-        monkeypatch.setattr(suites, "factor", factor_first_only)
+        monkeypatch.setattr(projective, "factor", factor_first_only)
         with pytest.raises(FactorizationBudgetError) as info:
-            _triple_valuations(P, Q, R)
+            distance_table((P, Q, R))
         c = cross_term(Q, R)
         assert info.value.n == c
         assert info.value.partial == tuple(
