@@ -28,7 +28,7 @@ for u, v in ways.representations:
     print(f"  1 = {u} + {v}")
 print("at least two ways:", ways.two_ways)
 
-# three-term variant: count solutions of u1 + u2 - u3 = 0 with nonvanishing
+# three-term variant: count solutions of u1 + u2 - u3 = 1 with nonvanishing
 # subsums, the shape controlled by the exponential rank bound
 three = count_three_term(PlaceSet.of(2), (Fraction(1), Fraction(1), Fraction(-1)), 6)
 print(f"nondegenerate three-term solutions in the radius-6 box: {three.count}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from decimal import Context, Decimal
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 
 import mpmath
 from mpmath import libmp, mp
@@ -50,6 +50,8 @@ PRECISION_ENV = "ORBITA_PRECISION"
 DEFAULT_PRECISION = 60
 
 _CONTEXTS: dict[int, mpmath.ctx_iv.MPIntervalContext] = {}
+# interval enclosure of ln 10 per precision, for magnitude_str
+_LN10: dict[int, mpmath.ctx_iv.ivmpf] = {}
 
 
 def _ctx(dps: int) -> mpmath.ctx_iv.MPIntervalContext:
@@ -59,6 +61,14 @@ def _ctx(dps: int) -> mpmath.ctx_iv.MPIntervalContext:
         ctx.dps = dps
         _CONTEXTS[dps] = ctx
     return ctx
+
+
+def _ln10(dps: int):
+    ln10 = _LN10.get(dps)
+    if ln10 is None:
+        ctx = _ctx(dps)
+        ln10 = _LN10[dps] = ctx.log(ctx.mpf(10))
+    return ln10
 
 
 def working_precision() -> int:
@@ -92,7 +102,15 @@ def decimal_str(value: mpmath.mpf, digits: int, upward: bool) -> str:
     """Decimal rendering certified >= value (upward) or <= value (downward)."""
     s = libmp.to_str(value._mpf_, digits)
     prec = digits * 4 + 64
-    for _ in range(4):
+    # to_str rounds a floor-truncated (digits+3)-digit expansion to nearest,
+    # so s starts less than one unit of its digits-th significant digit away
+    # from value. Each bump moves s by one unit of its last place, which the
+    # bumps keep and which is at least a tenth of that unit: s has at most
+    # digits+1 significant digits (to_str appends ".0" when value has exactly
+    # `digits` integer digits). After 11 bumps s is therefore past value by at
+    # least one last-place unit, far more than the 2^-prec relative error of
+    # the bracket, so the check of the 12th string succeeds.
+    for _ in range(12):
         # bracket the decimal string's exact value and compare against the target
         lo = mp.make_mpf(libmp.from_str(s, prec, "d"))
         hi = mp.make_mpf(libmp.from_str(s, prec, "u"))
@@ -103,7 +121,7 @@ def decimal_str(value: mpmath.mpf, digits: int, upward: bool) -> str:
         d = Decimal(s)
         ulp = Decimal((0, (1,), d.as_tuple().exponent))
         # a wide-enough context, or the bump rounds the string to 28 digits
-        dctx = Context(prec=len(d.as_tuple().digits) + 4)
+        dctx = Context(prec=len(d.as_tuple().digits) + 4, Emax=MAX_EMAX, Emin=MIN_EMIN)
         d = dctx.add(d, ulp) if upward else dctx.subtract(d, ulp)
         s = str(d).lower()
     raise AssertionError("directed decimal rendering failed to converge")
@@ -165,7 +183,7 @@ class BoundValue:
         if self.exact is not None and self.exact < 10**12:
             return str(self.exact)
         ctx = _ctx(self.precision_digits)
-        log10 = ctx.mpf(self.ln_upper) / ctx.log(ctx.mpf(10))
+        log10 = ctx.mpf(self.ln_upper) / _ln10(self.precision_digits)
         _, hi = _endpoints(log10)
         return "10^" + decimal_str(hi, 15, upward=True)
 

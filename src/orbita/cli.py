@@ -433,6 +433,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: argparse keeps no state between parse_args calls
+_PARSER = _build_parser()
+
 _DISPATCH = {
     "orbit": _cmd_orbit,
     "delta": _cmd_delta,
@@ -464,11 +467,10 @@ def _fuse_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_fuse_values(list(argv)))
+        args = _PARSER.parse_args(_fuse_values(list(argv)))
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 for --help
         return int(exc.code or 0)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 from . import bounds as _bounds
 from .numtheory import PlaceSet, Rational
@@ -64,22 +65,42 @@ class UnitEquationProblem:
         return 2 * (2 * self.bound + 1) ** self.rank
 
 
+def _box_pairs(primes: tuple[int, ...], B: int):
+    """Every box S-unit as a coprime integer pair (n, d), d > 0, in scan order.
+
+    Exponent vectors run in itertools.product order over [-B, B]^rank (last
+    prime fastest), and each one yields +u before -u. This is the one place
+    the scan order is defined; box_units is a Fraction view of it.
+    """
+    steps = [[(p**e, 1) if e >= 0 else (1, p**-e) for e in range(-B, B + 1)] for p in primes]
+    *outer, last = steps or [[(1, 1)]]
+    for head in product(*outer):
+        n0 = d0 = 1
+        for a, b in head:
+            n0 *= a
+            d0 *= b
+        for a, b in last:
+            n = n0 * a
+            d = d0 * b
+            yield n, d
+            yield -n, d
+
+
+def _smooth_set(primes: tuple[int, ...], B: int) -> set[int]:
+    """The (B+1)^rank integers prod p^e with 0 <= e <= B.
+
+    A reduced fraction n/d is a box S-unit exactly when |n| and d both lie
+    in this set, since coprime n and d carry disjoint exponent vectors.
+    """
+    out = {1}
+    for p in primes:
+        out = {m * p**e for m in out for e in range(B + 1)}
+    return out
+
+
 def box_units(S: PlaceSet, B: int) -> list[Fraction]:
     """All S-units with exponent vector in [-B, B]^rank, in a fixed scan order."""
-    primes = S.finite_primes
-    out: list[Fraction] = []
-    for exps in product(range(-B, B + 1), repeat=len(primes)):
-        num = 1
-        den = 1
-        for p, e in zip(primes, exps):
-            if e >= 0:
-                num *= p**e
-            else:
-                den *= p**-e
-        val = Fraction(num, den)
-        out.append(val)
-        out.append(-val)
-    return out
+    return [Fraction(n, d) for n, d in _box_pairs(S.finite_primes, B)]
 
 
 def is_box_s_unit(x: Rational, S: PlaceSet, B: int) -> bool:
@@ -133,13 +154,13 @@ def solve_unit_equation(
     problem = UnitEquationProblem(S, B)
     if problem.box_size > cap:
         raise EnumerationCapError(problem.box_size, cap)
+    primes = S.finite_primes
+    smooth = _smooth_set(primes, B)
     sols = []
-    for u in box_units(S, B):
-        v = 1 - u
-        if v == 0:
-            continue
-        if is_box_s_unit(v, S, B):
-            sols.append((u, v))
+    for n, d in _box_pairs(primes, B):
+        m = d - n  # v = 1 - n/d = (d - n)/d, already in lowest terms
+        if m and abs(m) in smooth:
+            sols.append((Fraction(n, d), Fraction(m, d)))
     sols.sort()
     r = 2 * (S.s - 1)
     return UnitEquationReport(
@@ -176,14 +197,21 @@ def two_way_representations(
     problem = UnitEquationProblem(S, B)
     if problem.box_size > cap:
         raise EnumerationCapError(problem.box_size, cap)
+    primes = S.finite_primes
+    smooth = _smooth_set(primes, B)
+    tn, td = T.numerator, T.denominator
     seen: set[tuple[Fraction, Fraction]] = set()
-    for u in box_units(S, B):
-        v = T - u
-        if v == 0:
+    for n, d in _box_pairs(primes, B):
+        # v = T - n/d = (tn d - n td) / (td d)
+        num = tn * d - n * td
+        if not num:
             continue
-        if is_box_s_unit(v, S, B):
-            pair = (u, v) if u <= v else (v, u)
-            seen.add(pair)
+        den = td * d
+        g = gcd(num, den)
+        if abs(num) // g in smooth and den // g in smooth:
+            u = Fraction(n, d)
+            v = Fraction(num // g, den // g)
+            seen.add((u, v) if u <= v else (v, u))
     return TwoWaysReport(T=T, problem=problem, representations=tuple(sorted(seen)))
 
 
@@ -220,23 +248,32 @@ def count_three_term(
     candidates = problem.box_size**2
     if candidates > cap:
         raise EnumerationCapError(candidates, cap)
-    a1, a2, a3 = coeffs
-    units = box_units(S, B)
+    primes = S.finite_primes
+    smooth = _smooth_set(primes, B)
+    units = list(_box_pairs(primes, B))
+    (p1, q1), (p2, q2), (p3, q3) = ((c.numerator, c.denominator) for c in coeffs)
+    # t2 = a2 x2 = e/c with c > 0. t2 = 1 makes t1 + t3 = 1 - t2 vanish, so
+    # those x2 never count.
+    seconds = [(p2 * n, q2 * d) for n, d in units]
+    seconds = [(e, c) for e, c in seconds if e != c]
     count = 0
-    for x1 in units:
-        t1 = a1 * x1
-        for x2 in units:
-            t2 = a2 * x2
-            rest = 1 - t1 - t2
-            if rest == 0:
+    for n, d in units:
+        b, a = p1 * n, q1 * d  # t1 = a1 x1 = b/a
+        if b == a:
+            continue  # t1 = 1 makes t2 + t3 vanish
+        # t3 = 1 - t1 - t2 = ((a - b) c - e a) / (a c), and
+        # x3 = t3 / a3 = q3 ((a - b) c - e a) / (p3 a c)
+        k, aq, ap = q3 * (a - b), q3 * a, p3 * a
+        for e, c in seconds:
+            num = k * c - e * aq
+            if not num:
+                continue  # t3 = 0
+            den = ap * c
+            g = gcd(num, den)
+            if abs(num) // g not in smooth or abs(den) // g not in smooth:
                 continue
-            x3 = rest / a3
-            if not is_box_s_unit(x3, S, B):
-                continue
-            t3 = rest
-            # no vanishing proper subsum
-            if t1 + t2 == 0 or t1 + t3 == 0 or t2 + t3 == 0:
-                continue
+            if b * c + e * a == 0:
+                continue  # t1 + t2 = 0
             count += 1
     r = 3 * (S.s - 1)
     return ThreeTermReport(

@@ -229,3 +229,49 @@ def test_bound_strings_round_trip_enclosure():
     hi = mp.mpf(v.ln_upper_str)
     oracle = mp.mpf(ORACLES["c1"])
     assert lo <= oracle <= hi
+
+
+def _true_ln(formula, s):
+    """The formula's natural log in plain mpmath arithmetic at the current mp.dps."""
+    mpf, log = mp.mpf, mp.log
+    if formula == "CanciC":
+        return s * (mpf(10) ** 12 + 8 * log(s + 1) + 8 * log(log(mpf(5 * (s + 1)))))
+    if formula == "NpTail":
+        return log(mp.exp(mpf(10) ** 12 * s) - 2)
+    return mpf(18**9 * (3 * s - 2))  # TwoWaysIdeals
+
+
+@pytest.mark.parametrize(
+    "formula, s, precision",
+    [("CanciC", 302, 200), ("NpTail", 307, 60), ("TwoWaysIdeals", 1262, 60)],
+)
+def test_magnitude_with_exactly_fifteen_integer_digits(formula, s, precision, monkeypatch, capsys):
+    # log10 of each bound has 15 integer digits, so the 15-digit rendering of
+    # the magnitude ends in ".0" and each bump is a tenth of a digit
+    from orbita import cli
+
+    monkeypatch.setenv("ORBITA_PRECISION", str(precision))
+    code = cli.main(["bounds", "--formula", formula, "--params", f"s={s}"])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    fields = dict(line.split(": ", 1) for line in out.splitlines())
+    magnitude = fields["magnitude"]
+    assert magnitude.startswith("10^")
+    with mp.workdps(precision + 40):
+        ln = _true_ln(formula, s)
+        assert mp.mpf(fields["ln lower"]) <= ln <= mp.mpf(fields["ln upper"])
+        assert mp.mpf(magnitude[3:]) >= ln / mp.log(10)
+
+
+def test_decimal_str_beyond_default_decimal_exponent():
+    # both renderings need a bump of a number near 10^(2*10^6), beyond the
+    # default decimal Emax of 999999
+    prec = 300
+    with mp.workprec(200):
+        big = mp.mpf(10) ** 2_000_000
+        above = big * (1 + mp.mpf(10) ** -30)
+        below = big * (1 - mp.mpf(10) ** -30)
+    up = decimal_str(above, 20, upward=True)
+    assert mp.make_mpf(libmp.from_str(up, prec, "d")) >= above
+    down = decimal_str(below, 20, upward=False)
+    assert mp.make_mpf(libmp.from_str(down, prec, "u")) <= below

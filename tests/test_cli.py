@@ -386,6 +386,28 @@ class TestDriver:
         assert cli.main(["frobnicate"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("orbit", "--map", "z^2 - 29/16", "--point", "-1/4", "--json"),
+            ("bounds", "--formula", "CanciC", "--params", "s=2"),
+            ("sunit", "--primes", "2,3", "--bound", "3"),
+            ("verify", "--suite", "remark"),
+        ],
+    )
+    def test_repeated_calls_give_the_same_bytes(self, capsys, argv):
+        first = run(capsys, *argv)
+        assert first[0] == 0
+        assert run(capsys, *argv) == first
+        usage = run(capsys, "orbit", "--map", "z", "--no-such-flag")
+        assert usage[0] == 2
+        assert run(capsys, *argv) == first
+        helped = run(capsys, argv[0], "--help")
+        assert helped[0] == 0
+        assert run(capsys, *argv) == first
+        assert run(capsys, "orbit", "--map", "z", "--no-such-flag") == usage
+        assert run(capsys, argv[0], "--help") == helped
+
     @pytest.mark.skipif(shutil.which("orbita") is None, reason="entry point not on PATH")
     def test_console_script(self):
         proc = subprocess.run(

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -31,6 +31,17 @@ def _oracle_box(primes, B):
 
 
 class TestBoxUnits:
+    def test_scan_order(self):
+        # exponent vectors in product order, last prime fastest; +u before -u
+        primes, B = (2, 3), 2
+        expected = []
+        for exps in product(range(-B, B + 1), repeat=len(primes)):
+            v = F(1)
+            for p, e in zip(primes, exps):
+                v *= F(p) ** e
+            expected += [v, -v]
+        assert box_units(PlaceSet.of(*primes), B) == expected
+
     def test_trivial_group(self):
         assert sorted(box_units(PlaceSet.of(), 5)) == [-1, 1]
 
@@ -185,3 +196,77 @@ class TestThreeTerm:
             if x1 + x2 != 1 and (1 - x1 - x2) in box
         )
         assert report.count < naive
+
+
+# ---------------------------------------------------------------- differential
+#
+# The scans work on integer pairs and a smooth-number set; these tests check
+# them against plain Fraction arithmetic over box_units with is_box_s_unit.
+
+PRIMES = (2, 3, 5, 7, 11, 13)
+SCAN_CASES = [
+    (primes, B) for k in (1, 2) for primes in combinations(PRIMES, k) for B in range(1, 5)
+] + [((), 1), ((2, 3, 5), 2), ((3, 7, 13), 2), ((5, 11, 13), 1), ((2, 3, 5, 7), 1)]
+TARGETS = (F(3), F(3, 2), F(-5, 6), F(0), F(12), F(1, 35), F(-7))
+THREE_TERM_CASES = [((p,), B) for p in PRIMES for B in (1, 2, 4)] + [
+    ((2, 3), 1),
+    ((5, 13), 1),
+    ((2, 7), 2),
+]
+COEFFICIENTS = (
+    (1, 1, 1),
+    (1, -1, 1),
+    (2, -1, -1),
+    (F(1, 2), F(1, 3), F(1, 6)),
+    (F(-3, 4), 5, F(2, 7)),
+)
+
+
+def _case_id(case):
+    primes, B = case
+    return f"{','.join(map(str, primes)) or 'none'}|{B}"
+
+
+@pytest.mark.parametrize("case", SCAN_CASES, ids=_case_id)
+def test_unit_equation_matches_fraction_scan(case):
+    primes, B = case
+    S = PlaceSet.of(*primes)
+    expected = sorted(
+        (u, 1 - u) for u in box_units(S, B) if u != 1 and is_box_s_unit(1 - u, S, B)
+    )
+    assert list(solve_unit_equation(S, B).solutions) == expected
+
+
+@pytest.mark.parametrize("case", SCAN_CASES, ids=_case_id)
+def test_two_ways_matches_fraction_scan(case):
+    primes, B = case
+    S = PlaceSet.of(*primes)
+    units = box_units(S, B)
+    for T in TARGETS:
+        pairs = {
+            (min(u, T - u), max(u, T - u))
+            for u in units
+            if u != T and is_box_s_unit(T - u, S, B)
+        }
+        report = two_way_representations(T, S, B)
+        assert report.representations == tuple(sorted(pairs)), T
+
+
+@pytest.mark.parametrize("case", THREE_TERM_CASES, ids=_case_id)
+def test_three_term_matches_fraction_scan(case):
+    primes, B = case
+    S = PlaceSet.of(*primes)
+    units = box_units(S, B)
+    for a in COEFFICIENTS:
+        a1, a2, a3 = map(F, a)
+        expected = 0
+        for x1 in units:
+            for x2 in units:
+                t1, t2 = a1 * x1, a2 * x2
+                t3 = 1 - t1 - t2
+                if t3 == 0 or not is_box_s_unit(t3 / a3, S, B):
+                    continue
+                if t1 + t2 == 0 or t1 + t3 == 0 or t2 + t3 == 0:
+                    continue
+                expected += 1
+        assert count_three_term(S, a, B).count == expected, a
