@@ -10,7 +10,7 @@ for coprime-coordinate points P = [x1 : y1] and Q = [x2 : y2] it is
 Large values mean the points collide modulo a high power of p.
 """
 
-from orbita import log_distance, parse_point, relevant_primes
+from orbita import distance_table, log_distance, parse_point
 
 P = parse_point("1/4")
 Q = parse_point("7/4")
@@ -19,8 +19,8 @@ Q = parse_point("7/4")
 for p in (2, 3, 5):
     print(f"delta_{p}({P}, {Q}) = {log_distance(P, Q, p)}")
 
-# relevant_primes reads those exponents off the factored cross term
-print("relevant primes:", relevant_primes(P, Q))
+# distance_table reads every positive distance off the factored cross term
+print("positive distances:", distance_table((P, Q))[0, 1])
 
 # equal points sit at infinite distance
 print("delta_5(P, P) =", log_distance(P, P, 5))

@@ -148,12 +148,6 @@ class BoundFormula:
             if v < floor:
                 raise ValueError(f"parameter {k}={v} below minimum {floor}")
 
-    def param(self, key: str) -> int:
-        for k, v in self.params:
-            if k == key:
-                return v
-        raise KeyError(key)
-
     def __str__(self) -> str:
         inner = ", ".join(f"{k}={v}" for k, v in self.params)
         return f"{self.name}({inner})"

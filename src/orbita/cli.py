@@ -19,9 +19,11 @@ import sys
 from fractions import Fraction
 
 from . import bounds as _bounds
-from .maps import BitBudgetError, MapSyntaxError, RationalMap, bad_primes, parse_map
+from .maps import BitBudgetError, RationalMap, bad_primes, parse_map
 from .numtheory import FactorizationBudgetError, PlaceSet, factor, is_prime
 from .orbits import (
+    DEFAULT_MAX_BITS,
+    DEFAULT_MAX_STEPS,
     CertificateCheckError,
     OrbitCertificate,
     UndecidedOrbit,
@@ -46,8 +48,6 @@ def _fail(message: str) -> None:
 def _parse_map_arg(text: str) -> RationalMap:
     try:
         return parse_map(text)
-    except MapSyntaxError as exc:
-        raise _InputError(f"bad map {text!r}: {exc}") from None
     except ValueError as exc:
         raise _InputError(f"bad map {text!r}: {exc}") from None
 
@@ -395,8 +395,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orbit", help="iterate a map and certify the orbit")
     p.add_argument("--map", required=True, help="rational map expression in z")
     p.add_argument("--point", required=True, help="start point (rational, inf, or [x:y])")
-    p.add_argument("--max-steps", type=int, default=10000)
-    p.add_argument("--max-bits", type=int, default=4096)
+    p.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
+    p.add_argument("--max-bits", type=int, default=DEFAULT_MAX_BITS)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("delta", help="p-adic logarithmic distance between two points")

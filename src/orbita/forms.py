@@ -126,11 +126,9 @@ def resultant(F: Form, G: Form) -> int:
         raise ValueError("resultant requires forms of equal degree")
     if d < 1:
         raise ValueError("degree must be at least 1")
-    n = 2 * d
     rows: list[list[int]] = []
     for shift in range(d):
         rows.append([0] * shift + list(F) + [0] * (d - 1 - shift))
     for shift in range(d):
         rows.append([0] * shift + list(G) + [0] * (d - 1 - shift))
-    assert all(len(r) == n for r in rows)
     return _bareiss_det(rows)

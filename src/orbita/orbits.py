@@ -106,10 +106,6 @@ class OrbitCertificate:
                 raise ValueError(f"orbit breaks at step {i}")
         if evaluate(self.map, self.points[-1]) != self.points[m]:
             raise ValueError("orbit does not close into the cycle")
-        # distinctness already forces minimality; assert the divisor check anyway
-        for q in range(1, n):
-            if n % q == 0 and self.points[m] == self.points[m + q]:
-                raise ValueError(f"period {n} is not minimal (divisor {q} closes)")
         if list(self.bad_primes) != sorted(set(self.bad_primes)):
             raise ValueError("bad primes must be sorted and duplicate-free")
         if set(self.bad_primes) != set(factor(self.map.res).primes):
@@ -341,13 +337,13 @@ def check_tail_divisibility(
             continue
         if abs(x_here) == 1:
             continue
-        for p, e in factor(x_here).factors:
-            if p in S:
-                continue
-            v_next = INFINITE_DISTANCE if x_next == 0 else _valuation(x_next, p)
-            comparisons += 1
-            if e > v_next:
-                raise TailDivisibilityError(i, p, e, v_next)
+        # d_p(Q, [0:1]) = v_p(x) in canonical coordinates; x_next = 0 is [0:1] itself
+        here = dict(factor(x_here).factors)
+        after = None if x_next == 0 else {p: _valuation(x_next, p) for p in here}
+        count, failure = _non_expansion_witness(here, after, S)
+        comparisons += count
+        if failure:
+            raise TailDivisibilityError(i, *failure)
     return DivisibilityReport(steps=len(tail2) - 1, comparisons=comparisons, passed=True)
 
 
@@ -463,6 +459,28 @@ def _triangle_witness(
     return comparisons, None
 
 
+def _non_expansion_witness(
+    before: dict[int, int], after: dict[int, int] | None, skip
+) -> tuple[int, tuple[int, int, int] | None]:
+    """Non-expansion on a pair and its image pair: d_p(F P, F Q) >= d_p(P, Q).
+
+    Takes the pair's positive distances {p: d_p}, the image pair's distances
+    (a prime absent there has distance 0), or None when the images coincide,
+    which puts them at infinite distance, and the primes to skip. Walks the
+    pair's primes in the order given and returns the comparison count and the
+    first failure as (p, before, after), or None.
+    """
+    comparisons = 0
+    for p, v in before.items():
+        if p in skip:
+            continue
+        comparisons += 1
+        w = INFINITE_DISTANCE if after is None else after.get(p, 0)
+        if w < v:
+            return comparisons, (p, v, w)
+    return comparisons, None
+
+
 def _check_triangle(points: tuple[ProjectivePoint, ...], table: dict) -> None:
     for i, j, k in combinations(range(len(points)), 3):
         _, failure = _triangle_witness(table[i, j], table[j, k], table[i, k])
@@ -480,14 +498,13 @@ def _check_non_expansion(cert: OrbitCertificate, table: dict) -> None:
     # point i maps to point i + 1, and the last one back to point m, the cycle's entry
     image = [*range(1, cert.length), cert.tail_length]
     for (i, j), before in table.items():
+        # no entry when the images coincide: infinite distance
         after = table.get(tuple(sorted((image[i], image[j]))))
-        if after is None:
-            continue  # the images coincide: infinite distance
-        for p, v in before.items():
-            if p not in bad and after.get(p, 0) < v:
-                raise CertificateCheckError(
-                    f"non-expansion fails at p={p} for points {i},{j}"
-                )
+        _, failure = _non_expansion_witness(before, after, bad)
+        if failure:
+            raise CertificateCheckError(
+                f"non-expansion fails at p={failure[0]} for points {i},{j}"
+            )
 
 
 def _check_remark(cert: OrbitCertificate, table: dict) -> int:
@@ -515,8 +532,9 @@ def _check_remark(cert: OrbitCertificate, table: dict) -> int:
 def _check_divisibility(cert: OrbitCertificate) -> int:
     composite, tail = collapse_to_fixed_point(cert)
     map2, tail2, _ = normalize_orbit(composite, tail)
-    S = PlaceSet(tuple(sorted(set(cert.bad_primes) | set(bad_primes(map2)))))
-    return check_tail_divisibility(map2, tail2, S).comparisons
+    # Res(f^n) divides a power of Res(f), and det-1 conjugation keeps |Res|,
+    # so the certificate's bad primes already cover those of map2
+    return check_tail_divisibility(map2, tail2, cert.place_set).comparisons
 
 
 def run_certificate_checks(cert: OrbitCertificate) -> dict[str, bool]:

@@ -22,7 +22,6 @@ __all__ = [
     "from_pair",
     "parse_point",
     "log_distance",
-    "relevant_primes",
     "distance_table",
 ]
 
@@ -122,22 +121,7 @@ def log_distance(P: ProjectivePoint, Q: ProjectivePoint, p: int) -> int | float:
     c = cross_term(P, Q)
     if c == 0:
         return INFINITE_DISTANCE
-    v = vp(c, p)
-    assert v >= 0, "coprime canonical coordinates force a nonnegative distance"
-    return v
-
-
-def relevant_primes(P: ProjectivePoint, Q: ProjectivePoint) -> list[tuple[int, int]]:
-    """All (p, log_distance) pairs with positive distance, via factoring the cross term.
-
-    Requires P != Q; propagates the factorization budget error.
-    """
-    c = cross_term(P, Q)
-    if c == 0:
-        raise ValueError("relevant_primes requires distinct points")
-    if c in (1, -1):
-        return []
-    return [(p, e) for p, e in factor(c).factors]
+    return vp(c, p)
 
 
 def distance_table(

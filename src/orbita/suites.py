@@ -4,9 +4,10 @@ Each suite re-checks one structural property on generated or recorded data
 and returns a deterministic SuiteReport: same name, same seed, same report,
 with no timing or environment noise. Generators are engineered so that every
 cross term that must be factored splits into tractable pieces even when the
-point coordinates themselves are large. The triangle and remark suites read
-their distances from projective.distance_table and run the same checks as
-the certificate (orbits._triangle_witness, orbits._check_remark).
+point coordinates themselves are large. The triangle, non-expansion and
+remark suites read their distances from projective.distance_table and run
+the same checks as the certificate (orbits._triangle_witness,
+orbits._non_expansion_witness, orbits._check_remark).
 """
 
 from __future__ import annotations
@@ -15,25 +16,19 @@ import random
 from dataclasses import dataclass
 
 from .maps import RationalMap, bad_primes, evaluate, make_map, parse_map
-from .numtheory import PlaceSet
+from .numtheory import PlaceSet, _valuation
 from .orbits import (
     CertificateCheckError,
     OrbitCertificate,
     TailDivisibilityError,
     _check_remark,
+    _non_expansion_witness,
     _triangle_witness,
     check_tail_divisibility,
     detect_orbit,
     synthesize_map,
 )
-from .projective import (
-    ProjectivePoint,
-    distance_table,
-    from_pair,
-    log_distance,
-    parse_point,
-    relevant_primes,
-)
+from .projective import ProjectivePoint, cross_term, distance_table, from_pair, parse_point
 
 __all__ = [
     "SuiteReport",
@@ -206,6 +201,8 @@ def run_prop52(iterations: int = SUITE_DEFAULTS["prop52"], seed: int = 0) -> Sui
 
     Only primes dividing the cross term of (P, Q) matter (elsewhere the right
     side is zero), so the one factored integer stays small by construction.
+    The images' distances are valuations of their cross term at those primes;
+    the comparison is the certificate's (orbits._non_expansion_witness).
     """
     rng = _rng("prop52", seed)
     comparisons = 0
@@ -217,21 +214,20 @@ def run_prop52(iterations: int = SUITE_DEFAULTS["prop52"], seed: int = 0) -> Sui
             Q = _random_point(rng, 8)
             if P != Q:
                 break
-        FP = evaluate(m, P)
-        FQ = evaluate(m, Q)
-        for p, v_before in relevant_primes(P, Q):
-            if p in bad:
-                continue
-            comparisons += 1
-            if log_distance(FP, FQ, p) < v_before:
-                return SuiteReport(
-                    suite="prop52",
-                    seed=seed,
-                    cases=i + 1,
-                    comparisons=comparisons,
-                    passed=False,
-                    counterexample=f"map {m}, p={p}, points {P},{Q}",
-                )
+        before = distance_table((P, Q))[0, 1]
+        c = cross_term(evaluate(m, P), evaluate(m, Q))
+        after = None if c == 0 else {p: _valuation(c, p) for p in before}
+        count, failure = _non_expansion_witness(before, after, bad)
+        comparisons += count
+        if failure:
+            return SuiteReport(
+                suite="prop52",
+                seed=seed,
+                cases=i + 1,
+                comparisons=comparisons,
+                passed=False,
+                counterexample=f"map {m}, p={failure[0]}, points {P},{Q}",
+            )
     return SuiteReport(
         suite="prop52", seed=seed, cases=iterations, comparisons=comparisons, passed=True
     )

@@ -137,7 +137,6 @@ class UnitEquationReport:
 
     @property
     def bound_ok(self) -> bool:
-        assert self.ln_bound.exact is not None
         return self.count <= self.ln_bound.exact
 
 

@@ -17,6 +17,7 @@ from orbita.orbits import (
     _check_non_expansion,
     _check_remark,
     _check_triangle,
+    _non_expansion_witness,
     certificate_from_json,
     certificate_to_json,
     check_tail_divisibility,
@@ -287,6 +288,25 @@ class TestTailDivisibility:
         ident = parse_map("z")
         report = check_tail_divisibility(ident, _affine(1, -1) + [O], PlaceSet.of())
         assert report.passed and report.comparisons == 0
+
+    def test_bad_primes_of_normalized_composite_are_the_certificates(self):
+        # Res(f^n) divides a power of Res(f) and det-1 conjugation keeps |Res|
+        for cert in corpus_certificates():
+            map2, _, _ = normalize_orbit(*collapse_to_fixed_point(cert))
+            assert set(bad_primes(map2)) <= set(cert.bad_primes), str(cert.map)
+
+
+class TestNonExpansionWitness:
+    def test_counts_unskipped_primes_in_order(self):
+        assert _non_expansion_witness({2: 1, 7: 2, 3: 1}, {2: 1, 7: 5, 3: 4}, {7}) == (2, None)
+
+    def test_first_failure_in_given_order(self):
+        before = {5: 2, 2: 3, 3: 1}
+        assert _non_expansion_witness(before, {5: 2, 3: 0}, ()) == (2, (2, 3, 0))
+        assert _non_expansion_witness(before, {5: 2, 3: 0}, {2}) == (2, (3, 1, 0))
+
+    def test_coinciding_images_never_fail(self):
+        assert _non_expansion_witness({2: 9, 3: 1}, None, {3}) == (1, None)
 
 
 class TestSynthesize:

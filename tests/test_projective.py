@@ -1,16 +1,19 @@
+import random
 from fractions import Fraction
 from math import inf
 
 import pytest
 
+from orbita.numtheory import factor
 from orbita.projective import (
     INFINITE_DISTANCE,
     ProjectivePoint,
     canonical_point,
+    cross_term,
+    distance_table,
     from_pair,
     log_distance,
     parse_point,
-    relevant_primes,
 )
 
 
@@ -98,14 +101,25 @@ def test_log_distance_nonnegative_on_samples():
                     assert log_distance(P, Q, p) >= 0
 
 
-def test_relevant_primes():
+def test_two_point_distance_table():
     P = canonical_point(Fraction(1, 4))
     Q = canonical_point(Fraction(7, 4))
-    assert relevant_primes(P, Q) == [(2, 3), (3, 1)]
-    # unit cross term: no relevant primes
-    assert relevant_primes(canonical_point(0), canonical_point(1)) == []
+    assert list(distance_table((P, Q))) == [(0, 1)]
+    # (p, d_p) pairs with positive distance, primes ascending
+    assert list(distance_table((P, Q))[0, 1].items()) == [(2, 3), (3, 1)]
+    # unit cross term: no prime at positive distance
+    assert distance_table((canonical_point(0), canonical_point(1)))[0, 1] == {}
     with pytest.raises(ValueError):
-        relevant_primes(P, P)
+        distance_table((P, P))
+
+
+def test_two_point_distance_table_is_the_factored_cross_term():
+    rng = random.Random("two-point")
+    pts = [from_pair(rng.randint(-255, 255), rng.randint(1, 255)) for _ in range(400)]
+    for P, Q in zip(pts[::2], pts[1::2]):
+        if P != Q:
+            expected = list(factor(cross_term(P, Q)).factors)
+            assert list(distance_table((P, Q))[0, 1].items()) == expected
 
 
 def test_symmetry_of_distance():

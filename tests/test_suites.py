@@ -8,7 +8,14 @@ from orbita import projective, suites
 from orbita.maps import parse_map
 from orbita.numtheory import FactorizationBudgetError, factor
 from orbita.orbits import CertificateCheckError
-from orbita.projective import cross_term, distance_table, log_distance, parse_point
+from orbita.projective import (
+    ProjectivePoint,
+    cross_term,
+    distance_table,
+    from_pair,
+    log_distance,
+    parse_point,
+)
 from orbita.suites import (
     CORPUS,
     SUITE_DEFAULTS,
@@ -134,6 +141,39 @@ class TestNonExpansionSuite:
 
     def test_deterministic(self):
         assert run_prop52(30, seed=9) == run_prop52(30, seed=9)
+
+    @pytest.mark.parametrize(
+        "iterations, seed, comparisons",
+        [(1000, 7, 1793), (200, 0, 361), (300, 3, 556), (500, 11, 890)],
+    )
+    def test_reports_pinned(self, iterations, seed, comparisons):
+        # recorded when the images' distances came from log_distance per prime
+        assert run_prop52(iterations, seed=seed) == SuiteReport(
+            suite="prop52",
+            seed=seed,
+            cases=iterations,
+            comparisons=comparisons,
+            passed=True,
+        )
+
+    def test_forced_failure_names_map_prime_and_points(self, monkeypatch):
+        # z -> z/2 in place of the map halves every even cross term
+        monkeypatch.setattr(suites, "evaluate", lambda m, P: from_pair(P.x, 2 * P.y))
+        assert run_prop52(1000, seed=7) == SuiteReport(
+            suite="prop52",
+            seed=7,
+            cases=8,
+            comparisons=13,
+            passed=False,
+            counterexample="map (-9*z^3 - 23*z^2 - 2*z - 16)/(12*z^3 + 18*z^2 + 18*z + 17), "
+            "p=2, points [-226:55],[158:153]",
+        )
+
+    def test_coinciding_images_count_and_pass(self, monkeypatch):
+        # equal images sit at infinite distance: every good prime is compared
+        monkeypatch.setattr(suites, "evaluate", lambda m, P: ProjectivePoint(0, 1))
+        report = run_prop52(1000, seed=7)
+        assert report.passed and report.comparisons == 1793
 
 
 class TestRemarkSuite:
