@@ -17,7 +17,6 @@ from .forms import (
     content,
     evaluate_form,
     form_degree,
-    multiply_forms,
     resultant,
     scale_form,
     substitute_forms,

@@ -7,9 +7,9 @@ when its budget runs out instead of returning a partial answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 Rational = Fraction
 
@@ -46,27 +46,45 @@ def _sieve(limit: int) -> tuple[int, ...]:
     return tuple(i for i in range(limit) if flags[i])
 
 
-# read-only prime table shared by all callers (the only module-level state)
-_SMALL_PRIMES = _sieve(3000)
+# read-only prime table and its derived constants (the only module-level state)
+_TABLE_LIMIT = 3000
+_SMALL_PRIMES = _sieve(_TABLE_LIMIT)
+_PRIMORIAL = prod(_SMALL_PRIMES)
+# an integer > 1 below this with no prime factor in the table is prime
+_TABLE_SQUARE = _TABLE_LIMIT * _TABLE_LIMIT
 
-# Miller-Rabin with these bases is a proof for n < 3.317e24; beyond that the
-# same test is a strong-probable-prime check (fine for our input sizes).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 13 primes. The strong pseudoprimes psi_k to all of the first k
+# prime bases are known (Jaeschke, Math. Comp. 1993; Sorenson & Webster,
+# Math. Comp. 2017): the first 4 bases decide n < psi_4 = 3215031751, the
+# first 7 decide n < psi_7 = 341550071728321, and all 13 decide
+# n < psi_13 = 3317044064679887385961981. Beyond psi_13 the 13-base test is
+# a strong-probable-prime test.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test."""
+    """Miller-Rabin with the first 13 prime bases, fewer below psi_7.
+
+    A proof of primality below psi_13 = 3 317 044 064 679 887 385 961 981;
+    a strong-probable-prime test above it.
+    """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
+    if n < 3215031751:
+        bases = _MR_BASES[:4]
+    elif n < 341550071728321:
+        bases = _MR_BASES[:7]
+    else:
+        bases = _MR_BASES
     d = n - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_BASES:
+    for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -124,8 +142,6 @@ class Factorization:
 
 def _brent_rho(n: int, c: int, max_iter: int) -> int | None:
     """One Brent-cycle rho run with increment c; returns a proper factor or None."""
-    if n % 2 == 0:
-        return 2
     y, m = 2, 128
     g = r = q = 1
     x = ys = y
@@ -141,7 +157,7 @@ def _brent_rho(n: int, c: int, max_iter: int) -> int | None:
             step = min(m, r - k)
             for _ in range(step):
                 y = (y * y + c) % n
-                q = q * abs(x - y) % n
+                q = q * (x - y) % n
             spent += step
             g = gcd(q, n)
             k += m
@@ -153,7 +169,7 @@ def _brent_rho(n: int, c: int, max_iter: int) -> int | None:
         g = 1
         while g == 1:
             ys = (ys * ys + c) % n
-            g = gcd(abs(x - ys), n)
+            g = gcd(x - ys, n)
     return g if g != n else None
 
 
@@ -175,19 +191,21 @@ def factor(n: int, max_bits: int = DEFAULT_FACTOR_BITS) -> Factorization:
     if m.bit_length() > max_bits:
         raise FactorizationBudgetError(n, m, ())
     found: dict[int, int] = {}
-    for p in _SMALL_PRIMES:
-        if p * p > m:
-            break
-        while m % p == 0:
-            found[p] = found.get(p, 0) + 1
-            m //= p
-    # m is now 1, prime, or has no prime factor below the table limit
+    shown = gcd(m, _PRIMORIAL)
+    if shown > 1:
+        for p in _SMALL_PRIMES:
+            if shown % p == 0:
+                found[p] = e = _valuation(m, p)
+                m //= p**e
+                shown //= p
+                if shown == 1:
+                    break
+    # m is now 1 or has no prime factor below the table limit, and so has
+    # every piece rho splits off it
     stack = [m] if m > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
-        if is_prime(m):
+        if m < _TABLE_SQUARE or is_prime(m):
             found[m] = found.get(m, 0) + 1
             continue
         g = None

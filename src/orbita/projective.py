@@ -60,13 +60,12 @@ class ProjectivePoint:
 
 def from_pair(x: Rational | int, y: Rational | int) -> ProjectivePoint:
     """Canonical point from any homogeneous pair of rationals, not both zero."""
-    xf, yf = Fraction(x), Fraction(y)
-    if xf == 0 and yf == 0:
+    # [x:y] = [x * den(y) : y * den(x)] clears both denominators at once
+    a = x.numerator * y.denominator
+    b = y.numerator * x.denominator
+    if a == 0 and b == 0:
         raise ValueError("(0,0) is not a projective point")
-    scale = xf.denominator * yf.denominator
-    a = int(xf * scale)
-    b = int(yf * scale)
-    g = gcd(abs(a), abs(b))
+    g = gcd(a, b)
     a //= g
     b //= g
     if b < 0 or (b == 0 and a < 0):

@@ -1,5 +1,3 @@
-import os
-
 import pytest
 from mpmath import libmp, mp
 

@@ -132,6 +132,12 @@ class TestBadprimes:
         assert code == 0
         assert "bad primes: (none)" in out
 
+    def test_strong_pseudoprime_resultant_splits(self, capsys):
+        # 399165290221 * 798330580441 is a strong pseudoprime to bases 2..37
+        code, out, _ = run(capsys, "badprimes", "--map", "318665857834031151167461*z")
+        assert code == 0
+        assert "bad primes: 399165290221 798330580441" in out
+
     def test_json_output(self, capsys):
         code, out, _ = run(capsys, "badprimes", "--map", "z^2 - 29/16", "--json")
         assert code == 0

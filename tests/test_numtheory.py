@@ -1,8 +1,11 @@
+import hashlib
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from orbita.numtheory import (
+    DEFAULT_FACTOR_BITS,
     NOT_S_INTEGER,
     S_INTEGER_NOT_UNIT,
     S_UNIT,
@@ -12,9 +15,13 @@ from orbita.numtheory import (
     PlaceSet,
     factor,
     is_prime,
+    _sieve,
     s_membership,
     vp,
 )
+
+# psi_12: the smallest strong pseudoprime to all prime bases up to 37
+PSI_12 = 318665857834031151167461
 
 
 @pytest.mark.parametrize(
@@ -27,15 +34,35 @@ from orbita.numtheory import (
         (4, False),
         (97, True),
         (561, False),  # Carmichael
-        (2047, False),  # 23 * 89, strong pseudoprime base 2
         (1000003, True),
         (2**61 - 1, True),  # Mersenne
         (2**61 + 1, False),
         (-7, False),
+        # psi_1 .. psi_12 (psi_7 = psi_8, psi_9 = psi_10 = psi_11): the
+        # smallest strong pseudoprimes to the first k prime bases, which
+        # straddle every base-count switch
+        (2047, False),
+        (1373653, False),
+        (25326001, False),
+        (3215031751, False),
+        (2152302898747, False),
+        (3474749660383, False),
+        (341550071728321, False),
+        (3825123056546413051, False),
+        (PSI_12, False),
     ],
 )
 def test_is_prime(n, expected):
     assert is_prime(n) == expected
+
+
+def test_is_prime_matches_sieve_below_a_million():
+    primes = set(_sieve(10**6))
+    assert [n for n in range(10**6) if is_prime(n) != (n in primes)] == []
+
+
+def test_factor_splits_psi_12():
+    assert factor(PSI_12).factors == ((399165290221, 1), (798330580441, 1))
 
 
 def test_factor_small_values():
@@ -78,6 +105,28 @@ def test_factor_bit_budget():
 
 def test_factorization_primes_property():
     assert factor(360).primes == (2, 3, 5)
+
+
+def test_factor_pinned_on_recorded_suite_inputs():
+    # 2140 arguments factor received in run_suite('all', seed=7). The digest
+    # pins each result, at the default budget and at 40 bits where wider
+    # inputs raise, as the trial-division loop over the whole table gave it.
+    lines = []
+    path = Path(__file__).parent / "data" / "factor_sample.txt"
+    for text in path.read_text(encoding="utf-8").splitlines():
+        if text.startswith("#"):
+            continue
+        n = int(text)
+        for max_bits in (DEFAULT_FACTOR_BITS, 40):
+            try:
+                f = factor(n, max_bits)
+                lines.append(f"{n} {max_bits} {f.sign} {f.factors}")
+            except FactorizationBudgetError as exc:
+                lines.append(f"{n} {max_bits} E {exc.n} {exc.cofactor} {exc.partial}")
+    assert len(lines) == 4280
+    assert sum(" E " in line for line in lines) == 1532
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "5ab4bcea0c44d1277532b79db95230ae2fb7d9134d7466eb7b7e6a1589e7d219"
 
 
 @pytest.mark.parametrize(

@@ -37,6 +37,28 @@ def test_from_pair_canonicalizes():
     assert from_pair(0, -3) == ProjectivePoint(0, 1)
 
 
+def test_from_pair_is_proportional_to_its_rational_pair():
+    # ProjectivePoint itself checks coprimality and sign, so proportionality
+    # in Fraction arithmetic pins the one canonical point
+    rng = random.Random(5)
+    for _ in range(2000):
+        bits = rng.choice((3, 16, 64))
+        x, y = (
+            rng.randint(-(1 << bits), 1 << bits) * rng.choice((0, 1, 1, 1))
+            for _ in range(2)
+        )
+        if x == 0 and y == 0:
+            continue
+        if rng.random() < 0.5:
+            x = Fraction(x, rng.randint(1, 1 << bits))
+            y = Fraction(y, rng.randint(1, 1 << bits))
+        P = from_pair(x, y)
+        assert P.x * Fraction(y) == P.y * Fraction(x)
+    for pair in ((0, 0), (Fraction(0), Fraction(0)), (0, Fraction(0))):
+        with pytest.raises(ValueError):
+            from_pair(*pair)
+
+
 def test_canonical_point_and_affine_roundtrip():
     P = canonical_point(Fraction(-7, 4))
     assert (P.x, P.y) == (-7, 4)

@@ -17,3 +17,28 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    # __init__.py imports to re-export; every other module uses what it imports
+    sources = sorted(Path(orbita.__file__).parent.glob("*.py"))
+    found = [
+        f"{path.name}: {entry}"
+        for path in sources
+        if path.name != "__init__.py"
+        for entry in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
