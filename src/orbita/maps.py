@@ -8,7 +8,6 @@ The expression parser accepts rational functions of z and homogenizes them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .forms import (
@@ -125,63 +124,110 @@ def make_map(F, G) -> RationalMap:
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomial helpers over Q (ascending coefficients, no trailing 0)
+# univariate polynomials over Z (ascending coefficients, no trailing 0)
 
 
-def _pnorm(c: list[Fraction]) -> list[Fraction]:
+def _trim(c: list[int]) -> list[int]:
     while c and c[-1] == 0:
         c.pop()
     return c
 
 
-def _padd(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] += x
-    return _pnorm(out)
+def _add(a: list[int], b: list[int]) -> list[int]:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, y in enumerate(b):
+        out[i] += y
+    return _trim(out)
 
 
-def _pneg(a):
+def _neg(a: list[int]) -> list[int]:
     return [-x for x in a]
 
 
-def _pmul(a, b):
+def _mul(a: list[int], b: list[int]) -> list[int]:
+    """a * b, inside the parser's budgets.
+
+    A product above MAX_DEGREE is refused before it is formed. One with a
+    coefficient above DEFAULT_COEFF_BITS is refused as soon as it is formed,
+    which takes at most (MAX_DEGREE + 1)^2 multiplications.
+    """
     if not a or not b:
         return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    degree = len(a) + len(b) - 2
+    if degree > MAX_DEGREE:
+        raise BitBudgetError(degree, MAX_DEGREE, "intermediate degree")
+    out = [0] * (degree + 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 out[i + j] += x * y
-    return _pnorm(out)
+    bits = max(map(abs, out)).bit_length()
+    if bits > DEFAULT_COEFF_BITS:
+        raise BitBudgetError(bits, DEFAULT_COEFF_BITS, "intermediate coefficient size")
+    return _trim(out)
 
 
-def _pdivmod(a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
+def _pow(a: list[int], k: int) -> list[int]:
+    """a^k by repeated squaring; no square is formed that the result does not use."""
+    out = [1]
+    while k:
+        if k & 1:
+            out = _mul(out, a)
+        k >>= 1
+        if k:
+            a = _mul(a, a)
+    return out
+
+
+def _primitive(a: list[int]) -> list[int]:
+    """a divided by its content, leading coefficient positive."""
+    g = content(a)
+    if a[-1] < 0:
+        g = -g
+    return [c // g for c in a]
+
+
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """A pseudo-remainder: lc(b)^e * a reduced modulo b, all in Z[z]."""
     a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    lead = b[-1]
     while len(a) >= len(b):
-        k = len(a) - len(b)
-        c = a[-1] / b[-1]
+        c, k = a[-1], len(a) - len(b)
+        a = [lead * x for x in a]
+        for i, y in enumerate(b):
+            a[k + i] -= c * y
+        _trim(a)  # the leading term cancels, so a strictly shrinks
+    return a
+
+
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd of two nonzero polynomials, by primitive pseudo-remainders.
+
+    lc(b)^e is a unit over Q, so each step keeps the gcd over Q; stripping
+    the content keeps the coefficients small.
+    """
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        r = _prem(a, b)
+        a, b = b, (_primitive(r) if r else [])
+    return a
+
+
+def _exact_div(a: list[int], b: list[int]) -> list[int]:
+    """a / b for a primitive b that divides a over Q.
+
+    By Gauss's lemma b then divides a over Z, so every step divides exactly.
+    """
+    a = list(a)
+    q = [0] * (len(a) - len(b) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        c = a[k + len(b) - 1] // b[-1]
         q[k] = c
         for i, y in enumerate(b):
             a[k + i] -= c * y
-        _pnorm(a)  # leading term cancels, so the loop strictly shrinks a
-    return _pnorm(q), a
-
-
-def _pgcd(a, b):
-    a, b = list(a), list(b)
-    while b:
-        _, r = _pdivmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [x / lead for x in a]  # monic
-    return a
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +239,11 @@ def _pgcd(a, b):
 #   rational := uint ('/' uint)?
 # The optional leading sign is a superset of the published grammar. Rational
 # literals bind greedily, so "1/2^3" is (1/2)^3 by the factor rule.
+#
+# A value is a pair (num, den) of integer polynomials, and the literal p/q is
+# ([p], [q]). A literal 0 keeps its one coefficient: dividing by it is not a
+# division by the zero function, but it leaves den zero, which parse_map
+# reports as a zero denominator.
 
 
 class _Parser:
@@ -233,8 +284,6 @@ class _Parser:
             raise MapSyntaxError("expected an unsigned integer", start)
         return int(self.text[start : self.pos])
 
-    # rational function values: (num, den) coefficient lists over Q
-
     def expr(self):
         ch = self.peek()
         neg = False
@@ -243,7 +292,7 @@ class _Parser:
             neg = ch == "-"
         value = self.term()
         if neg:
-            value = (_pneg(value[0]), value[1])
+            value = (_neg(value[0]), value[1])
         while True:
             ch = self.peek()
             if ch not in ("+", "-"):
@@ -253,8 +302,8 @@ class _Parser:
             n1, d1 = value
             n2, d2 = rhs
             if ch == "-":
-                n2 = _pneg(n2)
-            value = (_padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2))
+                n2 = _neg(n2)
+            value = (_add(_mul(n1, d2), _mul(n2, d1)), _mul(d1, d2))
 
     def term(self):
         value = self.factor()
@@ -268,22 +317,18 @@ class _Parser:
             n1, d1 = value
             n2, d2 = rhs
             if ch == "*":
-                value = (_pmul(n1, n2), _pmul(d1, d2))
+                value = (_mul(n1, n2), _mul(d1, d2))
             else:
                 if not n2:
                     raise MapSyntaxError("division by the zero function", at)
-                value = (_pmul(n1, d2), _pmul(d1, n2))
+                value = (_mul(n1, d2), _mul(d1, n2))
 
     def factor(self):
         value = self.base()
         if self.peek() == "^":
             self.take()
             k = self._uint()
-            n, d = [Fraction(1)], [Fraction(1)]
-            for _ in range(k):
-                n = _pmul(n, value[0])
-                d = _pmul(d, value[1])
-            value = (n, d)
+            value = (_pow(value[0], k), _pow(value[1], k))
         return value
 
     def base(self):
@@ -292,7 +337,7 @@ class _Parser:
             raise MapSyntaxError("unexpected end of expression", self.pos)
         if ch == "z":
             self.take()
-            return ([Fraction(0), Fraction(1)], [Fraction(1)])
+            return ([0, 1], [1])
         if ch == "(":
             self.take()
             value = self.expr()
@@ -312,15 +357,17 @@ class _Parser:
                         raise MapSyntaxError("zero denominator in rational literal", save)
                 else:
                     self.pos = save
-            return ([Fraction(num, den)], [Fraction(1)])
+            return ([num], [den])
         raise MapSyntaxError(f"unexpected character {ch!r}", self.pos)
 
 
 def parse_map(text: str) -> RationalMap:
     """Parse a rational function of z into a canonical model.
 
-    Common polynomial factors are removed over Q before homogenization, so
-    the resulting model always has nonzero resultant.
+    Common polynomial factors are removed before homogenization, so the
+    resulting model always has nonzero resultant. Every intermediate product
+    is held to MAX_DEGREE and DEFAULT_COEFF_BITS (BitBudgetError), including
+    those a common factor later cancels.
     """
     parser = _Parser(text)
     num, den = parser.expr()
@@ -328,31 +375,20 @@ def parse_map(text: str) -> RationalMap:
         raise MapSyntaxError("trailing input", parser.pos)
     if not den:
         raise MapSyntaxError("zero denominator", 0)
-    g = _pgcd(num, den)
-    if len(g) > 1:
-        num, _ = _pdivmod(num, g)
-        den, _ = _pdivmod(den, g)
-        num, den = _pnorm(num), _pnorm(den)
+    num = _trim(num)  # a bare literal 0 is the zero function
+    if num:
+        g = _gcd(num, den)
+        if len(g) > 1:
+            num, den = _exact_div(num, g), _exact_div(den, g)
     d = max(len(num), len(den)) - 1
-    if d < 1:
+    if not num or d < 1:
         raise MapSyntaxError("constant maps are rejected", 0)
-    if d > MAX_DEGREE:
-        raise BitBudgetError(d, MAX_DEGREE, "map degree")
-
-    def homogenize(poly) -> list[Fraction]:
-        # descending X powers: coefficient of X^(d-j) Y^j
-        out = [Fraction(0)] * (d + 1)
-        for i, c in enumerate(poly):
-            out[d - i] = c
-        return out
-
-    Fq = homogenize(num)
-    Gq = homogenize(den)
-    scale = 1
-    for c in Fq + Gq:
-        scale = scale * c.denominator // gcd(scale, c.denominator)
-    F = [int(c * scale) for c in Fq]
-    G = [int(c * scale) for c in Gq]
+    # descending X powers: coefficient of X^(d-i) Y^i
+    F, G = [0] * (d + 1), [0] * (d + 1)
+    for i, c in enumerate(num):
+        F[d - i] = c
+    for i, c in enumerate(den):
+        G[d - i] = c
     return make_map(F, G)
 
 

@@ -31,7 +31,15 @@ from .maps import (
     make_map,
     make_moebius,
 )
-from .numtheory import S_UNIT, PlaceSet, _valuation, factor, s_membership
+from .numtheory import (
+    S_UNIT,
+    PlaceSet,
+    _strip_primes,
+    _valuation,
+    factor,
+    is_prime,
+    s_membership,
+)
 from .projective import INFINITE_DISTANCE, ProjectivePoint, cross_term, distance_table
 
 __all__ = [
@@ -108,8 +116,16 @@ class OrbitCertificate:
             raise ValueError("orbit does not close into the cycle")
         if list(self.bad_primes) != sorted(set(self.bad_primes)):
             raise ValueError("bad primes must be sorted and duplicate-free")
-        if set(self.bad_primes) != set(factor(self.map.res).primes):
-            raise ValueError("bad primes do not match the model resultant")
+        # the primes of res, derived without factoring it again: each listed
+        # prime divides res, and dividing them all out leaves +-1
+        res = self.map.res
+        for p in self.bad_primes:
+            if not is_prime(p):
+                raise ValueError(f"bad prime {p} is not prime")
+            if res % p:
+                raise ValueError(f"bad prime {p} does not divide the model resultant")
+        if _strip_primes(res, self.bad_primes) != 1:
+            raise ValueError("bad primes miss a prime factor of the model resultant")
         if self.s != 1 + len(self.bad_primes):
             raise ValueError("s must be 1 + |bad_primes|")
 
@@ -273,9 +289,8 @@ def verify_np_conditions(
     """
     if not tail2:
         raise ValueError("tail must be nonempty")
-    missing = [p for p in bad_primes(map2) if p not in S]
-    if missing:
-        raise ValueError(f"S must contain the bad primes, missing {missing}")
+    if s_membership(map2.res, S) != S_UNIT:
+        raise ValueError(f"S = {S} must contain the bad primes: the resultant is not an S-unit")
     if tail2[-1] != ProjectivePoint(0, 1):
         raise NpConditionError(1, (len(tail2) - 1,), "terminal point is not [0:1]")
     for i, P in enumerate(tail2):
@@ -323,9 +338,8 @@ def check_tail_divisibility(
     """
     if not tail2 or tail2[-1] != ProjectivePoint(0, 1):
         raise ValueError("tail must end at [0:1]")
-    missing = [p for p in bad_primes(map2) if p not in S]
-    if missing:
-        raise ValueError(f"S must contain the bad primes, missing {missing}")
+    if s_membership(map2.res, S) != S_UNIT:
+        raise ValueError(f"S = {S} must contain the bad primes: the resultant is not an S-unit")
     comparisons = 0
     for i in range(len(tail2) - 1):
         x_here = tail2[i].x
@@ -551,16 +565,28 @@ def run_certificate_checks(cert: OrbitCertificate) -> dict[str, bool]:
     return {"prop51": True, "prop52": True, "remark": True, "divisibility": True}
 
 
+# (s, precision) -> CanciC(s) and MortonSilverman(s - 1), each with its ln_upper_str.
+# Both bounds depend on nothing else, so each process evaluates them once.
+_CERTIFICATE_BOUNDS: dict[tuple[int, int], tuple] = {}
+
+
 def _bounds_block(cert: OrbitCertificate, precision: int | None = None) -> dict:
-    c = _bounds.evaluate_bound(_bounds.canci_c(cert.s), precision)
-    ms = _bounds.evaluate_bound(
-        _bounds.morton_silverman(len(cert.bad_primes), 1), precision
-    )
+    if precision is None:
+        precision = _bounds.working_precision()
+    key = (cert.s, precision)
+    cached = _CERTIFICATE_BOUNDS.get(key)
+    if cached is None:
+        c = _bounds.evaluate_bound(_bounds.canci_c(cert.s), precision)
+        ms = _bounds.evaluate_bound(
+            _bounds.morton_silverman(len(cert.bad_primes), 1), precision
+        )
+        cached = _CERTIFICATE_BOUNDS[key] = (c, c.ln_upper_str, ms, ms.ln_upper_str)
+    c, ln_c, ms, ln_ms = cached
     ok_total = _bounds.compare(cert.length, c) == _bounds.SATISFIED
     ok_period = _bounds.compare(cert.period, ms) == _bounds.SATISFIED
     return {
-        "ln_c_s": c.ln_upper_str,
-        "ln_ms": ms.ln_upper_str,
+        "ln_c_s": ln_c,
+        "ln_ms": ln_ms,
         "satisfied": bool(ok_total and ok_period),
     }
 

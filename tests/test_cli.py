@@ -3,6 +3,7 @@
 import json
 import shutil
 import subprocess
+import time
 
 import pytest
 
@@ -92,6 +93,37 @@ class TestOrbit:
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second
+
+
+    def test_period_four_conjugate_certifies(self, capsys):
+        # Res of the 4-fold composite does not factor within budget; its
+        # bad primes are derived from the certificate's, which cover them
+        code, out, err = run(
+            capsys, "orbit", "--map", "(-41536*z^2 - 65200*z - 25536)/(36973*z^2 - 19152)",
+            "--point", "[-4:1]", "--json",
+        )
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert (doc["tail_length"], doc["period"]) == ("0", "4")
+        assert all(doc["checks"].values()) and doc["bounds"]["satisfied"]
+
+
+class TestParseBudget:
+    @pytest.mark.parametrize("text", ["(z+1)^3000", "(z+1)^1000", "z*2^99999999999"])
+    def test_oversized_expressions_exit_3_at_once(self, capsys, text):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "badprimes", "--map", text)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (3, "")
+        assert "budget exhausted" in err
+
+    def test_huge_power_of_one_ends_at_once(self, capsys):
+        # 1^k is formed by squaring; the constant it leaves is an input error
+        start = time.perf_counter()
+        code, out, err = run(capsys, "badprimes", "--map", "1^99999999999")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert "constant maps are rejected" in err
 
 
 class TestDelta:

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from orbita.maps import (
+    DEFAULT_COEFF_BITS,
     MAX_DEGREE,
     BitBudgetError,
     MapSyntaxError,
@@ -97,6 +98,22 @@ class TestParsing:
     def test_degree_budget(self):
         with pytest.raises(BitBudgetError):
             parse_map(f"z^{MAX_DEGREE + 1}")
+
+    def test_budget_applies_to_the_unreduced_expression(self):
+        assert parse_map(f"z^{MAX_DEGREE}/z^{MAX_DEGREE - 1}") == parse_map("z")
+        with pytest.raises(BitBudgetError):
+            parse_map("z^200/z^199")
+
+    def test_coefficient_budget(self):
+        assert parse_map(f"z + 2^{DEFAULT_COEFF_BITS - 1}").F[1] == 2 ** (DEFAULT_COEFF_BITS - 1)
+        with pytest.raises(BitBudgetError):
+            parse_map(f"z + 2^{DEFAULT_COEFF_BITS}")
+
+    def test_common_factor_removed_over_the_integers(self):
+        # content and a shared quadratic factor cancel; the model has content 1
+        m = parse_map("(6*z^2 - 4)*(3*z^2 + z - 1)/((3*z^2 + z - 1)*(9*z - 6))")
+        assert (m.F, m.G) == ((6, 0, -4), (0, 9, -6))
+        assert parse_map("(4*z^2 - 1)/(2*z + 1)") == parse_map("2*z - 1")
 
 
 def _roundtrip_corpus():

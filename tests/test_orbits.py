@@ -141,6 +141,22 @@ class TestCertificateValidation:
         with pytest.raises(ValueError):
             dataclasses.replace(cert, bad_primes=(3,))
 
+    @pytest.mark.parametrize(
+        "listed,message",
+        [
+            ((2,), "miss a prime factor"),  # 3 divides the resultant too
+            ((2, 3, 5), "does not divide"),
+            ((2, 3, 6), "not prime"),
+            ((3, 4), "not prime"),
+        ],
+    )
+    def test_bad_primes_derived_from_the_resultant(self, listed, message):
+        # Res = 2916 = 2^2 * 3^6: the listed primes must divide it and leave +-1
+        cert = detect_orbit(parse_map("3/2*z^2 - 2/3"), parse_point("2/3"))
+        assert cert.map.res == 2916 and cert.bad_primes == (2, 3)
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(cert, bad_primes=listed, s=1 + len(listed))
+
     def test_wrong_s(self, cert):
         with pytest.raises(ValueError):
             dataclasses.replace(cert, s=2)
@@ -288,6 +304,13 @@ class TestTailDivisibility:
         ident = parse_map("z")
         report = check_tail_divisibility(ident, _affine(1, -1) + [O], PlaceSet.of())
         assert report.passed and report.comparisons == 0
+
+    def test_requires_covering_place_set(self):
+        cert = detect_orbit(parse_map("z^2 - 29/16"), parse_point("7/4"))
+        map2, tail2, _ = normalize_orbit(*collapse_to_fixed_point(cert))
+        with pytest.raises(ValueError, match="must contain the bad primes"):
+            check_tail_divisibility(map2, tail2, PlaceSet.of(3))
+        assert check_tail_divisibility(map2, tail2, PlaceSet.of(2, 3)).passed
 
     def test_bad_primes_of_normalized_composite_are_the_certificates(self):
         # Res(f^n) divides a power of Res(f) and det-1 conjugation keeps |Res|
@@ -452,3 +475,25 @@ class TestJson:
         doc["tail_length"] = "2"
         with pytest.raises(ValueError):
             certificate_from_json(doc)
+
+    def test_bounds_evaluated_once_per_s_and_precision(self, monkeypatch):
+        from orbita import bounds, orbits
+
+        calls = []
+        evaluate = bounds.evaluate_bound
+
+        def counting(f, precision=None):
+            calls.append((f.name, f.params, precision))
+            return evaluate(f, precision)
+
+        monkeypatch.setattr(orbits, "_CERTIFICATE_BOUNDS", {})
+        monkeypatch.setattr(bounds, "evaluate_bound", counting)
+        monkeypatch.delenv(bounds.PRECISION_ENV, raising=False)
+        two = detect_orbit(parse_map("z^2 - 29/16"), parse_point("7/4"))  # s = 2
+        docs = [certificate_to_json(two) for _ in range(3)]
+        assert docs[0] == docs[2]
+        assert calls == [("CanciC", (("s", 2),), 60), ("MortonSilverman", (("t", 1), ("D", 1)), 60)]
+        certificate_to_json(detect_orbit(parse_map("z^2 - 1"), parse_point("1")))  # s = 1
+        monkeypatch.setenv(bounds.PRECISION_ENV, "80")
+        certificate_to_json(two)
+        assert [c[2] for c in calls] == [60, 60, 60, 60, 80, 80]
