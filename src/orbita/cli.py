@@ -3,7 +3,8 @@
 Exit status taxonomy:
   0  success
   2  input could not be parsed (map, point, flags)
-  3  a budget was exhausted (orbit undecided, factorization or size refusal)
+  3  a budget was exhausted (orbit undecided, factorization or size refusal,
+     an exact bound too long to print)
   4  a verification suite found a counterexample (printed with its witness)
   5  an internal invariant was breached
 
@@ -15,12 +16,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
 from . import bounds as _bounds
 from .maps import BitBudgetError, RationalMap, bad_primes, parse_map
-from .numtheory import FactorizationBudgetError, PlaceSet, factor, is_prime
+from .numtheory import FactorizationBudgetError, Factorization, PlaceSet, factor, is_prime
 from .orbits import (
     DEFAULT_MAX_BITS,
     DEFAULT_MAX_STEPS,
@@ -66,8 +68,7 @@ def _emit(doc: dict) -> None:
 # ---------------------------------------------------------------- orbit
 
 
-def _factorization_str(n: int) -> str:
-    f = factor(n)
+def _factorization_str(n: int, f: Factorization) -> str:
     if not f.factors:
         return str(n)
     parts = [] if f.sign == 1 else ["-1"]
@@ -128,9 +129,9 @@ def _cmd_delta(args) -> int:
 
 def _cmd_badprimes(args) -> int:
     m = _parse_map_arg(args.map)
-    primes = bad_primes(m)
+    f = factor(m.res)
+    primes = f.primes
     if args.json:
-        f = factor(m.res)
         _emit(
             {
                 "command": "badprimes",
@@ -142,12 +143,30 @@ def _cmd_badprimes(args) -> int:
         )
         return 0
     print(f"map: {m}")
-    print(f"resultant: {_factorization_str(m.res)}")
+    print(f"resultant: {_factorization_str(m.res, f)}")
     print(f"bad primes: {_primes_str(primes)}")
     return 0
 
 
 # ---------------------------------------------------------------- bounds
+
+
+def _decimal_digits(n: int) -> int:
+    """Number of decimal digits of a nonzero integer, without rendering it."""
+    x = math.log10(abs(n))  # 16 significant figures: within 1e-6 below 10^(10^9)
+    k = round(x)
+    if abs(x - k) > 1e-6:
+        return math.floor(x) + 1
+    return k + 1 if abs(n) >= 10**k else k
+
+
+def _exact_str(n: int) -> str:
+    """str(n), or a budget refusal when n has more digits than Python will print."""
+    try:
+        return str(n)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise BitBudgetError(_decimal_digits(n), limit, "exact value digit count") from None
 
 
 def _parse_params(tokens: list[str]) -> dict[str, int]:
@@ -184,6 +203,7 @@ def _cmd_bounds(args) -> int:
         value = _bounds.evaluate_bound(formula)
     except ValueError as exc:
         raise _InputError(str(exc)) from None
+    exact = None if value.exact is None else _exact_str(value.exact)
     if args.json:
         _emit(
             {
@@ -193,20 +213,23 @@ def _cmd_bounds(args) -> int:
                 "closed_form": value.exact_form,
                 "ln_lower": value.ln_lower_str,
                 "ln_upper": value.ln_upper_str,
-                "exact": None if value.exact is None else str(value.exact),
+                "exact": exact,
                 "magnitude": value.magnitude_str(),
                 "precision": str(value.precision_digits),
             }
         )
         return 0
-    print(f"formula: {formula}")
-    print(f"closed form: {value.exact_form}")
-    print(f"ln lower: {value.ln_lower_str}")
-    print(f"ln upper: {value.ln_upper_str}")
-    if value.exact is not None:
-        print(f"exact: {value.exact}")
-    print(f"magnitude: {value.magnitude_str()}")
-    print(f"precision: {value.precision_digits} digits")
+    lines = [
+        f"formula: {formula}",
+        f"closed form: {value.exact_form}",
+        f"ln lower: {value.ln_lower_str}",
+        f"ln upper: {value.ln_upper_str}",
+    ]
+    if exact is not None:
+        lines.append(f"exact: {exact}")
+    lines.append(f"magnitude: {value.magnitude_str()}")
+    lines.append(f"precision: {value.precision_digits} digits")
+    print("\n".join(lines))
     return 0
 
 

@@ -53,7 +53,7 @@ class MapSyntaxError(ValueError):
 
 
 class BitBudgetError(Exception):
-    """A size budget (coefficient bits or form degree) was exceeded."""
+    """A size budget (coefficient bits, form degree, printed digits) was exceeded."""
 
     def __init__(self, observed: int, limit: int, what: str = "coefficient size"):
         self.observed = observed
@@ -73,6 +73,10 @@ class RationalMap:
     G: Form
 
     def __post_init__(self):
+        self._validate(None)
+
+    def _validate(self, res: int | None) -> None:
+        """Check the canonical-model invariants; compute res unless it is given."""
         if len(self.F) != len(self.G):
             raise ValueError("F and G must have equal degree")
         d = form_degree(self.F)
@@ -86,7 +90,8 @@ class RationalMap:
             lead = next(c for c in self.F if c)
         if lead < 0:
             raise ValueError("leading sign must be canonical")
-        res = resultant(self.F, self.G)
+        if res is None:
+            res = resultant(self.F, self.G)
         if res == 0:
             raise ValueError("resultant must be nonzero (F, G share a root)")
         object.__setattr__(self, "_res", res)
@@ -104,8 +109,8 @@ class RationalMap:
         return map_to_expr(self)
 
 
-def make_map(F, G) -> RationalMap:
-    """Normalize a raw coefficient pair (content 1, canonical sign) and validate."""
+def _canonical(F, G) -> tuple[Form, Form, int]:
+    """F and G divided by their joint content c, sign-canonical; also returns c."""
     F = tuple(int(c) for c in F)
     G = tuple(int(c) for c in G)
     joint = gcd(content(F), content(G))
@@ -120,6 +125,21 @@ def make_map(F, G) -> RationalMap:
     if lead is not None and lead < 0:
         F = scale_form(F, -1)
         G = scale_form(G, -1)
+    return F, G, joint
+
+
+def _with_resultant(F: Form, G: Form, res: int) -> RationalMap:
+    """A canonical model whose resultant is already known: every check but Bareiss."""
+    m = object.__new__(RationalMap)
+    object.__setattr__(m, "F", F)
+    object.__setattr__(m, "G", G)
+    m._validate(res)
+    return m
+
+
+def make_map(F, G) -> RationalMap:
+    """Normalize a raw coefficient pair (content 1, canonical sign) and validate."""
+    F, G, _ = _canonical(F, G)
     return RationalMap(F, G)
 
 
@@ -520,7 +540,12 @@ def moebius_order(A: MoebiusTransform, cap: int = 12) -> int | None:
 def conjugate(m: RationalMap, A: MoebiusTransform) -> RationalMap:
     """The conjugated model A o m o A^(-1), content-normalized.
 
-    For det A = +-1 the resultant (hence the bad-prime set) is preserved.
+    Its resultant is derived, not recomputed. Substituting the adjugate
+    (determinant det A) and then applying A give forms with resultant
+    det(A)^(d^2 + d) * Res(m); dividing both by their joint content c
+    divides it by c^(2d), and the sign flip multiplies it by (-1)^(2d) = 1
+    (Silverman, GTM 241, ch. 2). For det A = +-1, c = 1 and the resultant,
+    hence the bad-prime set, is preserved exactly.
     """
     a, b, c, d = A.entries()
     # substitute the unnormalized inverse (adjugate) into both forms
@@ -530,7 +555,12 @@ def conjugate(m: RationalMap, A: MoebiusTransform) -> RationalMap:
     Gs = substitute_forms(m.G, u, v)
     F2 = add_forms(scale_form(Fs, a), scale_form(Gs, b))
     G2 = add_forms(scale_form(Fs, c), scale_form(Gs, d))
-    return make_map(F2, G2)
+    F2, G2, joint = _canonical(F2, G2)
+    deg = m.degree
+    res, rest = divmod(A.det ** (deg * deg + deg) * m.res, joint ** (2 * deg))
+    if rest:
+        raise AssertionError(f"{joint}^{2 * deg} does not divide the conjugate's resultant")
+    return _with_resultant(F2, G2, res)
 
 
 def compose_maps(outer: RationalMap, inner: RationalMap,

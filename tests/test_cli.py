@@ -7,7 +7,8 @@ import time
 
 import pytest
 
-from orbita import cli, orbits
+from orbita import cli, maps, orbits
+from orbita.numtheory import factor
 from orbita.orbits import CertificateCheckError
 from orbita.suites import SuiteReport
 
@@ -178,6 +179,20 @@ class TestBadprimes:
         assert doc["factorization"] == [["2", "16"]]
         assert doc["bad_primes"] == ["2"]
 
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)])
+    def test_resultant_factored_once(self, capsys, monkeypatch, json_flag):
+        calls = []
+
+        def counting(n, *rest):
+            calls.append(n)
+            return factor(n, *rest)
+
+        monkeypatch.setattr(cli, "factor", counting)
+        monkeypatch.setattr(maps, "factor", counting)
+        code, _, _ = run(capsys, "badprimes", "--map", "(z^2 - 29/16)/(3*z)", *json_flag)
+        assert code == 0
+        assert len(calls) == 1
+
 
 class TestBounds:
     def test_interval_only_formula(self, capsys):
@@ -243,6 +258,37 @@ class TestBounds:
         code, _, err = run(capsys, "orbit", "--map", "z^2 - 1", "--point", "1")
         assert code == 2
         assert "ORBITA_PRECISION" in err
+
+    @pytest.mark.parametrize(
+        ("formula", "param", "digits"),
+        [("BeukersSchlickewei", "r=3000", 7228), ("KRun", "s=4000", 19266)],
+    )
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)])
+    def test_exact_value_too_long_to_print_exits_3(
+        self, capsys, formula, param, digits, json_flag
+    ):
+        code, out, err = run(capsys, "bounds", "--formula", formula, "--params", param, *json_flag)
+        assert (code, out) == (3, "")
+        assert err == (
+            f"orbita: error: budget exhausted: exact value digit count {digits} "
+            "exceeds budget 4300\n"
+        )
+
+    def test_longest_printable_exact_value(self, capsys):
+        # 2^(16*892) has 4297 digits; 2^(16*893) has 4302, over the limit
+        code, out, _ = run(capsys, "bounds", "--formula", "KRun", "--params", "s=892")
+        assert code == 0
+        assert f"exact: {2 ** (16 * 892)}\n" in out
+        code, out, err = run(capsys, "bounds", "--formula", "KRun", "--params", "s=893")
+        assert (code, out) == (3, "")
+        assert "exact value digit count 4302 exceeds budget 4300" in err
+
+    @pytest.mark.parametrize("k", [1, 5, 4999, 5000])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_digit_count_at_powers_of_ten(self, k, offset):
+        # 10^k - 1 has k digits, 10^k and 10^k + 1 have k + 1
+        n = 10**k + offset
+        assert cli._decimal_digits(n) == cli._decimal_digits(-n) == k + (offset >= 0)
 
 
 class TestSunit:
@@ -456,3 +502,29 @@ class TestDriver:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["period"] == "3"
+
+
+@pytest.mark.parametrize(
+    ("argv", "env", "status"),
+    [
+        (("orbit", "--map", "z^2 +", "--point", "1"), None, 2),
+        (("orbit", "--map", "z^2", "--point", "1/0", "--json"), None, 2),
+        (("bounds", "--formula", "CanciC", "--params", "s=x"), None, 2),
+        (("orbit", "--map", "z^2 - 1", "--point", "1"), "abc", 2),
+        (("bounds", "--formula", "CanciC", "--params", "s=1"), "abc", 2),
+        (("orbit", "--map", "z + 1", "--point", "0", "--max-steps", "5"), None, 3),
+        (("orbit", "--map", "z^2", "--point", "2", "--max-bits", "16", "--json"), None, 3),
+        (("badprimes", "--map", "(z+1)^3000"), None, 3),
+        (("badprimes", "--map", "(z+1)^3000", "--json"), None, 3),
+        (("bounds", "--formula", "BeukersSchlickewei", "--params", "r=3000"), None, 3),
+        (("bounds", "--formula", "KRun", "--params", "s=4000", "--json"), None, 3),
+    ],
+)
+def test_error_exit_leaves_stdout_empty(capsys, monkeypatch, argv, env, status):
+    # semigroup is the one exception by design: an undecided generator orbit
+    # still prints the complete report before it exits 3
+    if env is not None:
+        monkeypatch.setenv("ORBITA_PRECISION", env)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (status, "")
+    assert err.startswith("orbita: error: ")

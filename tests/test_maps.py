@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from orbita import forms, maps
 from orbita.maps import (
     DEFAULT_COEFF_BITS,
     MAX_DEGREE,
@@ -269,6 +271,63 @@ class TestConjugation:
         m = parse_map("z^2 - 2")
         A = make_moebius(1, -2, 0, 1)
         assert abs(conjugate(m, A).res) == abs(m.res)
+
+    @pytest.mark.parametrize(
+        "text", ["z^2 - 29/16", "(2*z^3 - 5)/(3*z^2 + z)", "7/z", "z^5 + 3*z"]
+    )
+    @pytest.mark.parametrize(
+        "entries", [(1, -2, 0, 1), (0, 1, 1, 0), (2, 1, 1, 1), (1, 3, 1, 2), (3, 5, 1, 2)]
+    )
+    def test_determinant_one_conjugate_keeps_the_resultant(self, text, entries):
+        m = parse_map(text)
+        A = make_moebius(*entries)
+        assert abs(A.det) == 1
+        assert conjugate(m, A).res == m.res
+
+    def test_derived_resultant_matches_sylvester(self):
+        # Res(A o m o A^-1) = det(A)^(d^2 + d) Res(m) / c^(2d), c the joint content
+        rng = random.Random(20261018)
+        seen = {"degrees": set(), "dets": set(), "zero_lead": 0, "content": 0}
+        pairs = 0
+        while pairs < 2000:
+            d = rng.randint(1, 6)
+            F = [rng.randint(-5, 5) for _ in range(d + 1)]
+            G = [rng.randint(-5, 5) for _ in range(d + 1)]
+            if rng.random() < 0.3:
+                F[0] = 0
+            if rng.random() < 0.3:
+                G[0] = 0
+            try:
+                m = make_map(F, G)
+                A = make_moebius(*(rng.randint(-4, 4) for _ in range(4)))
+            except ValueError:
+                continue
+            if abs(A.det) > 16:
+                continue
+            m2 = conjugate(m, A)
+            assert m2.res == forms.resultant(m2.F, m2.G), (str(m), str(A))
+            pairs += 1
+            seen["degrees"].add(d)
+            seen["dets"].add(A.det)
+            seen["zero_lead"] += m.F[0] == 0 or m.G[0] == 0
+            seen["content"] += abs(m2.res) < abs(A.det) ** (d * d + d) * abs(m.res)
+        assert seen["degrees"] == set(range(1, 7))
+        assert {-16, -1, 1, 16} <= seen["dets"]
+        assert seen["zero_lead"] > 100 and seen["content"] > 100
+
+    def test_conjugate_runs_no_sylvester_determinant(self, monkeypatch):
+        calls = []
+
+        def counting(F, G):
+            calls.append(len(F) - 1)
+            return forms.resultant(F, G)
+
+        monkeypatch.setattr(maps, "resultant", counting)
+        m = make_map((1, 0, -29), (0, 0, 16))
+        assert calls == [2]
+        conjugate(m, make_moebius(1, -2, 0, 1))
+        conjugate(m, make_moebius(2, 1, 1, 3))
+        assert calls == [2]
 
 
 class TestComposition:
