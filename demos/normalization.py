@@ -44,6 +44,6 @@ print("tail bound:", report.tail_bound_display)
 
 # the normalized tail walks into [0:1] with monotone valuations at every
 # good prime; that monotonicity is what makes the tail shorter than any
-# prescribed valuation budget
+# prescribed valuation budget. A violation raises TailDivisibilityError.
 div = check_tail_divisibility(map2, tail2, S)
-print(f"divisibility: {div.comparisons} comparisons over {div.steps} steps, passed={div.passed}")
+print(f"divisibility: {div.comparisons} comparisons over {div.steps} steps")

@@ -40,6 +40,7 @@ __all__ = [
     "two_ways_ideals",
     "pgl2_order",
     "PRECISION_ENV",
+    "PrecisionError",
 ]
 
 SATISFIED = "satisfied"
@@ -71,6 +72,10 @@ def _ln10(dps: int):
     return ln10
 
 
+class PrecisionError(ValueError):
+    """ORBITA_PRECISION is not an integer of at least 10: a configuration input error."""
+
+
 def working_precision() -> int:
     """Decimal digits for bound evaluation; ORBITA_PRECISION overrides the default."""
     raw = os.environ.get(PRECISION_ENV)
@@ -79,9 +84,9 @@ def working_precision() -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise ValueError(f"{PRECISION_ENV} must be an integer, got {raw!r}") from None
+        raise PrecisionError(f"{PRECISION_ENV} must be an integer, got {raw!r}") from None
     if value < 10:
-        raise ValueError(f"{PRECISION_ENV} must be at least 10")
+        raise PrecisionError(f"{PRECISION_ENV} must be at least 10")
     return value
 
 

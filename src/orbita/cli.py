@@ -2,7 +2,7 @@
 
 Exit status taxonomy:
   0  success
-  2  input could not be parsed (map, point, flags)
+  2  input could not be parsed (map, point, flags, ORBITA_PRECISION)
   3  a budget was exhausted (orbit undecided, factorization or size refusal,
      an exact bound too long to print)
   4  a verification suite found a counterexample (printed with its witness)
@@ -200,9 +200,9 @@ def _cmd_bounds(args) -> int:
         formula = _bounds.BoundFormula(
             args.formula, tuple((k, given[k]) for k in spec.param_names)
         )
-        value = _bounds.evaluate_bound(formula)
     except ValueError as exc:
         raise _InputError(str(exc)) from None
+    value = _bounds.evaluate_bound(formula)
     exact = None if value.exact is None else _exact_str(value.exact)
     if args.json:
         _emit(
@@ -268,10 +268,9 @@ def _cmd_sunit(args) -> int:
             coeffs = tuple(Fraction(piece.strip()) for piece in pieces)
         except (ValueError, ZeroDivisionError) as exc:
             raise _InputError(f"bad coefficient list: {exc}") from None
-        try:
-            report = count_three_term(S, coeffs, args.bound)
-        except ValueError as exc:
-            raise _InputError(str(exc)) from None
+        if 0 in coeffs:
+            raise _InputError("need exactly three nonzero coefficients")
+        report = count_three_term(S, coeffs, args.bound)
         summary = _summary(
             report.count, report.problem.rank, report.ln_bound.ln_upper_str, args.bound
         )
@@ -499,19 +498,16 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _DISPATCH[args.command](args)
-    except _InputError as exc:
+    except (_InputError, _bounds.PrecisionError) as exc:
         _fail(str(exc))
         return 2
     except (FactorizationBudgetError, BitBudgetError, EnumerationCapError) as exc:
         _fail(f"budget exhausted: {exc}")
         return 3
-    except (CertificateCheckError, AssertionError) as exc:
+    except (CertificateCheckError, AssertionError, ValueError) as exc:
+        # input errors were caught above, so a ValueError here is a bug
         _fail(f"internal invariant breach: {exc}")
         return 5
-    except ValueError as exc:
-        # bad ORBITA_PRECISION and similar configuration-level rejections
-        _fail(str(exc))
-        return 2
 
 
 if __name__ == "__main__":

@@ -61,7 +61,8 @@ class BitBudgetError(Exception):
         super().__init__(f"{what} {observed} exceeds budget {limit}")
 
 
-# eager resultants make huge-degree models impractical; refuse them loudly
+# degree budget of the parser's products and of compose_maps' composites:
+# a larger model is refused before it is formed
 MAX_DEGREE = 128
 
 
@@ -522,15 +523,15 @@ def make_moebius(a: int, b: int, c: int, d: int) -> MoebiusTransform:
     return MoebiusTransform(a, b, c, d)
 
 
-def moebius_order(A: MoebiusTransform, cap: int = 12) -> int | None:
-    """Least k <= cap with A^k scalar, or None when the order exceeds the cap.
+def moebius_order(A: MoebiusTransform) -> int | None:
+    """Least k <= 12 with A^k scalar, or None when there is none.
 
-    Scalar matrices normalize to the identity, so the test is plain equality.
+    An element of finite order in PGL2(Q) has order 1, 2, 3, 4 or 6, so 12
+    covers them all. Scalar matrices normalize to the identity, so the test
+    is plain equality.
     """
-    if cap < 1:
-        raise ValueError("cap must be positive")
     acc = A
-    for k in range(1, cap + 1):
+    for k in range(1, 13):
         if acc == MoebiusTransform.identity():
             return k
         acc = acc.compose(A)
@@ -563,26 +564,30 @@ def conjugate(m: RationalMap, A: MoebiusTransform) -> RationalMap:
     return _with_resultant(F2, G2, res)
 
 
-def compose_maps(outer: RationalMap, inner: RationalMap,
-                 max_bits: int = DEFAULT_COEFF_BITS) -> RationalMap:
-    """Formal composition outer(inner), content-normalized, budget-guarded."""
+def compose_maps(outer: RationalMap, inner: RationalMap) -> RationalMap:
+    """Formal composition outer(inner), content-normalized, budget-guarded.
+
+    Both budgets (MAX_DEGREE, DEFAULT_COEFF_BITS) are checked before the
+    composite's resultant is computed.
+    """
     d = outer.degree * inner.degree
     if d > MAX_DEGREE:
         raise BitBudgetError(d, MAX_DEGREE, "composite degree")
-    F = substitute_forms(outer.F, inner.F, inner.G)
-    G = substitute_forms(outer.G, inner.F, inner.G)
-    m = make_map(F, G)
-    worst = max(abs(c).bit_length() for c in m.F + m.G)
-    if worst > max_bits:
-        raise BitBudgetError(worst, max_bits)
-    return m
+    F, G, _ = _canonical(
+        substitute_forms(outer.F, inner.F, inner.G),
+        substitute_forms(outer.G, inner.F, inner.G),
+    )
+    worst = max(abs(c).bit_length() for c in F + G)
+    if worst > DEFAULT_COEFF_BITS:
+        raise BitBudgetError(worst, DEFAULT_COEFF_BITS)
+    return RationalMap(F, G)
 
 
-def iterate_map(m: RationalMap, k: int, max_bits: int = DEFAULT_COEFF_BITS) -> RationalMap:
+def iterate_map(m: RationalMap, k: int) -> RationalMap:
     """k-fold composite of m with itself (k >= 1)."""
     if k < 1:
         raise ValueError("k must be positive")
     acc = m
     for _ in range(k - 1):
-        acc = compose_maps(m, acc, max_bits)
+        acc = compose_maps(m, acc)
     return acc

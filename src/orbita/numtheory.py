@@ -97,6 +97,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _int_str(n: int) -> str:
+    """str(n), or n named by its bit length when it has more digits than Python prints."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"{'-' if n < 0 else ''}<{n.bit_length()}-bit integer>"
+
+
 class FactorizationBudgetError(Exception):
     """Complete factorization could not be certified within the budget.
 
@@ -109,7 +117,8 @@ class FactorizationBudgetError(Exception):
         self.cofactor = cofactor
         self.partial = partial
         super().__init__(
-            f"factorization incomplete for {n}: unfactored cofactor {cofactor}"
+            f"factorization incomplete for {_int_str(n)}: "
+            f"unfactored cofactor {_int_str(cofactor)}"
         )
 
 

@@ -21,7 +21,6 @@ from math import gcd
 from . import bounds as _bounds
 from .forms import Form
 from .maps import (
-    DEFAULT_COEFF_BITS,
     MoebiusTransform,
     RationalMap,
     bad_primes,
@@ -89,27 +88,24 @@ class UndecidedOrbit:
 
 @dataclass(frozen=True)
 class OrbitCertificate:
-    """A verified finite orbit: tail of length m entering a cycle of period n."""
+    """A verified finite orbit: tail of length m entering a cycle of period n.
+
+    The start point, the period and s = |S| (the archimedean place plus the
+    bad primes) are derived from the fields, never stored beside them.
+    """
 
     map: RationalMap
-    start: ProjectivePoint
     tail_length: int
-    period: int
     points: tuple[ProjectivePoint, ...]
     bad_primes: tuple[int, ...]
-    s: int
 
     def __post_init__(self):
-        m, n = self.tail_length, self.period
-        if m < 0 or n < 1:
+        m = self.tail_length
+        if m < 0 or len(self.points) <= m:
             raise ValueError("need tail_length >= 0 and period >= 1")
-        if len(self.points) != m + n:
-            raise ValueError("points list must have length tail_length + period")
-        if self.points[0] != self.start:
-            raise ValueError("points[0] must be the start point")
         if len(set(self.points)) != len(self.points):
             raise ValueError("orbit points must be pairwise distinct")
-        for i in range(m + n - 1):
+        for i in range(len(self.points) - 1):
             if evaluate(self.map, self.points[i]) != self.points[i + 1]:
                 raise ValueError(f"orbit breaks at step {i}")
         if evaluate(self.map, self.points[-1]) != self.points[m]:
@@ -126,12 +122,23 @@ class OrbitCertificate:
                 raise ValueError(f"bad prime {p} does not divide the model resultant")
         if _strip_primes(res, self.bad_primes) != 1:
             raise ValueError("bad primes miss a prime factor of the model resultant")
-        if self.s != 1 + len(self.bad_primes):
-            raise ValueError("s must be 1 + |bad_primes|")
+
+    @property
+    def start(self) -> ProjectivePoint:
+        return self.points[0]
+
+    @property
+    def period(self) -> int:
+        return len(self.points) - self.tail_length
+
+    @property
+    def s(self) -> int:
+        """|S|: the archimedean place plus the bad primes."""
+        return 1 + len(self.bad_primes)
 
     @property
     def length(self) -> int:
-        return self.tail_length + self.period
+        return len(self.points)
 
     @property
     def place_set(self) -> PlaceSet:
@@ -167,17 +174,11 @@ def detect_orbit(
     while True:
         key = (P.x, P.y)
         if key in seen:
-            j = seen[key]
-            tail, period = j, len(pts) - j
-            bad = tuple(bad_primes(m))
             return OrbitCertificate(
                 map=m,
-                start=start,
-                tail_length=tail,
-                period=period,
+                tail_length=seen[key],
                 points=tuple(pts),
-                bad_primes=bad,
-                s=1 + len(bad),
+                bad_primes=tuple(bad_primes(m)),
             )
         if _coord_bits(P) > max_bits:
             return UndecidedOrbit(BITS_EXHAUSTED, P, len(pts))
@@ -189,7 +190,7 @@ def detect_orbit(
 
 
 def collapse_to_fixed_point(
-    cert: OrbitCertificate, max_bits: int = DEFAULT_COEFF_BITS
+    cert: OrbitCertificate,
 ) -> tuple[RationalMap, list[ProjectivePoint]]:
     """The period-fold composite and the tail points it walks into its fixed point.
 
@@ -197,7 +198,7 @@ def collapse_to_fixed_point(
     composite fixes Q_0 because Q_0 is periodic of period n for the base map.
     """
     n = cert.period
-    composite = iterate_map(cert.map, n, max_bits)
+    composite = iterate_map(cert.map, n)
     k = cert.tail_length // n
     tail = [cert.points[cert.tail_length - i * n] for i in range(k, -1, -1)]
     for P, Q in zip(tail, tail[1:] + tail[-1:]):
@@ -260,19 +261,20 @@ class TailDivisibilityError(Exception):
 
 @dataclass(frozen=True)
 class NpReport:
-    """Outcome of the three structural conditions plus the tail-length bound."""
+    """The tail-length bound on a normalized orbit whose three conditions hold.
+
+    A report is only returned when conditions (1)-(3) hold; a failure raises
+    NpConditionError instead.
+    """
 
     m: int
     s: int
-    condition1: bool
-    condition2: bool
-    condition3: bool
     tail_bound_ok: bool
     tail_bound_display: str
 
     @property
     def all_ok(self) -> bool:
-        return self.condition1 and self.condition2 and self.condition3 and self.tail_bound_ok
+        return self.tail_bound_ok
 
 
 def verify_np_conditions(
@@ -281,9 +283,10 @@ def verify_np_conditions(
     """Check the normalized-orbit conditions and the log-space tail bound.
 
     (1) the terminal point is [0:1]; (2) each point's coordinate gcd is an
-    S-unit (automatic in coprime canonical coordinates, asserted literally);
-    (3) all pairwise coordinate cross terms are nonzero. The tail bound is
-    ln(m+2) < 10^12 * s, checked with an upward-rounded left side.
+    S-unit, which holds by construction since ProjectivePoint keeps coprime
+    coordinates; (3) all pairwise coordinate cross terms are nonzero. The
+    tail bound is ln(m+2) < 10^12 * s, checked with an upward-rounded left
+    side.
     """
     if not tail2:
         raise ValueError("tail must be nonempty")
@@ -291,10 +294,6 @@ def verify_np_conditions(
         raise ValueError(f"S = {S} must contain the bad primes: the resultant is not an S-unit")
     if tail2[-1] != ProjectivePoint(0, 1):
         raise NpConditionError(1, (len(tail2) - 1,), "terminal point is not [0:1]")
-    for i, P in enumerate(tail2):
-        g = gcd(abs(P.x), abs(P.y))
-        if s_membership(Fraction(g), S) != S_UNIT:
-            raise NpConditionError(2, (i,), f"coordinate gcd {g} is not an S-unit")
     for i in range(len(tail2)):
         for j in range(i + 1, len(tail2)):
             if cross_term(tail2[i], tail2[j]) == 0:
@@ -305,24 +304,15 @@ def verify_np_conditions(
     threshold = _bounds.mp.mpf(10) ** 12 * S.s
     ok = ln_up < threshold
     display = f"ln({m + 2}) <= {_bounds.decimal_str(ln_up, 8, upward=True)} < 10^12 * {S.s}"
-    return NpReport(
-        m=m,
-        s=S.s,
-        condition1=True,
-        condition2=True,
-        condition3=True,
-        tail_bound_ok=bool(ok),
-        tail_bound_display=display,
-    )
+    return NpReport(m=m, s=S.s, tail_bound_ok=bool(ok), tail_bound_display=display)
 
 
 @dataclass(frozen=True)
 class DivisibilityReport:
-    """Monotone tail-valuation check summary."""
+    """Monotone tail-valuation check summary; a violation raises instead."""
 
     steps: int
     comparisons: int
-    passed: bool
 
 
 def check_tail_divisibility(
@@ -356,7 +346,7 @@ def check_tail_divisibility(
         comparisons += count
         if failure:
             raise TailDivisibilityError(i, *failure)
-    return DivisibilityReport(steps=len(tail2) - 1, comparisons=comparisons, passed=True)
+    return DivisibilityReport(steps=len(tail2) - 1, comparisons=comparisons)
 
 
 def _rref_nullspace(rows: list[list[Fraction]], width: int) -> list[list[Fraction]]:
@@ -568,9 +558,8 @@ def run_certificate_checks(cert: OrbitCertificate) -> dict[str, bool]:
 _CERTIFICATE_BOUNDS: dict[tuple[int, int], tuple] = {}
 
 
-def _bounds_block(cert: OrbitCertificate, precision: int | None = None) -> dict:
-    if precision is None:
-        precision = _bounds.working_precision()
+def _bounds_block(cert: OrbitCertificate) -> dict:
+    precision = _bounds.working_precision()
     key = (cert.s, precision)
     cached = _CERTIFICATE_BOUNDS.get(key)
     if cached is None:
@@ -589,7 +578,7 @@ def _bounds_block(cert: OrbitCertificate, precision: int | None = None) -> dict:
     }
 
 
-def certificate_to_json(cert: OrbitCertificate, precision: int | None = None) -> dict:
+def certificate_to_json(cert: OrbitCertificate) -> dict:
     """Schema "orbita/1" document; every integer is a decimal string."""
     checks = run_certificate_checks(cert)
     return {
@@ -605,26 +594,32 @@ def certificate_to_json(cert: OrbitCertificate, precision: int | None = None) ->
         "bad_primes": [str(p) for p in cert.bad_primes],
         "s": str(cert.s),
         "checks": checks,
-        "bounds": _bounds_block(cert, precision),
+        "bounds": _bounds_block(cert),
     }
 
 
 def certificate_from_json(doc: dict) -> OrbitCertificate:
-    """Rebuild and fully re-verify a certificate from its JSON document."""
+    """Rebuild and fully re-verify a certificate from its JSON document.
+
+    The document's "start", "period" and "s" must equal the values the
+    certificate derives from its points, tail length and bad primes.
+    """
     if doc.get("schema") != SCHEMA_TAG:
         raise ValueError(f"unsupported schema {doc.get('schema')!r}")
     m = RationalMap(
         tuple(int(c) for c in doc["map"]["F"]),
         tuple(int(c) for c in doc["map"]["G"]),
     )
-    points = tuple(ProjectivePoint(int(x), int(y)) for x, y in doc["points"])
-    start = ProjectivePoint(int(doc["start"][0]), int(doc["start"][1]))
-    return OrbitCertificate(
+    cert = OrbitCertificate(
         map=m,
-        start=start,
         tail_length=int(doc["tail_length"]),
-        period=int(doc["period"]),
-        points=points,
+        points=tuple(ProjectivePoint(int(x), int(y)) for x, y in doc["points"]),
         bad_primes=tuple(int(p) for p in doc["bad_primes"]),
-        s=int(doc["s"]),
     )
+    if ProjectivePoint(int(doc["start"][0]), int(doc["start"][1])) != cert.start:
+        raise ValueError("start must be points[0]")
+    if int(doc["period"]) != cert.period:
+        raise ValueError("period must be len(points) - tail_length")
+    if int(doc["s"]) != cert.s:
+        raise ValueError("s must be 1 + |bad_primes|")
+    return cert

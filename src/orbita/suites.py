@@ -233,10 +233,10 @@ def run_prop52(iterations: int = SUITE_DEFAULTS["prop52"], seed: int = 0) -> Sui
     )
 
 
-def run_remark(iterations: int | None = None, seed: int = 0) -> SuiteReport:
+def run_remark(seed: int = 0) -> SuiteReport:
     """Repeated-difference divisibility along every corpus orbit.
 
-    Corpus-driven, so the iteration count is fixed and the seed is recorded
+    Corpus-driven, so it takes no iteration count, and the seed is recorded
     but not consumed.
     """
     certs = corpus_certificates()

@@ -140,9 +140,7 @@ class UnitEquationReport:
         return self.count <= self.ln_bound.exact
 
 
-def solve_unit_equation(
-    S: PlaceSet, B: int, cap: int = DEFAULT_CAP
-) -> UnitEquationReport:
+def solve_unit_equation(S: PlaceSet, B: int) -> UnitEquationReport:
     """All (u, v) with u + v = 1 and both coordinates S-units in the box.
 
     One-sided scan: enumerate u over the box and test v = 1 - u, which is
@@ -151,8 +149,8 @@ def solve_unit_equation(
     r = 2(s-1), where pairs (u, v) range over the square of the unit group.
     """
     problem = UnitEquationProblem(S, B)
-    if problem.box_size > cap:
-        raise EnumerationCapError(problem.box_size, cap)
+    if problem.box_size > DEFAULT_CAP:
+        raise EnumerationCapError(problem.box_size, DEFAULT_CAP)
     primes = S.finite_primes
     smooth = _smooth_set(primes, B)
     sols = []
@@ -184,9 +182,7 @@ class TwoWaysReport:
         return len(self.representations) >= 2
 
 
-def two_way_representations(
-    T: Rational, S: PlaceSet, B: int, cap: int = DEFAULT_CAP
-) -> TwoWaysReport:
+def two_way_representations(T: Rational, S: PlaceSet, B: int) -> TwoWaysReport:
     """All unordered pairs {u, v} of box S-units with u + v = T.
 
     Pairs are distinct as sets, so {u, v} and {v, u} count once; the
@@ -194,8 +190,8 @@ def two_way_representations(
     """
     T = Fraction(T)
     problem = UnitEquationProblem(S, B)
-    if problem.box_size > cap:
-        raise EnumerationCapError(problem.box_size, cap)
+    if problem.box_size > DEFAULT_CAP:
+        raise EnumerationCapError(problem.box_size, DEFAULT_CAP)
     primes = S.finite_primes
     smooth = _smooth_set(primes, B)
     tn, td = T.numerator, T.denominator
@@ -231,9 +227,7 @@ class ThreeTermReport:
         return _bounds.compare(self.count, self.ln_bound) == _bounds.SATISFIED
 
 
-def count_three_term(
-    S: PlaceSet, a, B: int, cap: int = DEFAULT_CAP
-) -> ThreeTermReport:
+def count_three_term(S: PlaceSet, a, B: int) -> ThreeTermReport:
     """Count ordered box S-unit triples solving the three-term unit equation.
 
     A solution is nondegenerate when no proper subsum of a_i x_i vanishes;
@@ -245,8 +239,8 @@ def count_three_term(
         raise ValueError("need exactly three nonzero coefficients")
     problem = UnitEquationProblem(S, B)
     candidates = problem.box_size**2
-    if candidates > cap:
-        raise EnumerationCapError(candidates, cap)
+    if candidates > DEFAULT_CAP:
+        raise EnumerationCapError(candidates, DEFAULT_CAP)
     primes = S.finite_primes
     smooth = _smooth_set(primes, B)
     units = list(_box_pairs(primes, B))

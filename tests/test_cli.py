@@ -7,7 +7,8 @@ import time
 
 import pytest
 
-from orbita import cli, maps, orbits
+from orbita import bounds as _bounds
+from orbita import cli, maps, orbits, sunit
 from orbita.numtheory import factor
 from orbita.orbits import CertificateCheckError
 from orbita.suites import SuiteReport
@@ -516,6 +517,9 @@ class TestDriver:
         (("orbit", "--map", "z^2", "--point", "2", "--max-bits", "16", "--json"), None, 3),
         (("badprimes", "--map", "(z+1)^3000"), None, 3),
         (("badprimes", "--map", "(z+1)^3000", "--json"), None, 3),
+        # Res = 2^16000: over the factor budget, and more digits than Python prints
+        (("badprimes", "--map", "2^4000*z^4"), None, 3),
+        (("badprimes", "--map", "2^4000*z^4", "--json"), None, 3),
         (("bounds", "--formula", "BeukersSchlickewei", "--params", "r=3000"), None, 3),
         (("bounds", "--formula", "KRun", "--params", "s=4000", "--json"), None, 3),
     ],
@@ -528,3 +532,23 @@ def test_error_exit_leaves_stdout_empty(capsys, monkeypatch, argv, env, status):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (status, "")
     assert err.startswith("orbita: error: ")
+
+
+@pytest.mark.parametrize(
+    ("module", "name", "argv"),
+    [
+        (orbits, "distance_table", ("orbit", "--map", "z^2 - 1", "--point", "1")),
+        (_bounds, "evaluate_bound", ("bounds", "--formula", "CanciC", "--params", "s=1")),
+        (sunit, "_smooth_set", ("sunit", "--primes", "2", "--bound", "2", "--three-term", "1,1,-1")),
+    ],
+)
+def test_internal_value_error_exits_5(capsys, monkeypatch, module, name, argv):
+    # input errors are caught where the input is parsed; a ValueError from
+    # deeper down is a bug, not bad input
+    def breach(*args):
+        raise ValueError("forced for the exit-status test")
+
+    monkeypatch.setattr(module, name, breach)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (5, "")
+    assert err == "orbita: error: internal invariant breach: forced for the exit-status test\n"

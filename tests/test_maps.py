@@ -348,7 +348,18 @@ class TestComposition:
         with pytest.raises(BitBudgetError):
             compose_maps(m, parse_map(f"z^{MAX_DEGREE // 16 + 1}"))
 
-    def test_iterate_coefficient_budget(self):
-        m = parse_map("z^2 + 12345678901234567890123456789")
-        with pytest.raises(BitBudgetError):
-            iterate_map(m, 8, max_bits=256)
+    def test_iterate_coefficient_budget(self, monkeypatch):
+        # the square's leading coefficient is 2^4500: 4501 bits against 4096
+        m = parse_map("2^1500*z^2 + 1")
+        calls = []
+
+        def counting(F, G):
+            calls.append(len(F) - 1)
+            return forms.resultant(F, G)
+
+        monkeypatch.setattr(maps, "resultant", counting)
+        with pytest.raises(BitBudgetError) as info:
+            iterate_map(m, 2)
+        assert (info.value.observed, info.value.limit) == (4501, DEFAULT_COEFF_BITS)
+        assert str(info.value) == f"coefficient size 4501 exceeds budget {DEFAULT_COEFF_BITS}"
+        assert calls == []  # refused before the composite's resultant

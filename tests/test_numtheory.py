@@ -103,6 +103,19 @@ def test_factor_bit_budget():
     assert info.value.n == 1 << 5000
 
 
+def test_budget_message_names_an_unprintable_integer_by_size():
+    # below Python's 4300-digit limit the message prints the integers
+    small = FactorizationBudgetError(-(10**4299), 10**4299, ())
+    assert str(small) == (
+        f"factorization incomplete for {-(10**4299)}: unfactored cofactor {10**4299}"
+    )
+    big = FactorizationBudgetError(-(2**16000), 2**16000, ())
+    assert str(big) == (
+        "factorization incomplete for -<16001-bit integer>: "
+        "unfactored cofactor <16001-bit integer>"
+    )
+
+
 def test_factorization_primes_property():
     assert factor(360).primes == (2, 3, 5)
 

@@ -3,9 +3,11 @@ from itertools import combinations, product
 
 import pytest
 
+from orbita import sunit
 from orbita.bounds import SATISFIED, compare
 from orbita.numtheory import PlaceSet
 from orbita.sunit import (
+    DEFAULT_CAP,
     EnumerationCapError,
     UnitEquationProblem,
     box_units,
@@ -113,9 +115,12 @@ class TestUnitEquation:
             if report.count:
                 assert compare(report.count, report.ln_bound) == SATISFIED
 
-    def test_cap_refusal(self):
-        with pytest.raises(EnumerationCapError):
-            solve_unit_equation(PlaceSet.of(2, 3, 5), 50, cap=1000)
+    def test_cap_refusal(self, monkeypatch):
+        # 2 * 21^5 = 8 168 202 candidates, refused before any scan
+        monkeypatch.setattr(sunit, "_box_pairs", None)
+        with pytest.raises(EnumerationCapError) as info:
+            solve_unit_equation(PlaceSet.of(2, 3, 5, 7, 11), 10)
+        assert (info.value.candidates, info.value.cap) == (8_168_202, DEFAULT_CAP)
 
     def test_bound_validation(self):
         with pytest.raises(ValueError):
@@ -179,9 +184,12 @@ class TestThreeTerm:
         with pytest.raises(ValueError):
             count_three_term(PlaceSet.of(2), (1, 1), 3)
 
-    def test_cap_refusal(self):
-        with pytest.raises(EnumerationCapError):
-            count_three_term(PlaceSet.of(2, 3), (1, 1, -1), 40, cap=10000)
+    def test_cap_refusal(self, monkeypatch):
+        # (2 * 81^2)^2 = 172 186 884 candidate pairs, refused before any scan
+        monkeypatch.setattr(sunit, "_box_pairs", None)
+        with pytest.raises(EnumerationCapError) as info:
+            count_three_term(PlaceSet.of(2, 3), (1, 1, -1), 40)
+        assert (info.value.candidates, info.value.cap) == (172_186_884, DEFAULT_CAP)
 
     def test_degenerate_subsums_excluded(self):
         # x + y + z = 1 with x = -y leaves z = 1; all such triples are skipped,
