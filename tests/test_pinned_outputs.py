@@ -1,10 +1,12 @@
-"""Pinned bytes of `orbit` and `orbit --json`, and bound rendering across precisions.
+"""Pinned bytes of `orbit`, `bounds` and their `--json` forms, and bound rendering across precisions.
 
 tests/data/orbit_sample.txt lists the 16 suites.CORPUS entries and 224
 conjugates of them, written as unnormalized expressions, with the exit
 status and a digest of stdout and stderr for both output modes. Any change
 to parsing, certification, the checks or the bounds block that moves a byte
 of those outputs fails here, with the offending line named.
+tests/data/bounds_sample.txt does the same for `bounds`: 10 formulas at 4
+precisions with 3 parameter sets each.
 """
 
 import hashlib
@@ -19,10 +21,11 @@ from pathlib import Path
 import pytest
 
 from orbita import cli
-from orbita.bounds import PRECISION_ENV
+from orbita.bounds import FORMULAS, PRECISION_ENV
 from orbita.suites import CORPUS
 
 SAMPLE = Path(__file__).parent / "data" / "orbit_sample.txt"
+BOUNDS_SAMPLE = Path(__file__).parent / "data" / "bounds_sample.txt"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -37,9 +40,9 @@ def _digest(out, err):
     return hashlib.sha256((out + "\0" + err).encode()).hexdigest()[:16]
 
 
-def _sample():
+def _sample(path=SAMPLE):
     rows = []
-    for line in SAMPLE.read_text(encoding="utf-8").splitlines():
+    for line in path.read_text(encoding="utf-8").splitlines():
         if not line.startswith("#"):
             rows.append(line.split("\t"))
     return rows
@@ -60,6 +63,24 @@ def test_orbit_output_bytes_pinned(mode, monkeypatch):
         expr, point = row[:2]
         rc, out, err = _run(["orbit", "--map", expr, "--point", point, *extra])
         assert (str(rc), _digest(out, err)) == (row[col], row[col + 1]), (expr, point)
+
+
+def test_bounds_sample_covers_every_formula_and_precision():
+    rows = _sample(BOUNDS_SAMPLE)
+    assert len(rows) == 120
+    assert {r[0] for r in rows} == set(FORMULAS)
+    assert {r[2] for r in rows} == {"60", "200", "1000", "3000"}
+
+
+@pytest.mark.parametrize("mode", ["text", "json"])
+def test_bounds_output_bytes_pinned(mode, monkeypatch):
+    extra = ["--json"] if mode == "json" else []
+    col = 3 if mode == "text" else 5
+    for row in _sample(BOUNDS_SAMPLE):
+        formula, params, precision = row[:3]
+        monkeypatch.setenv(PRECISION_ENV, precision)
+        rc, out, err = _run(["bounds", "--formula", formula, "--params", params, *extra])
+        assert (str(rc), _digest(out, err)) == (row[col], row[col + 1]), row[:3]
 
 
 def _fresh_process(argv, precision):
