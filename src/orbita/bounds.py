@@ -17,6 +17,8 @@ from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 import mpmath
 from mpmath import libmp, mp
 
+from .maps import BitBudgetError
+
 __all__ = [
     "BoundFormula",
     "BoundValue",
@@ -40,6 +42,8 @@ __all__ = [
     "two_ways_ideals",
     "pgl2_order",
     "PRECISION_ENV",
+    "MAX_PRECISION",
+    "ESS_MAX_BITS",
     "PrecisionError",
 ]
 
@@ -49,6 +53,14 @@ INCONCLUSIVE = "inconclusive"
 
 PRECISION_ENV = "ORBITA_PRECISION"
 DEFAULT_PRECISION = 60
+# at 20000 digits the slowest formula (CanciC) takes about 1.6 s and `orbit`,
+# which evaluates two, about 3 s on a 2-core x86-64 box (at 40000: 4.5 s and
+# 9 s); a larger value is refused so that every command ends within seconds
+MAX_PRECISION = 20_000
+# bit-length budget of ESS's exact (6n)^(3n) (r+1): 2^23 bits (1 MiB) admits
+# n = 100000 (6.0e6 bits, under a second) and refuses a value that would
+# take minutes and gigabytes before the integer is formed
+ESS_MAX_BITS = 1 << 23
 
 _CONTEXTS: dict[int, mpmath.ctx_iv.MPIntervalContext] = {}
 # interval enclosure of ln 10 per precision, for magnitude_str
@@ -68,12 +80,24 @@ def _ln10(dps: int):
     ln10 = _LN10.get(dps)
     if ln10 is None:
         ctx = _ctx(dps)
-        ln10 = _LN10[dps] = ctx.log(ctx.mpf(10))
+        ln10 = _LN10[dps] = _ln_int(ctx, 10)
     return ln10
 
 
+def _ln_int(ctx, n: int):
+    """Interval enclosure of ln n for a positive integer n, from one mpf_log call.
+
+    mpf_log rounds one fixed-point value only at the end, so its floor rounding
+    and the next number above enclose what a floor and a ceiling call give.
+    The integer is taken exactly, not rounded to the working precision first.
+    """
+    lo = libmp.mpf_log(libmp.from_int(n), ctx.prec, libmp.round_floor)
+    hi = lo if n == 1 else libmp.mpf_perturb(lo, 0, ctx.prec, libmp.round_ceiling)
+    return ctx.make_mpf((lo, hi))
+
+
 class PrecisionError(ValueError):
-    """ORBITA_PRECISION is not an integer of at least 10: a configuration input error."""
+    """ORBITA_PRECISION is not an integer from 10 to MAX_PRECISION: a configuration input error."""
 
 
 def working_precision() -> int:
@@ -87,6 +111,8 @@ def working_precision() -> int:
         raise PrecisionError(f"{PRECISION_ENV} must be an integer, got {raw!r}") from None
     if value < 10:
         raise PrecisionError(f"{PRECISION_ENV} must be at least 10")
+    if value > MAX_PRECISION:
+        raise PrecisionError(f"{PRECISION_ENV} must be at most {MAX_PRECISION}")
     return value
 
 
@@ -99,29 +125,60 @@ def ln_interval(n: int, precision: int) -> tuple[mpmath.mpf, mpmath.mpf]:
     """Directed-rounded [lower, upper] enclosure of ln(n) for a positive integer."""
     if n < 1:
         raise ValueError("ln_interval needs a positive integer")
-    ctx = _ctx(precision)
-    return _endpoints(ctx.log(ctx.mpf(n)))
+    return _endpoints(_ln_int(_ctx(precision), n))
+
+
+# decimal exponent past which the exact power of ten costs more than a
+# directed bracket of it (measured at 60 to 3000 digits); only ESS gets there
+_EXACT_EXPONENT = 10_000
+_TEN = libmp.from_int(10)
+
+
+def _decimal_cmp(s: str, x: tuple) -> int:
+    """Sign of (the exact value of the decimal string s) - x, for a finite raw mpf x."""
+    d = Decimal(s)
+    sign, man, exp, bc = x
+    dsign, digits, exponent = d.as_tuple()
+    if exponent > _EXACT_EXPONENT:
+        # bracket c*10^exponent at a precision that almost always decides;
+        # rounding toward zero and away from it bounds |d| from both sides
+        coeff = libmp.from_int(int(Decimal((dsign, digits, 0))))
+        prec = max(coeff[3], bc) + 64
+        near = libmp.mpf_mul(coeff, libmp.mpf_pow_int(_TEN, exponent, prec, "d"), prec, "d")
+        far = libmp.mpf_mul(coeff, libmp.mpf_pow_int(_TEN, exponent, prec, "u"), prec, "u")
+        lo, hi = (far, near) if dsign else (near, far)
+        if libmp.mpf_cmp(lo, x) > 0:
+            return 1
+        if libmp.mpf_cmp(hi, x) < 0:
+            return -1
+    num, den = d.as_integer_ratio()
+    if sign:
+        man = -man
+    if exp >= 0:
+        a, b = num, (man * den) << exp
+    else:
+        a, b = num << -exp, man * den
+    return (a > b) - (a < b)
 
 
 def decimal_str(value: mpmath.mpf, digits: int, upward: bool) -> str:
     """Decimal rendering certified >= value (upward) or <= value (downward)."""
-    s = libmp.to_str(value._mpf_, digits)
-    prec = digits * 4 + 64
+    # to_str reads every bit of its argument, and past 2^3500 it builds a
+    # decimal integer as long as the whole mantissa, which Python will not
+    # print beyond 4300 digits: round in the rendering's direction to a width
+    # sized to the digits asked for (a no-op on a value computed at `digits`)
+    x = libmp.mpf_pos(value._mpf_, 4 * digits + 64, "c" if upward else "f")
+    s = libmp.to_str(x, digits)
     # to_str rounds a floor-truncated (digits+3)-digit expansion to nearest,
     # so s starts less than one unit of its digits-th significant digit away
-    # from value. Each bump moves s by one unit of its last place, which the
+    # from x. Each bump moves s by one unit of its last place, which the
     # bumps keep and which is at least a tenth of that unit: s has at most
-    # digits+1 significant digits (to_str appends ".0" when value has exactly
-    # `digits` integer digits). After 11 bumps s is therefore past value by at
-    # least one last-place unit, far more than the 2^-prec relative error of
-    # the bracket, so the check of the 12th string succeeds.
+    # digits+1 significant digits (to_str appends ".0" when x has exactly
+    # `digits` integer digits). After 11 bumps s is therefore past x, and
+    # the exact comparison of the 12th string succeeds.
     for _ in range(12):
-        # bracket the decimal string's exact value and compare against the target
-        lo = mp.make_mpf(libmp.from_str(s, prec, "d"))
-        hi = mp.make_mpf(libmp.from_str(s, prec, "u"))
-        if upward and lo >= value:
-            return s
-        if not upward and hi <= value:
+        c = _decimal_cmp(s, x)
+        if (c >= 0) if upward else (c <= 0):
             return s
         d = Decimal(s)
         ulp = Decimal((0, (1,), d.as_tuple().exponent))
@@ -197,21 +254,28 @@ class _FormulaSpec:
 
 def _ln_canci_c(ctx, s):
     e12 = ctx.mpf(10) ** 12
-    return s * (e12 + 8 * ctx.log(ctx.mpf(s + 1)) + 8 * ctx.log(ctx.log(ctx.mpf(5 * (s + 1)))))
+    return s * (e12 + 8 * _ln_int(ctx, s + 1) + 8 * ctx.log(_ln_int(ctx, 5 * (s + 1))))
 
 
 def _ln_morton_silverman(ctx, t, D):
-    return 4 * D * ctx.log(12 * (t + 2) * ctx.log(ctx.mpf(5 * (t + 2))))
+    return 4 * D * ctx.log(12 * (t + 2) * _ln_int(ctx, 5 * (t + 2)))
 
 
 def _ln_pezda_br(ctx, s, D):
-    return (2 * D + 1) * ctx.log(12 * s * ctx.log(ctx.mpf(5 * s)))
+    return (2 * D + 1) * ctx.log(12 * s * _ln_int(ctx, 5 * s))
 
 
 def _ln_narkiewicz_pezda(ctx, s, D):
-    pezda = (12 * s * ctx.log(ctx.mpf(5 * s))) ** (2 * D + 1)
+    pezda = (12 * s * _ln_int(ctx, 5 * s)) ** (2 * D + 1)
     value = pezda * (31 + ctx.mpf(2) ** (1031 * s)) / 3 - 1
     return ctx.log(value)
+
+
+def _ln_ess(ctx, n, r):
+    bits = 3 * n * (6 * n).bit_length() + (r + 1).bit_length()  # >= bits of the product
+    if bits > ESS_MAX_BITS:
+        raise BitBudgetError(bits, ESS_MAX_BITS, "ESS exponent bits")
+    return ctx.mpf((6 * n) ** (3 * n) * (r + 1))
 
 
 def _ln_np_tail(ctx, s):
@@ -245,13 +309,13 @@ FORMULAS: dict[str, _FormulaSpec] = {
     ),
     "BeukersSchlickewei": _FormulaSpec(
         ("r",),
-        lambda ctx, r: 8 * (r + 1) * ctx.log(ctx.mpf(2)),
+        lambda ctx, r: 8 * (r + 1) * _ln_int(ctx, 2),
         lambda r: 2 ** (8 * (r + 1)),
         lambda r: f"2^(8(r+1)) with r={r}",
     ),
     "ESS": _FormulaSpec(
         ("n", "r"),
-        lambda ctx, n, r: ctx.mpf((6 * n) ** (3 * n) * (r + 1)),
+        _ln_ess,
         lambda n, r: None,
         lambda n, r: f"e^((6n)^(3n) (r+1)) with n={n}, r={r}",
     ),
@@ -263,7 +327,7 @@ FORMULAS: dict[str, _FormulaSpec] = {
     ),
     "KRun": _FormulaSpec(
         ("s",),
-        lambda ctx, s: 16 * s * ctx.log(ctx.mpf(2)),
+        lambda ctx, s: 16 * s * _ln_int(ctx, 2),
         lambda s: 2 ** (16 * s) if 16 * s <= 65536 else None,
         lambda s: f"2^(16 s) per the proof (statement says 2^(16^s)) with s={s}",
     ),
@@ -275,7 +339,7 @@ FORMULAS: dict[str, _FormulaSpec] = {
     ),
     "Pgl2Order": _FormulaSpec(
         ("D",),
-        lambda ctx, D: ctx.log(ctx.mpf(2 + 4 * D * D)),
+        lambda ctx, D: _ln_int(ctx, 2 + 4 * D * D),
         lambda D: 2 + 4 * D * D,
         lambda D: f"2 + 4 D^2 with D={D}",
     ),

@@ -4,7 +4,10 @@ import json
 import shutil
 import subprocess
 import time
+from decimal import Decimal
+from fractions import Fraction
 
+import mpmath
 import pytest
 
 from orbita import bounds as _bounds
@@ -259,6 +262,64 @@ class TestBounds:
         code, _, err = run(capsys, "orbit", "--map", "z^2 - 1", "--point", "1")
         assert code == 2
         assert "ORBITA_PRECISION" in err
+
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)])
+    def test_bounds_past_the_int_string_limit(self, capsys, monkeypatch, json_flag):
+        # 5000 digits: the rendering's strings are longer than the 4300 digits
+        # Python converts to int, which once made every bounds call exit 5
+        monkeypatch.setenv("ORBITA_PRECISION", "5000")
+        code, out, err = run(
+            capsys, "bounds", "--formula", "Pgl2Order", "--params", "D=3", *json_flag
+        )
+        assert (code, err) == (0, "")
+        if json_flag:
+            doc = json.loads(out)
+            lower, upper = doc["ln_lower"], doc["ln_upper"]
+        else:
+            fields = dict(line.split(": ", 1) for line in out.splitlines())
+            lower, upper = fields["ln lower"], fields["ln upper"]
+        assert len(upper) > 4300
+        # ln 38 to 5100 digits, floored and ceiled: compared as exact fractions,
+        # since mpmath.mpf would parse the strings with int() as well
+        scale = 10**5100
+        with mpmath.workdps(5200):
+            floor = Fraction(int(mpmath.floor(mpmath.log(38) * scale)), scale)
+        assert Fraction(Decimal(lower)) <= floor
+        assert floor + Fraction(1, scale) <= Fraction(Decimal(upper))
+
+    def test_orbit_json_past_the_int_string_limit(self, capsys, monkeypatch):
+        monkeypatch.setenv("ORBITA_PRECISION", "5000")
+        code, out, err = run(capsys, "orbit", "--map", "z^2 - 1", "--point", "1", "--json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["bounds"]["satisfied"] is True
+        assert len(doc["bounds"]["ln_c_s"]) > 4300
+
+    def test_precision_limit(self, capsys, monkeypatch):
+        limit = _bounds.MAX_PRECISION
+        monkeypatch.setenv("ORBITA_PRECISION", str(limit))
+        code, out, err = run(capsys, "bounds", "--formula", "Pgl2Order", "--params", "D=3")
+        assert (code, err) == (0, "")
+        assert f"precision: {limit} digits" in out
+        monkeypatch.setenv("ORBITA_PRECISION", str(limit + 1))
+        code, out, err = run(capsys, "bounds", "--formula", "Pgl2Order", "--params", "D=3")
+        assert (code, out) == (2, "")
+        assert err == f"orbita: error: ORBITA_PRECISION must be at most {limit}\n"
+
+    def test_ess_parameter_budget(self, capsys):
+        # 3n * bits(6n) + bits(r+1) bounds the bits of (6n)^(3n) (r+1)
+        code, out, err = run(
+            capsys, "bounds", "--formula", "ESS", "--params", "n=100000000,r=1"
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            "orbita: error: budget exhausted: ESS exponent bits 9000000002 "
+            f"exceeds budget {_bounds.ESS_MAX_BITS}\n"
+        )
+        # the largest n within the budget, refused one step above it
+        with pytest.raises(maps.BitBudgetError):
+            _bounds.evaluate_bound(_bounds.ess(139811, 0))
+        assert 3 * 139810 * (6 * 139810).bit_length() + 1 <= _bounds.ESS_MAX_BITS
 
     @pytest.mark.parametrize(
         ("formula", "param", "digits"),
