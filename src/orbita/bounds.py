@@ -10,14 +10,16 @@ reported violation is a certified strict inequality.
 
 from __future__ import annotations
 
+import math
 import os
+import sys
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 
 import mpmath
 from mpmath import libmp, mp
 
-from .maps import BitBudgetError
+from .numtheory import BudgetError
 
 __all__ = [
     "BoundFormula",
@@ -244,12 +246,54 @@ class BoundValue:
         return "10^" + decimal_str(hi, 15, upward=True)
 
 
+def _decimal_digits(n: int) -> int:
+    """Number of decimal digits of a nonzero integer, without rendering it."""
+    x = math.log10(abs(n))  # 16 significant figures: within 1e-6 below 10^(10^9)
+    k = round(x)
+    if abs(x - k) > 1e-6:
+        return math.floor(x) + 1
+    return k + 1 if abs(n) >= 10**k else k
+
+
+def _pow2_digits(k: int) -> int:
+    """Number of decimal digits of 2^k, floor(k log10 2) + 1, without forming 2^k.
+
+    k log10 2 is irrational for k >= 1, so at some precision both ends of
+    its enclosure lie between the same two integers.
+    """
+    dps = 32
+    while True:
+        lo, hi = (k * _ln_int(_ctx(dps), 2) / _ln10(dps))._mpi_
+        floor = libmp.to_int(lo, libmp.round_floor)
+        if floor == libmp.to_int(hi, libmp.round_floor):
+            return floor + 1
+        dps *= 2
+
+
+def _check_digits(digits: int) -> None:
+    """Refuse an exact value, before it is formed, with more digits than Python prints."""
+    limit = sys.get_int_max_str_digits()  # 0 means no limit
+    if limit and digits > limit:
+        raise BudgetError(digits, limit, "exact value digit count")
+
+
+def _pow2(k: int) -> int:
+    _check_digits(_pow2_digits(k))
+    return 1 << k
+
+
+def _pgl2_order(D: int) -> int:
+    n = 2 + 4 * D * D
+    _check_digits(_decimal_digits(n))
+    return n
+
+
 class _FormulaSpec:
-    def __init__(self, param_names, ln, exact, display):
+    def __init__(self, param_names, ln, display, exact=None):
         self.param_names = param_names
         self.ln = ln
-        self.exact = exact
         self.display = display
+        self.exact = exact
 
 
 def _ln_canci_c(ctx, s):
@@ -274,7 +318,7 @@ def _ln_narkiewicz_pezda(ctx, s, D):
 def _ln_ess(ctx, n, r):
     bits = 3 * n * (6 * n).bit_length() + (r + 1).bit_length()  # >= bits of the product
     if bits > ESS_MAX_BITS:
-        raise BitBudgetError(bits, ESS_MAX_BITS, "ESS exponent bits")
+        raise BudgetError(bits, ESS_MAX_BITS, "ESS exponent bits")
     return ctx.mpf((6 * n) ** (3 * n) * (r + 1))
 
 
@@ -286,62 +330,55 @@ FORMULAS: dict[str, _FormulaSpec] = {
     "CanciC": _FormulaSpec(
         ("s",),
         _ln_canci_c,
-        lambda s: None,
         lambda s: f"[e^(10^12) (s+1)^8 ln(5(s+1))^8]^s with s={s}",
     ),
     "MortonSilverman": _FormulaSpec(
         ("t", "D"),
         _ln_morton_silverman,
-        lambda t, D: None,
         lambda t, D: f"[12(t+2) ln(5(t+2))]^(4D) with t={t}, D={D}",
     ),
     "PezdaBR": _FormulaSpec(
         ("s", "D"),
         _ln_pezda_br,
-        lambda s, D: None,
         lambda s, D: f"[12 s ln(5 s)]^(2D+1) with s={s}, D={D}",
     ),
     "NarkiewiczPezdaOrbit": _FormulaSpec(
         ("s", "D"),
         _ln_narkiewicz_pezda,
-        lambda s, D: None,
         lambda s, D: f"(1/3) [12 s ln(5 s)]^(2D+1) (31 + 2^(1031 s)) - 1 with s={s}, D={D}",
     ),
     "BeukersSchlickewei": _FormulaSpec(
         ("r",),
         lambda ctx, r: 8 * (r + 1) * _ln_int(ctx, 2),
-        lambda r: 2 ** (8 * (r + 1)),
         lambda r: f"2^(8(r+1)) with r={r}",
+        lambda r: _pow2(8 * (r + 1)),
     ),
     "ESS": _FormulaSpec(
         ("n", "r"),
         _ln_ess,
-        lambda n, r: None,
         lambda n, r: f"e^((6n)^(3n) (r+1)) with n={n}, r={r}",
     ),
     "NpTail": _FormulaSpec(
         ("s",),
         _ln_np_tail,
-        lambda s: None,
         lambda s: f"e^(10^12 s) - 2 with s={s}",
     ),
     "KRun": _FormulaSpec(
         ("s",),
         lambda ctx, s: 16 * s * _ln_int(ctx, 2),
-        lambda s: 2 ** (16 * s) if 16 * s <= 65536 else None,
         lambda s: f"2^(16 s) per the proof (statement says 2^(16^s)) with s={s}",
+        lambda s: _pow2(16 * s),
     ),
     "TwoWaysIdeals": _FormulaSpec(
         ("s",),
         lambda ctx, s: ctx.mpf(18**9 * (3 * s - 2)),
-        lambda s: None,
         lambda s: f"e^(18^9 (3s-2)) with s={s}",
     ),
     "Pgl2Order": _FormulaSpec(
         ("D",),
         lambda ctx, D: _ln_int(ctx, 2 + 4 * D * D),
-        lambda D: 2 + 4 * D * D,
         lambda D: f"2 + 4 D^2 with D={D}",
+        _pgl2_order,
     ),
 }
 
@@ -387,19 +424,18 @@ def pgl2_order(D: int = 1) -> BoundFormula:
 
 
 def evaluate_bound(f: BoundFormula, precision: int | None = None) -> BoundValue:
-    """ln of the bound as a certified [lower, upper] pair, plus exact value if small."""
+    """ln of the bound as a certified [lower, upper] pair, plus the exact value if it has one."""
     if precision is None:
         precision = working_precision()
     spec = FORMULAS[f.name]
-    ctx = _ctx(precision)
     kwargs = dict(f.params)
-    ln_iv = spec.ln(ctx, **kwargs)
-    lo, hi = _endpoints(ln_iv)
+    exact = None if spec.exact is None else spec.exact(**kwargs)
+    lo, hi = _endpoints(spec.ln(_ctx(precision), **kwargs))
     return BoundValue(
         formula=f,
         ln_lower=lo,
         ln_upper=hi,
-        exact=spec.exact(**kwargs),
+        exact=exact,
         exact_form=spec.display(**kwargs),
         precision_digits=precision,
     )

@@ -16,13 +16,19 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 
 from . import bounds as _bounds
-from .maps import BitBudgetError, RationalMap, bad_primes, parse_map
-from .numtheory import FactorizationBudgetError, Factorization, PlaceSet, factor, is_prime
+from .maps import RationalMap, bad_primes, parse_map
+from .numtheory import (
+    BudgetError,
+    Factorization,
+    FactorizationBudgetError,
+    PlaceSet,
+    factor,
+    is_prime,
+)
 from .orbits import (
     DEFAULT_MAX_BITS,
     DEFAULT_MAX_STEPS,
@@ -33,7 +39,7 @@ from .orbits import (
     detect_orbit,
 )
 from .projective import ProjectivePoint, log_distance, parse_point
-from .sunit import EnumerationCapError, count_three_term, solve_unit_equation
+from .sunit import count_three_term, solve_unit_equation
 from .suites import SUITE_NAMES, run_suite
 
 __all__ = ["main"]
@@ -151,24 +157,6 @@ def _cmd_badprimes(args) -> int:
 # ---------------------------------------------------------------- bounds
 
 
-def _decimal_digits(n: int) -> int:
-    """Number of decimal digits of a nonzero integer, without rendering it."""
-    x = math.log10(abs(n))  # 16 significant figures: within 1e-6 below 10^(10^9)
-    k = round(x)
-    if abs(x - k) > 1e-6:
-        return math.floor(x) + 1
-    return k + 1 if abs(n) >= 10**k else k
-
-
-def _exact_str(n: int) -> str:
-    """str(n), or a budget refusal when n has more digits than Python will print."""
-    try:
-        return str(n)
-    except ValueError:
-        limit = sys.get_int_max_str_digits()
-        raise BitBudgetError(_decimal_digits(n), limit, "exact value digit count") from None
-
-
 def _parse_params(tokens: list[str]) -> dict[str, int]:
     out: dict[str, int] = {}
     for token in tokens:
@@ -179,8 +167,11 @@ def _parse_params(tokens: list[str]) -> dict[str, int]:
             key, sep, value = piece.partition("=")
             if not sep:
                 raise _InputError(f"parameter {piece!r} is not of the form key=value")
+            key = key.strip()
+            if key in out:
+                raise _InputError(f"parameter {key!r} is given more than once")
             try:
-                out[key.strip()] = int(value)
+                out[key] = int(value)
             except ValueError:
                 raise _InputError(f"parameter {piece!r} needs an integer value") from None
     return out
@@ -203,7 +194,7 @@ def _cmd_bounds(args) -> int:
     except ValueError as exc:
         raise _InputError(str(exc)) from None
     value = _bounds.evaluate_bound(formula)
-    exact = None if value.exact is None else _exact_str(value.exact)
+    exact = None if value.exact is None else str(value.exact)
     if args.json:
         _emit(
             {
@@ -501,7 +492,7 @@ def main(argv: list[str] | None = None) -> int:
     except (_InputError, _bounds.PrecisionError) as exc:
         _fail(str(exc))
         return 2
-    except (FactorizationBudgetError, BitBudgetError, EnumerationCapError) as exc:
+    except (FactorizationBudgetError, BudgetError) as exc:
         _fail(f"budget exhausted: {exc}")
         return 3
     except (CertificateCheckError, AssertionError, ValueError) as exc:

@@ -20,14 +20,13 @@ from .forms import (
     scale_form,
     substitute_forms,
 )
-from .numtheory import factor, vp
+from .numtheory import BudgetError, factor, vp
 from .projective import ProjectivePoint, from_pair
 
 __all__ = [
     "RationalMap",
     "MoebiusTransform",
     "MapSyntaxError",
-    "BitBudgetError",
     "make_map",
     "parse_map",
     "map_to_expr",
@@ -50,15 +49,6 @@ class MapSyntaxError(ValueError):
     def __init__(self, message: str, position: int):
         self.position = position
         super().__init__(f"{message} (at index {position})")
-
-
-class BitBudgetError(Exception):
-    """A size budget (coefficient bits, form degree, printed digits) was exceeded."""
-
-    def __init__(self, observed: int, limit: int, what: str = "coefficient size"):
-        self.observed = observed
-        self.limit = limit
-        super().__init__(f"{what} {observed} exceeds budget {limit}")
 
 
 # degree budget of the parser's products and of compose_maps' composites:
@@ -178,7 +168,7 @@ def _mul(a: list[int], b: list[int]) -> list[int]:
         return []
     degree = len(a) + len(b) - 2
     if degree > MAX_DEGREE:
-        raise BitBudgetError(degree, MAX_DEGREE, "intermediate degree")
+        raise BudgetError(degree, MAX_DEGREE, "intermediate degree")
     out = [0] * (degree + 1)
     for i, x in enumerate(a):
         if x:
@@ -186,7 +176,7 @@ def _mul(a: list[int], b: list[int]) -> list[int]:
                 out[i + j] += x * y
     bits = max(map(abs, out)).bit_length()
     if bits > DEFAULT_COEFF_BITS:
-        raise BitBudgetError(bits, DEFAULT_COEFF_BITS, "intermediate coefficient size")
+        raise BudgetError(bits, DEFAULT_COEFF_BITS, "intermediate coefficient size")
     return _trim(out)
 
 
@@ -387,7 +377,7 @@ def parse_map(text: str) -> RationalMap:
 
     Common polynomial factors are removed before homogenization, so the
     resulting model always has nonzero resultant. Every intermediate product
-    is held to MAX_DEGREE and DEFAULT_COEFF_BITS (BitBudgetError), including
+    is held to MAX_DEGREE and DEFAULT_COEFF_BITS (BudgetError), including
     those a common factor later cancels.
     """
     parser = _Parser(text)
@@ -572,14 +562,14 @@ def compose_maps(outer: RationalMap, inner: RationalMap) -> RationalMap:
     """
     d = outer.degree * inner.degree
     if d > MAX_DEGREE:
-        raise BitBudgetError(d, MAX_DEGREE, "composite degree")
+        raise BudgetError(d, MAX_DEGREE, "composite degree")
     F, G, _ = _canonical(
         substitute_forms(outer.F, inner.F, inner.G),
         substitute_forms(outer.G, inner.F, inner.G),
     )
     worst = max(abs(c).bit_length() for c in F + G)
     if worst > DEFAULT_COEFF_BITS:
-        raise BitBudgetError(worst, DEFAULT_COEFF_BITS)
+        raise BudgetError(worst, DEFAULT_COEFF_BITS, "coefficient size")
     return RationalMap(F, G)
 
 

@@ -15,6 +15,7 @@ Rational = Fraction
 
 __all__ = [
     "Rational",
+    "BudgetError",
     "Factorization",
     "FactorizationBudgetError",
     "PlaceSet",
@@ -103,6 +104,15 @@ def _int_str(n: int) -> str:
         return str(n)
     except ValueError:
         return f"{'-' if n < 0 else ''}<{n.bit_length()}-bit integer>"
+
+
+class BudgetError(Exception):
+    """A size (bits, degree, digits, box candidates) over its budget, refused before the work."""
+
+    def __init__(self, observed: int, limit: int, what: str):
+        self.observed = observed
+        self.limit = limit
+        super().__init__(f"{what} {observed} exceeds budget {limit}")
 
 
 class FactorizationBudgetError(Exception):

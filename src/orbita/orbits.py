@@ -269,12 +269,8 @@ class NpReport:
 
     m: int
     s: int
-    tail_bound_ok: bool
+    all_ok: bool  # the tail bound holds; conditions (1)-(3) hold for any report
     tail_bound_display: str
-
-    @property
-    def all_ok(self) -> bool:
-        return self.tail_bound_ok
 
 
 def verify_np_conditions(
@@ -304,7 +300,7 @@ def verify_np_conditions(
     threshold = _bounds.mp.mpf(10) ** 12 * S.s
     ok = ln_up < threshold
     display = f"ln({m + 2}) <= {_bounds.decimal_str(ln_up, 8, upward=True)} < 10^12 * {S.s}"
-    return NpReport(m=m, s=S.s, tail_bound_ok=bool(ok), tail_bound_display=display)
+    return NpReport(m=m, s=S.s, all_ok=bool(ok), tail_bound_display=display)
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,9 @@ from itertools import product
 from math import gcd
 
 from . import bounds as _bounds
-from .numtheory import PlaceSet, Rational
+from .numtheory import BudgetError, PlaceSet, Rational
 
 __all__ = [
-    "EnumerationCapError",
     "UnitEquationProblem",
     "UnitEquationReport",
     "TwoWaysReport",
@@ -32,15 +31,6 @@ __all__ = [
 
 # candidate-count ceiling; beyond this the scan refuses instead of hanging
 DEFAULT_CAP = 4_000_000
-
-
-class EnumerationCapError(Exception):
-    """The requested box is too large to scan; explicit refusal."""
-
-    def __init__(self, candidates: int, cap: int):
-        self.candidates = candidates
-        self.cap = cap
-        super().__init__(f"enumeration of {candidates} candidates exceeds cap {cap}")
 
 
 @dataclass(frozen=True)
@@ -150,7 +140,7 @@ def solve_unit_equation(S: PlaceSet, B: int) -> UnitEquationReport:
     """
     problem = UnitEquationProblem(S, B)
     if problem.box_size > DEFAULT_CAP:
-        raise EnumerationCapError(problem.box_size, DEFAULT_CAP)
+        raise BudgetError(problem.box_size, DEFAULT_CAP, "box candidates")
     primes = S.finite_primes
     smooth = _smooth_set(primes, B)
     sols = []
@@ -191,7 +181,7 @@ def two_way_representations(T: Rational, S: PlaceSet, B: int) -> TwoWaysReport:
     T = Fraction(T)
     problem = UnitEquationProblem(S, B)
     if problem.box_size > DEFAULT_CAP:
-        raise EnumerationCapError(problem.box_size, DEFAULT_CAP)
+        raise BudgetError(problem.box_size, DEFAULT_CAP, "box candidates")
     primes = S.finite_primes
     smooth = _smooth_set(primes, B)
     tn, td = T.numerator, T.denominator
@@ -240,7 +230,7 @@ def count_three_term(S: PlaceSet, a, B: int) -> ThreeTermReport:
     problem = UnitEquationProblem(S, B)
     candidates = problem.box_size**2
     if candidates > DEFAULT_CAP:
-        raise EnumerationCapError(candidates, DEFAULT_CAP)
+        raise BudgetError(candidates, DEFAULT_CAP, "box candidates")
     primes = S.finite_primes
     smooth = _smooth_set(primes, B)
     units = list(_box_pairs(primes, B))

@@ -1,3 +1,7 @@
+import random
+import sys
+import tracemalloc
+
 import pytest
 from mpmath import libmp, mp
 
@@ -23,6 +27,7 @@ from orbita.bounds import (
     two_ways_ideals,
     working_precision,
 )
+from orbita.numtheory import BudgetError
 
 # oracle values computed independently with plain 210-digit mpf arithmetic;
 # 100 digits kept, far beyond the 60-digit enclosure width, so the interval
@@ -273,3 +278,43 @@ def test_decimal_str_beyond_default_decimal_exponent():
     assert mp.make_mpf(libmp.from_str(up, prec, "d")) >= above
     down = decimal_str(below, 20, upward=False)
     assert mp.make_mpf(libmp.from_str(down, prec, "u")) <= below
+
+
+@pytest.fixture
+def no_int_str_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+def test_power_of_two_digit_count(no_int_str_limit):
+    # every k around the default limit of 4300 digits (k = 14284 is the last
+    # printable power), then seeded k up to 30103 digits
+    rng = random.Random("pow2-digits")
+    ks = list(range(14000, 14601)) + [rng.randrange(1, 10**5) for _ in range(200)]
+    for k in ks:
+        assert bounds._pow2_digits(k) == len(str(2**k)), k
+
+
+def test_exact_value_refused_before_it_is_formed():
+    # 2^(8 * 10^7) would take 10 MB; the refusal allocates next to nothing
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError) as info:
+            evaluate_bound(beukers_schlickewei(10**7 - 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (info.value.observed, info.value.limit) == (24082400, 4300)
+    assert str(info.value) == "exact value digit count 24082400 exceeds budget 4300"
+    assert peak < 100_000
+
+
+def test_exact_value_limit_follows_python(no_int_str_limit):
+    # a limit of 0 means no limit: past 2^65536, KRun still has its exact value
+    assert evaluate_bound(k_run(4097)).exact == 2 ** (16 * 4097)
+    sys.set_int_max_str_digits(19733)
+    with pytest.raises(BudgetError) as info:
+        evaluate_bound(k_run(4097))
+    assert (info.value.observed, info.value.limit) == (19734, 19733)

@@ -12,7 +12,7 @@ import pytest
 
 from orbita import bounds as _bounds
 from orbita import cli, maps, orbits, sunit
-from orbita.numtheory import factor
+from orbita.numtheory import BudgetError, factor
 from orbita.orbits import CertificateCheckError
 from orbita.suites import SuiteReport
 
@@ -249,6 +249,11 @@ class TestBounds:
         code, _, _ = run(capsys, "bounds", "--formula", "CanciC", "--params", "s")
         assert code == 2
 
+    def test_repeated_parameter_exits_2(self, capsys):
+        code, out, err = run(capsys, "bounds", "--formula", "Pgl2Order", "--params", "D=1", "D=2")
+        assert (code, out) == (2, "")
+        assert err == "orbita: error: parameter 'D' is given more than once\n"
+
     def test_precision_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("ORBITA_PRECISION", "80")
         code, out, _ = run(
@@ -317,13 +322,23 @@ class TestBounds:
             f"exceeds budget {_bounds.ESS_MAX_BITS}\n"
         )
         # the largest n within the budget, refused one step above it
-        with pytest.raises(maps.BitBudgetError):
+        with pytest.raises(BudgetError):
             _bounds.evaluate_bound(_bounds.ess(139811, 0))
         assert 3 * 139810 * (6 * 139810).bit_length() + 1 <= _bounds.ESS_MAX_BITS
 
     @pytest.mark.parametrize(
         ("formula", "param", "digits"),
-        [("BeukersSchlickewei", "r=3000", 7228), ("KRun", "s=4000", 19266)],
+        [
+            ("BeukersSchlickewei", "r=3000", 7228),
+            ("KRun", "s=4000", 19266),
+            # the first refused parameter of each formula with an exact value
+            ("BeukersSchlickewei", "r=1785", 4302),
+            ("KRun", "s=893", 4302),
+            pytest.param("Pgl2Order", f"D={5 * 10**2149}", 4301, id="Pgl2Order-D=5e2149-4301"),
+            # formerly exit 0 without an exact line past 2^65536
+            ("KRun", "s=4096", 19729),
+            ("KRun", "s=4097", 19734),
+        ],
     )
     @pytest.mark.parametrize("json_flag", [(), ("--json",)])
     def test_exact_value_too_long_to_print_exits_3(
@@ -336,21 +351,33 @@ class TestBounds:
             "exceeds budget 4300\n"
         )
 
-    def test_longest_printable_exact_value(self, capsys):
-        # 2^(16*892) has 4297 digits; 2^(16*893) has 4302, over the limit
-        code, out, _ = run(capsys, "bounds", "--formula", "KRun", "--params", "s=892")
-        assert code == 0
-        assert f"exact: {2 ** (16 * 892)}\n" in out
-        code, out, err = run(capsys, "bounds", "--formula", "KRun", "--params", "s=893")
-        assert (code, out) == (3, "")
-        assert "exact value digit count 4302 exceeds budget 4300" in err
+    @pytest.mark.parametrize(
+        ("formula", "param", "value"),
+        [
+            # 4299 and 4297 digits; r=1785 and s=893 are refused above
+            pytest.param("BeukersSchlickewei", "r=1784", 2**14280, id="BeukersSchlickewei"),
+            pytest.param("KRun", "s=892", 2**14272, id="KRun"),
+            # 2 + 4 D^2 has 4300 digits, and 4301 at D = 5*10^2149
+            pytest.param(
+                "Pgl2Order", f"D={5 * 10**2149 - 1}", 10**4300 - 4 * 10**2150 + 6, id="Pgl2Order"
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)])
+    def test_longest_printable_exact_value(self, capsys, formula, param, value, json_flag):
+        code, out, err = run(capsys, "bounds", "--formula", formula, "--params", param, *json_flag)
+        assert (code, err) == (0, "")
+        if json_flag:
+            assert json.loads(out)["exact"] == str(value)
+        else:
+            assert f"\nexact: {value}\n" in out
 
     @pytest.mark.parametrize("k", [1, 5, 4999, 5000])
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_digit_count_at_powers_of_ten(self, k, offset):
         # 10^k - 1 has k digits, 10^k and 10^k + 1 have k + 1
         n = 10**k + offset
-        assert cli._decimal_digits(n) == cli._decimal_digits(-n) == k + (offset >= 0)
+        assert _bounds._decimal_digits(n) == _bounds._decimal_digits(-n) == k + (offset >= 0)
 
 
 class TestSunit:
@@ -452,7 +479,6 @@ class TestVerify:
                     seed=seed,
                     cases=3,
                     comparisons=1,
-                    passed=False,
                     counterexample="p=2 P=[1:1] Q=[3:1] R=[5:1]",
                 )
             ]
@@ -583,6 +609,8 @@ class TestDriver:
         (("badprimes", "--map", "2^4000*z^4", "--json"), None, 3),
         (("bounds", "--formula", "BeukersSchlickewei", "--params", "r=3000"), None, 3),
         (("bounds", "--formula", "KRun", "--params", "s=4000", "--json"), None, 3),
+        (("bounds", "--formula", "Pgl2Order", "--params", "D=1", "D=2"), None, 2),
+        (("bounds", "--formula", "Pgl2Order", "--params", "D=1,D=2", "--json"), None, 2),
     ],
 )
 def test_error_exit_leaves_stdout_empty(capsys, monkeypatch, argv, env, status):

@@ -12,7 +12,8 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from orbita.maps import MAX_DEGREE, BitBudgetError, MapSyntaxError, make_map, parse_map
+from orbita.maps import MAX_DEGREE, MapSyntaxError, make_map, parse_map
+from orbita.numtheory import BudgetError
 
 # ---------------------------------------------------------------------------
 # reference: univariate polynomials over Q, ascending coefficients, no trailing 0
@@ -202,7 +203,7 @@ def reference_parse_map(text):
     if d < 1:
         raise MapSyntaxError("constant maps are rejected", 0)
     if d > MAX_DEGREE:
-        raise BitBudgetError(d, MAX_DEGREE, "map degree")
+        raise BudgetError(d, MAX_DEGREE, "map degree")
 
     def homogenize(poly):
         out = [Fraction(0)] * (d + 1)
@@ -339,7 +340,7 @@ def test_parse_map_agrees_with_reference_parser():
     kinds = {"map": 0, "error": 0}
     for text in texts:
         got = _outcome(parse_map, text)
-        if got[0] == "error" and got[1] is BitBudgetError:
+        if got[0] == "error" and got[1] is BudgetError:
             budget_hits += 1
             continue
         expected = _outcome(reference_parse_map, text)

@@ -42,3 +42,35 @@ def test_no_unused_imports():
         for entry in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert found == []
+
+
+def _orbita_imports(tree: ast.Module) -> set[str]:
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.update([node.module] if node.module else (a.name for a in node.names))
+    return found
+
+
+# each layer imports only the layers below it
+IMPORT_GRAPH = {
+    "__init__": {"bounds", "maps", "numtheory", "orbits", "projective", "sunit", "suites"},
+    "numtheory": set(),
+    "forms": set(),
+    "projective": {"numtheory"},
+    "bounds": {"numtheory"},
+    "maps": {"forms", "numtheory", "projective"},
+    "sunit": {"bounds", "numtheory"},
+    "orbits": {"bounds", "forms", "maps", "numtheory", "projective"},
+    "suites": {"maps", "numtheory", "orbits", "projective"},
+    "cli": {"bounds", "maps", "numtheory", "orbits", "projective", "sunit", "suites"},
+}
+
+
+def test_import_graph_is_pinned():
+    sources = sorted(Path(orbita.__file__).parent.glob("*.py"))
+    graph = {
+        path.stem: _orbita_imports(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sources
+    }
+    assert graph == IMPORT_GRAPH

@@ -92,7 +92,6 @@ class TestTriangleSuite:
             seed=seed,
             cases=iterations,
             comparisons=comparisons,
-            passed=True,
         )
 
     def test_shared_valuations_match_log_distance(self):
@@ -153,7 +152,6 @@ class TestNonExpansionSuite:
             seed=seed,
             cases=iterations,
             comparisons=comparisons,
-            passed=True,
         )
 
     def test_forced_failure_names_map_prime_and_points(self, monkeypatch):
@@ -164,7 +162,6 @@ class TestNonExpansionSuite:
             seed=7,
             cases=8,
             comparisons=13,
-            passed=False,
             counterexample="map (-9*z^3 - 23*z^2 - 2*z - 16)/(12*z^3 + 18*z^2 + 18*z + 17), "
             "p=2, points [-226:55],[158:153]",
         )
@@ -230,9 +227,7 @@ class TestRunSuite:
 
 class TestReportShape:
     def test_to_dict_key_order(self):
-        report = SuiteReport(
-            suite="prop51", seed=7, cases=1, comparisons=2, passed=True
-        )
+        report = SuiteReport(suite="prop51", seed=7, cases=1, comparisons=2)
         assert list(report.to_dict()) == [
             "suite",
             "seed",
@@ -248,7 +243,6 @@ class TestReportShape:
             seed=0,
             cases=1,
             comparisons=0,
-            passed=False,
             counterexample="p=3 F=z^2 P=[1:1]",
         )
         doc = report.to_dict()

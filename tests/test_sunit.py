@@ -5,10 +5,9 @@ import pytest
 
 from orbita import sunit
 from orbita.bounds import SATISFIED, compare
-from orbita.numtheory import PlaceSet
+from orbita.numtheory import BudgetError, PlaceSet
 from orbita.sunit import (
     DEFAULT_CAP,
-    EnumerationCapError,
     UnitEquationProblem,
     box_units,
     count_three_term,
@@ -118,9 +117,9 @@ class TestUnitEquation:
     def test_cap_refusal(self, monkeypatch):
         # 2 * 21^5 = 8 168 202 candidates, refused before any scan
         monkeypatch.setattr(sunit, "_box_pairs", None)
-        with pytest.raises(EnumerationCapError) as info:
+        with pytest.raises(BudgetError) as info:
             solve_unit_equation(PlaceSet.of(2, 3, 5, 7, 11), 10)
-        assert (info.value.candidates, info.value.cap) == (8_168_202, DEFAULT_CAP)
+        assert (info.value.observed, info.value.limit) == (8_168_202, DEFAULT_CAP)
 
     def test_bound_validation(self):
         with pytest.raises(ValueError):
@@ -187,9 +186,9 @@ class TestThreeTerm:
     def test_cap_refusal(self, monkeypatch):
         # (2 * 81^2)^2 = 172 186 884 candidate pairs, refused before any scan
         monkeypatch.setattr(sunit, "_box_pairs", None)
-        with pytest.raises(EnumerationCapError) as info:
+        with pytest.raises(BudgetError) as info:
             count_three_term(PlaceSet.of(2, 3), (1, 1, -1), 40)
-        assert (info.value.candidates, info.value.cap) == (172_186_884, DEFAULT_CAP)
+        assert (info.value.observed, info.value.limit) == (172_186_884, DEFAULT_CAP)
 
     def test_degenerate_subsums_excluded(self):
         # x + y + z = 1 with x = -y leaves z = 1; all such triples are skipped,
