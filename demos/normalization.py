@@ -4,8 +4,9 @@ Collapsing an orbit tail onto a fixed point and normalizing it to [0:1]
 
 Any preperiodic orbit with tail length m and period n can be studied through
 the n-fold composite: the entry point of the cycle becomes a fixed point and
-the tail collapses to every n-th point. A determinant-1 Moebius conjugation
-then moves that fixed point to [0:1] without touching the bad primes.
+the tail collapses to every n-th point. Conjugating by a degree-1 map of
+resultant 1 (a Moebius transformation of determinant 1) then moves that fixed
+point to [0:1] without touching the bad primes.
 """
 
 from orbita import (
@@ -29,7 +30,7 @@ print("composite:", composite)
 print("collapsed tail:", " -> ".join(str(P) for P in tail))
 
 map2, tail2, A = normalize_orbit(composite, tail)
-print("conjugating matrix:", A)
+print("conjugating map:", A)
 print("normalized map:", map2)
 print("normalized tail:", " -> ".join(str(P) for P in tail2))
 

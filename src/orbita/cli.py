@@ -263,7 +263,7 @@ def _cmd_sunit(args) -> int:
             raise _InputError("need exactly three nonzero coefficients")
         report = count_three_term(S, coeffs, args.bound)
         summary = _summary(
-            report.count, report.problem.rank, report.ln_bound.ln_upper_str, args.bound
+            report.count, len(S.finite_primes), report.ln_bound.ln_upper_str, args.bound
         )
         if args.json:
             _emit(
@@ -281,7 +281,7 @@ def _cmd_sunit(args) -> int:
         return 0
     report = solve_unit_equation(S, args.bound)
     summary = _summary(
-        report.count, report.problem.rank, report.ln_bound.ln_upper_str, args.bound
+        report.count, len(S.finite_primes), report.ln_bound.ln_upper_str, args.bound
     )
     if args.json:
         _emit(
@@ -341,20 +341,27 @@ def _cmd_semigroup(args) -> int:
     if not exprs:
         raise _InputError("--maps needs at least one expression")
     maps = [_parse_map_arg(e) for e in exprs]
-    per_map = [tuple(bad_primes(m)) for m in maps]
-    union = sorted(set().union(*per_map)) if per_map else []
-    s = 1 + len(union)
-    c = _bounds.evaluate_bound(_bounds.canci_c(s))
     orbits: list[OrbitCertificate] = []
     undecided: UndecidedOrbit | None = None
-    if args.point is not None:
-        start = _parse_point_arg(args.point)
+    try:
+        start = None if args.point is None else parse_point(args.point)
+    except ValueError:
+        start = None  # reported below, after any budget or precision error
+    if start is not None:
         for m in maps:
             result = detect_orbit(m, start)
             if isinstance(result, UndecidedOrbit):
                 undecided = result
                 break
             orbits.append(result)
+    # a closed orbit's certificate already holds its generator's bad primes
+    per_map = [cert.bad_primes for cert in orbits]
+    per_map += [tuple(bad_primes(m)) for m in maps[len(orbits) :]]
+    union = sorted(set().union(*per_map)) if per_map else []
+    s = 1 + len(union)
+    c = _bounds.evaluate_bound(_bounds.canci_c(s))
+    if args.point is not None and start is None:
+        _parse_point_arg(args.point)  # raises the point's input error
     if args.json:
         doc = {
             "command": "semigroup",

@@ -25,7 +25,6 @@ from .projective import ProjectivePoint, from_pair
 
 __all__ = [
     "RationalMap",
-    "MoebiusTransform",
     "MapSyntaxError",
     "make_map",
     "parse_map",
@@ -33,7 +32,6 @@ __all__ = [
     "evaluate",
     "bad_primes",
     "good_reduction_at",
-    "make_moebius",
     "moebius_order",
     "conjugate",
     "compose_maps",
@@ -453,92 +451,38 @@ def good_reduction_at(m: RationalMap, p: int) -> bool:
     return vp(m.res, p) == 0
 
 
-@dataclass(frozen=True)
-class MoebiusTransform:
-    """Invertible 2x2 integer matrix up to scaling, content 1, sign-canonical."""
-
-    a: int
-    b: int
-    c: int
-    d: int
-
-    def __post_init__(self):
-        if self.det == 0:
-            raise ValueError("determinant must be nonzero")
-        if gcd(gcd(abs(self.a), abs(self.b)), gcd(abs(self.c), abs(self.d))) != 1:
-            raise ValueError("entries must have content 1")
-        lead = next(v for v in (self.a, self.b, self.c, self.d) if v)
-        if lead < 0:
-            raise ValueError("leading sign must be canonical")
-
-    @property
-    def det(self) -> int:
-        return self.a * self.d - self.b * self.c
-
-    @classmethod
-    def identity(cls) -> "MoebiusTransform":
-        return cls(1, 0, 0, 1)
-
-    def entries(self) -> tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.d)
-
-    def apply(self, P: ProjectivePoint) -> ProjectivePoint:
-        return from_pair(self.a * P.x + self.b * P.y, self.c * P.x + self.d * P.y)
-
-    def compose(self, other: "MoebiusTransform") -> "MoebiusTransform":
-        a, b, c, d = self.entries()
-        e, f, g, h = other.entries()
-        return make_moebius(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-
-    def inverse(self) -> "MoebiusTransform":
-        return make_moebius(self.d, -self.b, -self.c, self.a)
-
-    def as_map(self) -> RationalMap:
-        return make_map((self.a, self.b), (self.c, self.d))
-
-    def __str__(self) -> str:
-        return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"
-
-
-def make_moebius(a: int, b: int, c: int, d: int) -> MoebiusTransform:
-    """Normalize entries (content 1, canonical sign) and validate."""
-    g = gcd(gcd(abs(a), abs(b)), gcd(abs(c), abs(d)))
-    if g == 0:
-        raise ValueError("zero matrix")
-    if g > 1:
-        a, b, c, d = a // g, b // g, c // g, d // g
-    lead = next(v for v in (a, b, c, d) if v)
-    if lead < 0:
-        a, b, c, d = -a, -b, -c, -d
-    return MoebiusTransform(a, b, c, d)
-
-
-def moebius_order(A: MoebiusTransform) -> int | None:
-    """Least k <= 12 with A^k scalar, or None when there is none.
+def moebius_order(A: RationalMap) -> int | None:
+    """Least k <= 12 with A^k the identity for a degree-1 map A, or None when there is none.
 
     An element of finite order in PGL2(Q) has order 1, 2, 3, 4 or 6, so 12
-    covers them all. Scalar matrices normalize to the identity, so the test
+    covers them all. A scalar matrix's model is the identity's, so the test
     is plain equality.
     """
+    if A.degree != 1:
+        raise ValueError(f"a Moebius transformation has degree 1, not {A.degree}")
+    identity = RationalMap((1, 0), (0, 1))
     acc = A
     for k in range(1, 13):
-        if acc == MoebiusTransform.identity():
+        if acc == identity:
             return k
-        acc = acc.compose(A)
+        acc = compose_maps(acc, A)
     return None
 
 
-def conjugate(m: RationalMap, A: MoebiusTransform) -> RationalMap:
-    """The conjugated model A o m o A^(-1), content-normalized.
+def conjugate(m: RationalMap, A: RationalMap) -> RationalMap:
+    """The conjugated model A o m o A^(-1) for a degree-1 map A, content-normalized.
 
-    Its resultant is derived, not recomputed. Substituting the adjugate
-    (determinant det A) and then applying A give forms with resultant
-    det(A)^(d^2 + d) * Res(m); dividing both by their joint content c
+    Its resultant is derived, not recomputed. A's resultant is the
+    determinant of its matrix ((a, b), (c, d)). Substituting the adjugate
+    (determinant Res A) and then applying A give forms with resultant
+    Res(A)^(d^2 + d) * Res(m); dividing both by their joint content c
     divides it by c^(2d), and the sign flip multiplies it by (-1)^(2d) = 1
-    (Silverman, GTM 241, ch. 2). For det A = +-1, c = 1 and the resultant,
+    (Silverman, GTM 241, ch. 2). For Res A = +-1, c = 1 and the resultant,
     hence the bad-prime set, is preserved exactly.
     """
-    a, b, c, d = A.entries()
+    if A.degree != 1:
+        raise ValueError(f"a Moebius transformation has degree 1, not {A.degree}")
+    (a, b), (c, d) = A.F, A.G
     # substitute the unnormalized inverse (adjugate) into both forms
     u: Form = (d, -b)
     v: Form = (-c, a)
@@ -548,7 +492,7 @@ def conjugate(m: RationalMap, A: MoebiusTransform) -> RationalMap:
     G2 = add_forms(scale_form(Fs, c), scale_form(Gs, d))
     F2, G2, joint = _canonical(F2, G2)
     deg = m.degree
-    res, rest = divmod(A.det ** (deg * deg + deg) * m.res, joint ** (2 * deg))
+    res, rest = divmod(A.res ** (deg * deg + deg) * m.res, joint ** (2 * deg))
     if rest:
         raise AssertionError(f"{joint}^{2 * deg} does not divide the conjugate's resultant")
     return _with_resultant(F2, G2, res)

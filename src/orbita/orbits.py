@@ -21,14 +21,12 @@ from math import gcd
 from . import bounds as _bounds
 from .forms import Form
 from .maps import (
-    MoebiusTransform,
     RationalMap,
     bad_primes,
     conjugate,
     evaluate,
     iterate_map,
     make_map,
-    make_moebius,
 )
 from .numtheory import (
     S_UNIT,
@@ -209,12 +207,13 @@ def collapse_to_fixed_point(
 
 def normalize_orbit(
     m: RationalMap, tail: list[ProjectivePoint]
-) -> tuple[RationalMap, list[ProjectivePoint], MoebiusTransform]:
+) -> tuple[RationalMap, list[ProjectivePoint], RationalMap]:
     """Conjugate so the terminal fixed point becomes [0:1].
 
-    The matrix is built from an extended-gcd relation on the fixed point's
-    coprime coordinates and has determinant 1, so the conjugate's derived
-    resultant equals the model's and the bad-prime set is preserved.
+    The conjugating degree-1 map is built from an extended-gcd relation on
+    the fixed point's coprime coordinates and has resultant (determinant) 1,
+    so the conjugate's derived resultant equals the model's and the bad-prime
+    set is preserved.
     """
     if not tail:
         raise ValueError("tail must be nonempty")
@@ -227,17 +226,21 @@ def normalize_orbit(
     else:
         r = pow(x0, -1, y0)  # 0 <= r < y0, exists since gcd(x0, y0) = 1
         s = (1 - r * x0) // y0
-    A = make_moebius(y0, -x0, r, s)
-    if A.det != 1:
-        raise CertificateCheckError(f"normalizing matrix has determinant {A.det}")
+    A = make_map((y0, -x0), (r, s))
+    if A.res != 1:
+        raise CertificateCheckError(f"normalizing map has resultant {A.res}")
     map2 = conjugate(m, A)
-    tail2 = [A.apply(P) for P in tail]
+    tail2 = [evaluate(A, P) for P in tail]
     if tail2[-1] != ProjectivePoint(0, 1) or evaluate(map2, tail2[-1]) != tail2[-1]:
         raise CertificateCheckError("normalization must fix [0:1] at the tail's end")
     return map2, tail2, A
 
 
-class NpConditionError(Exception):
+class CertificateCheckError(Exception):
+    """A certificate-level structural check failed; means an arithmetic bug."""
+
+
+class NpConditionError(CertificateCheckError):
     """A structural condition failed; names the condition and the witnesses."""
 
     def __init__(self, condition: int, indices: tuple[int, ...], detail: str):
@@ -246,7 +249,7 @@ class NpConditionError(Exception):
         super().__init__(f"condition ({condition}) failed at {indices}: {detail}")
 
 
-class TailDivisibilityError(Exception):
+class TailDivisibilityError(CertificateCheckError):
     """Monotone-valuation violation along a tail; would falsify non-expansion."""
 
     def __init__(self, index: int, prime: int, v_here: int, v_next) -> None:
@@ -426,10 +429,6 @@ def synthesize_map(
         if all(evaluate(candidate, P) == Q for P, Q in pairs):
             return candidate
     return None
-
-
-class CertificateCheckError(Exception):
-    """A certificate-level structural check failed; means an arithmetic bug."""
 
 
 def _triangle_witness(

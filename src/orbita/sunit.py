@@ -17,7 +17,6 @@ from . import bounds as _bounds
 from .numtheory import BudgetError, PlaceSet, Rational
 
 __all__ = [
-    "UnitEquationProblem",
     "UnitEquationReport",
     "TwoWaysReport",
     "ThreeTermReport",
@@ -31,28 +30,6 @@ __all__ = [
 
 # candidate-count ceiling; beyond this the scan refuses instead of hanging
 DEFAULT_CAP = 4_000_000
-
-
-@dataclass(frozen=True)
-class UnitEquationProblem:
-    """An S-unit equation instance truncated to an exponent box."""
-
-    S: PlaceSet
-    bound: int
-
-    def __post_init__(self):
-        if self.bound < 1:
-            raise ValueError("exponent bound must be positive")
-
-    @property
-    def rank(self) -> int:
-        """Rank of the S-unit group modulo torsion {+-1}."""
-        return len(self.S.finite_primes)
-
-    @property
-    def box_size(self) -> int:
-        """Number of S-units with all exponents in the box."""
-        return 2 * (2 * self.bound + 1) ** self.rank
 
 
 def _box_pairs(primes: tuple[int, ...], B: int):
@@ -88,6 +65,20 @@ def _smooth_set(primes: tuple[int, ...], B: int) -> set[int]:
     return out
 
 
+def _sized_box(S: PlaceSet, B: int, power: int = 1) -> set[int]:
+    """The smooth set of the box |a_i| <= B, once its scan is sized within DEFAULT_CAP.
+
+    The box holds 2 (2B+1)^r S-units, r = len(S.finite_primes) the rank; a
+    scan over pairs of them (power 2) has that count squared as candidates.
+    """
+    if B < 1:
+        raise ValueError("exponent bound must be positive")
+    candidates = (2 * (2 * B + 1) ** len(S.finite_primes)) ** power
+    if candidates > DEFAULT_CAP:
+        raise BudgetError(candidates, DEFAULT_CAP, "box candidates")
+    return _smooth_set(S.finite_primes, B)
+
+
 def box_units(S: PlaceSet, B: int) -> list[Fraction]:
     """All S-units with exponent vector in [-B, B]^rank, in a fixed scan order."""
     return [Fraction(n, d) for n, d in _box_pairs(S.finite_primes, B)]
@@ -116,7 +107,6 @@ def is_box_s_unit(x: Rational, S: PlaceSet, B: int) -> bool:
 class UnitEquationReport:
     """Solutions of u + v = 1 found within the box, with the rank-based bound."""
 
-    problem: UnitEquationProblem
     solutions: tuple[tuple[Fraction, Fraction], ...]
     gamma_rank: int
     ln_bound: _bounds.BoundValue
@@ -138,20 +128,15 @@ def solve_unit_equation(S: PlaceSet, B: int) -> UnitEquationReport:
     reported bound is the power-of-two solution bound at subgroup rank
     r = 2(s-1), where pairs (u, v) range over the square of the unit group.
     """
-    problem = UnitEquationProblem(S, B)
-    if problem.box_size > DEFAULT_CAP:
-        raise BudgetError(problem.box_size, DEFAULT_CAP, "box candidates")
-    primes = S.finite_primes
-    smooth = _smooth_set(primes, B)
+    smooth = _sized_box(S, B)
     sols = []
-    for n, d in _box_pairs(primes, B):
+    for n, d in _box_pairs(S.finite_primes, B):
         m = d - n  # v = 1 - n/d = (d - n)/d, already in lowest terms
         if m and abs(m) in smooth:
             sols.append((Fraction(n, d), Fraction(m, d)))
     sols.sort()
     r = 2 * (S.s - 1)
     return UnitEquationReport(
-        problem=problem,
         solutions=tuple(sols),
         gamma_rank=r,
         ln_bound=_bounds.evaluate_bound(_bounds.beukers_schlickewei(r)),
@@ -163,7 +148,6 @@ class TwoWaysReport:
     """Unordered S-unit pairs summing to T within the box."""
 
     T: Fraction
-    problem: UnitEquationProblem
     representations: tuple[tuple[Fraction, Fraction], ...]
 
     @property
@@ -179,14 +163,10 @@ def two_way_representations(T: Rational, S: PlaceSet, B: int) -> TwoWaysReport:
     "two essentially different ways" predicate is simply >= 2 pairs.
     """
     T = Fraction(T)
-    problem = UnitEquationProblem(S, B)
-    if problem.box_size > DEFAULT_CAP:
-        raise BudgetError(problem.box_size, DEFAULT_CAP, "box candidates")
-    primes = S.finite_primes
-    smooth = _smooth_set(primes, B)
+    smooth = _sized_box(S, B)
     tn, td = T.numerator, T.denominator
     seen: set[tuple[Fraction, Fraction]] = set()
-    for n, d in _box_pairs(primes, B):
+    for n, d in _box_pairs(S.finite_primes, B):
         # v = T - n/d = (tn d - n td) / (td d)
         num = tn * d - n * td
         if not num:
@@ -197,14 +177,13 @@ def two_way_representations(T: Rational, S: PlaceSet, B: int) -> TwoWaysReport:
             u = Fraction(n, d)
             v = Fraction(num // g, den // g)
             seen.add((u, v) if u <= v else (v, u))
-    return TwoWaysReport(T=T, problem=problem, representations=tuple(sorted(seen)))
+    return TwoWaysReport(T=T, representations=tuple(sorted(seen)))
 
 
 @dataclass(frozen=True)
 class ThreeTermReport:
     """Nondegenerate solution count of a1 x1 + a2 x2 + a3 x3 = 1 in the box."""
 
-    problem: UnitEquationProblem
     coefficients: tuple[Fraction, Fraction, Fraction]
     count: int
     gamma_rank: int
@@ -227,13 +206,8 @@ def count_three_term(S: PlaceSet, a, B: int) -> ThreeTermReport:
     coeffs = tuple(Fraction(c) for c in a)
     if len(coeffs) != 3 or any(c == 0 for c in coeffs):
         raise ValueError("need exactly three nonzero coefficients")
-    problem = UnitEquationProblem(S, B)
-    candidates = problem.box_size**2
-    if candidates > DEFAULT_CAP:
-        raise BudgetError(candidates, DEFAULT_CAP, "box candidates")
-    primes = S.finite_primes
-    smooth = _smooth_set(primes, B)
-    units = list(_box_pairs(primes, B))
+    smooth = _sized_box(S, B, 2)
+    units = list(_box_pairs(S.finite_primes, B))
     (p1, q1), (p2, q2), (p3, q3) = ((c.numerator, c.denominator) for c in coeffs)
     # t2 = a2 x2 = e/c with c > 0. t2 = 1 makes t1 + t3 = 1 - t2 vanish, so
     # those x2 never count.
@@ -260,7 +234,6 @@ def count_three_term(S: PlaceSet, a, B: int) -> ThreeTermReport:
             count += 1
     r = 3 * (S.s - 1)
     return ThreeTermReport(
-        problem=problem,
         coefficients=coeffs,
         count=count,
         gamma_rank=r,

@@ -13,7 +13,7 @@ import pytest
 from orbita import bounds as _bounds
 from orbita import cli, maps, orbits, sunit
 from orbita.numtheory import BudgetError, factor
-from orbita.orbits import CertificateCheckError
+from orbita.orbits import CertificateCheckError, NpConditionError, TailDivisibilityError
 from orbita.suites import SuiteReport
 
 
@@ -532,6 +532,44 @@ class TestSemigroup:
         assert "orbit of [1:1] under" in out  # the closing generator still reports
         assert "orbit undecided" in err
 
+    @pytest.mark.parametrize(
+        ("exprs", "point", "status"),
+        [
+            ("z^2 - 1,z^2 - 29/16", None, 0),
+            ("z^2 - 1,z^2 - 29/16", "1", 3),  # the second orbit is undecided
+            ("z^2 - 1,z^2", "1", 0),  # both orbits close
+        ],
+    )
+    def test_each_resultant_factored_once(self, capsys, monkeypatch, exprs, point, status):
+        # a generator whose orbit closes takes its bad primes from the certificate
+        calls = []
+
+        def counting(n):
+            calls.append(n)
+            return factor(n)
+
+        monkeypatch.setattr(maps, "factor", counting)
+        argv = ["semigroup", "--maps", exprs] + ([] if point is None else ["--point", point])
+        code, _, _ = run(capsys, *argv)
+        assert code == status
+        assert calls == [maps.parse_map(e).res for e in exprs.split(",")]
+
+    def test_bad_point_reported_last(self, capsys, monkeypatch):
+        # a budget or precision error outranks a point that does not parse, as
+        # it did when every generator was factored before the point was read
+        code, out, err = run(
+            capsys, "semigroup", "--maps", "z^2 - 1,2^4000*z^4", "--point", "1/0"
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("orbita: error: budget exhausted: ")
+        monkeypatch.setenv("ORBITA_PRECISION", "abc")
+        bad_precision = run(capsys, "semigroup", "--maps", "z^2 - 1")
+        assert run(capsys, "semigroup", "--maps", "z^2 - 1", "--point", "1/0") == bad_precision
+        monkeypatch.delenv("ORBITA_PRECISION")
+        code, out, err = run(capsys, "semigroup", "--maps", "z^2 - 1", "--point", "1/0")
+        assert (code, out) == (2, "")
+        assert err.startswith("orbita: error: ")
+
     def test_empty_maps_exits_2(self, capsys):
         code, _, _ = run(capsys, "semigroup", "--maps", "")
         assert code == 2
@@ -641,3 +679,19 @@ def test_internal_value_error_exits_5(capsys, monkeypatch, module, name, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (5, "")
     assert err == "orbita: error: internal invariant breach: forced for the exit-status test\n"
+
+
+@pytest.mark.parametrize(
+    "error",
+    [TailDivisibilityError(1, 3, 2, 1), NpConditionError(3, (0, 1), "zero cross term")],
+    ids=["tail-divisibility", "np-condition"],
+)
+def test_failed_certificate_check_exits_5(capsys, monkeypatch, error):
+    # every certificate check that fails is an invariant breach, not a traceback
+    def breach(*args):
+        raise error
+
+    monkeypatch.setattr(orbits, "check_tail_divisibility", breach)
+    code, out, err = run(capsys, "orbit", "--map", "z^2 - 2", "--point", "0")
+    assert (code, out) == (5, "")
+    assert err == f"orbita: error: internal invariant breach: {error}\n"

@@ -8,7 +8,6 @@ from orbita.maps import (
     DEFAULT_COEFF_BITS,
     MAX_DEGREE,
     MapSyntaxError,
-    MoebiusTransform,
     RationalMap,
     bad_primes,
     compose_maps,
@@ -17,7 +16,6 @@ from orbita.maps import (
     good_reduction_at,
     iterate_map,
     make_map,
-    make_moebius,
     map_to_expr,
     moebius_order,
     parse_map,
@@ -217,59 +215,67 @@ class TestReduction:
 
 
 class TestMoebius:
+    # a Moebius transformation is the degree-1 map ((a, b), (c, d)); its resultant is ad - bc
     def test_normalization(self):
-        A = make_moebius(-2, 0, 0, -2)
-        assert A == MoebiusTransform(1, 0, 0, 1)
+        A = make_map((-2, 0), (0, -2))
+        assert A == RationalMap((1, 0), (0, 1))
+        assert A.res == 1
 
     def test_apply_and_inverse(self):
-        A = make_moebius(1, -2, 0, 1)
+        A = make_map((1, -2), (0, 1))
         P = canonical_point(7)
-        assert A.apply(P) == canonical_point(5)
-        assert A.inverse().apply(A.apply(P)) == P
+        assert evaluate(A, P) == canonical_point(5)
+        adjugate = make_map((1, 2), (0, 1))
+        assert evaluate(adjugate, evaluate(A, P)) == P
 
     def test_compose_matches_apply(self):
-        A = make_moebius(2, 1, 1, 1)
-        B = make_moebius(1, -3, 0, 1)
+        A = make_map((2, 1), (1, 1))
+        B = make_map((1, -3), (0, 1))
         P = canonical_point(Fraction(4, 3))
-        assert A.compose(B).apply(P) == A.apply(B.apply(P))
-
-    def test_as_map_agrees(self):
-        A = make_moebius(2, 1, 1, 1)
-        m = A.as_map()
-        P = canonical_point(Fraction(-5, 2))
-        assert evaluate(m, P) == A.apply(P)
+        assert evaluate(compose_maps(A, B), P) == evaluate(A, evaluate(B, P))
 
     def test_order(self):
-        assert moebius_order(make_moebius(1, 0, 0, 1)) == 1
-        assert moebius_order(make_moebius(0, 1, -1, 0)) == 2  # z -> -1/z
-        assert moebius_order(make_moebius(0, 1, 1, 0)) == 2  # z -> 1/z
-        assert moebius_order(make_moebius(1, -1, 1, 0)) == 3  # z -> 1 - 1/z
-        assert moebius_order(make_moebius(1, 1, 0, 1)) is None  # translation
+        assert moebius_order(make_map((1, 0), (0, 1))) == 1
+        assert moebius_order(make_map((0, 1), (-1, 0))) == 2  # z -> -1/z
+        assert moebius_order(make_map((0, 1), (1, 0))) == 2  # z -> 1/z
+        assert moebius_order(make_map((1, -1), (1, 0))) == 3  # z -> 1 - 1/z
+        assert moebius_order(make_map((1, 1), (0, 1))) is None  # translation
+
+    def test_order_of_parsed_maps(self):
+        assert moebius_order(parse_map("(z - 1)/z")) == 3
+        assert moebius_order(parse_map("-1/z")) == 2
+
+    def test_degree_two_rejected(self):
+        m = parse_map("z^2 - 1")
+        with pytest.raises(ValueError):
+            moebius_order(m)
+        with pytest.raises(ValueError):
+            conjugate(parse_map("z^2 + 1"), m)
 
     def test_singular_rejected(self):
         with pytest.raises(ValueError):
-            make_moebius(1, 2, 2, 4)
+            make_map((1, 2), (2, 4))
 
 
 class TestConjugation:
     def test_translation_conjugate(self):
         # with A = z - 2: A o (z^2) o A^{-1} = (z+2)^2 - 2 = z^2 + 4z + 2
         m = parse_map("z^2")
-        A = make_moebius(1, -2, 0, 1)
+        A = make_map((1, -2), (0, 1))
         m2 = conjugate(m, A)
         assert m2 == parse_map("z^2 + 4*z + 2")
 
     def test_pointwise_equivariance(self):
         m = parse_map("(z^2 - 1)/z")
-        A = make_moebius(2, 1, 1, 1)
+        A = make_map((2, 1), (1, 1))
         for z in (0, 1, Fraction(3, 5), Fraction(-7, 2)):
             P = canonical_point(z)
-            assert evaluate(m2 := conjugate(m, A), A.apply(P)) == A.apply(evaluate(m, P))
+            assert evaluate(m2 := conjugate(m, A), evaluate(A, P)) == evaluate(A, evaluate(m, P))
         assert m2.degree == m.degree
 
     def test_unimodular_conjugation_preserves_resultant_size(self):
         m = parse_map("z^2 - 2")
-        A = make_moebius(1, -2, 0, 1)
+        A = make_map((1, -2), (0, 1))
         assert abs(conjugate(m, A).res) == abs(m.res)
 
     @pytest.mark.parametrize(
@@ -280,8 +286,8 @@ class TestConjugation:
     )
     def test_determinant_one_conjugate_keeps_the_resultant(self, text, entries):
         m = parse_map(text)
-        A = make_moebius(*entries)
-        assert abs(A.det) == 1
+        A = make_map(entries[:2], entries[2:])
+        assert abs(A.res) == 1
         assert conjugate(m, A).res == m.res
 
     def test_derived_resultant_matches_sylvester(self):
@@ -299,18 +305,19 @@ class TestConjugation:
                 G[0] = 0
             try:
                 m = make_map(F, G)
-                A = make_moebius(*(rng.randint(-4, 4) for _ in range(4)))
+                entries = [rng.randint(-4, 4) for _ in range(4)]
+                A = make_map(entries[:2], entries[2:])
             except ValueError:
                 continue
-            if abs(A.det) > 16:
+            if abs(A.res) > 16:
                 continue
             m2 = conjugate(m, A)
             assert m2.res == forms.resultant(m2.F, m2.G), (str(m), str(A))
             pairs += 1
             seen["degrees"].add(d)
-            seen["dets"].add(A.det)
+            seen["dets"].add(A.res)
             seen["zero_lead"] += m.F[0] == 0 or m.G[0] == 0
-            seen["content"] += abs(m2.res) < abs(A.det) ** (d * d + d) * abs(m.res)
+            seen["content"] += abs(m2.res) < abs(A.res) ** (d * d + d) * abs(m.res)
         assert seen["degrees"] == set(range(1, 7))
         assert {-16, -1, 1, 16} <= seen["dets"]
         assert seen["zero_lead"] > 100 and seen["content"] > 100
@@ -322,11 +329,13 @@ class TestConjugation:
             calls.append(len(F) - 1)
             return forms.resultant(F, G)
 
+        # a degree-1 make_map runs its own 2x2 determinant, so A is built first
+        A, B = make_map((1, -2), (0, 1)), make_map((2, 1), (1, 3))
         monkeypatch.setattr(maps, "resultant", counting)
         m = make_map((1, 0, -29), (0, 0, 16))
         assert calls == [2]
-        conjugate(m, make_moebius(1, -2, 0, 1))
-        conjugate(m, make_moebius(2, 1, 1, 3))
+        conjugate(m, A)
+        conjugate(m, B)
         assert calls == [2]
 
 

@@ -1,6 +1,7 @@
 """Rules on the package source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import orbita
@@ -74,3 +75,22 @@ def test_import_graph_is_pinned():
         for path in sources
     }
     assert graph == IMPORT_GRAPH
+
+
+def test_public_surface_is_what_exists():
+    # removing a name cannot leave a stale export behind
+    sources = sorted(Path(orbita.__file__).parent.glob("*.py"))
+    missing = []
+    for path in sources:
+        name = "orbita" if path.stem == "__init__" else f"orbita.{path.stem}"
+        module = importlib.import_module(name)
+        missing += [f"{name}.{entry}" for entry in module.__all__ if not hasattr(module, entry)]
+    assert missing == []
+    init = ast.parse(Path(orbita.__file__).read_text(encoding="utf-8"))
+    imported = [
+        alias.asname or alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert sorted(orbita.__all__) == sorted(imported + ["__version__"])

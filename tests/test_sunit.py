@@ -8,7 +8,6 @@ from orbita.bounds import SATISFIED, compare
 from orbita.numtheory import BudgetError, PlaceSet
 from orbita.sunit import (
     DEFAULT_CAP,
-    UnitEquationProblem,
     box_units,
     count_three_term,
     is_box_s_unit,
@@ -52,7 +51,7 @@ class TestBoxUnits:
 
     def test_count_matches_problem_size(self):
         S = PlaceSet.of(2, 3)
-        assert len(box_units(S, 4)) == UnitEquationProblem(S, 4).box_size
+        assert len(box_units(S, 4)) == 2 * (2 * 4 + 1) ** 2
         assert len(set(box_units(S, 4))) == len(box_units(S, 4))
 
     def test_matches_oracle(self):
@@ -277,3 +276,17 @@ def test_three_term_matches_fraction_scan(case):
                     continue
                 expected += 1
         assert count_three_term(S, a, B).count == expected, a
+
+
+@pytest.mark.parametrize(
+    "scan",
+    [
+        lambda S, B: solve_unit_equation(S, B),
+        lambda S, B: two_way_representations(5, S, B),
+        lambda S, B: count_three_term(S, (1, 1, -1), B),
+    ],
+    ids=["unit-equation", "two-ways", "three-term"],
+)
+def test_every_scan_refuses_an_empty_box(scan):
+    with pytest.raises(ValueError, match="exponent bound must be positive"):
+        scan(PlaceSet.of(2, 3), 0)
