@@ -271,9 +271,13 @@ def _pow2_digits(k: int) -> int:
 
 
 def _check_digits(digits: int) -> None:
-    """Refuse an exact value, before it is formed, with more digits than Python prints."""
-    limit = sys.get_int_max_str_digits()  # 0 means no limit
-    if limit and digits > limit:
+    """Refuse an exact value, before it is formed, with more digits than Python prints.
+
+    Python's limit of 0 ("no limit"), or one above MAX_PRECISION, is capped
+    at MAX_PRECISION digits, so the value's cost stays bounded.
+    """
+    limit = min(sys.get_int_max_str_digits() or MAX_PRECISION, MAX_PRECISION)
+    if digits > limit:
         raise BudgetError(digits, limit, "exact value digit count")
 
 

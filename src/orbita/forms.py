@@ -15,10 +15,7 @@ __all__ = [
     "Form",
     "form_degree",
     "evaluate_form",
-    "add_forms",
-    "scale_form",
     "multiply_forms",
-    "power_form",
     "substitute_forms",
     "content",
     "resultant",
@@ -39,16 +36,6 @@ def evaluate_form(f: Form, x, y):
     return acc
 
 
-def add_forms(f: Form, g: Form) -> Form:
-    if len(f) != len(g):
-        raise ValueError("forms must have the same formal degree")
-    return tuple(a + b for a, b in zip(f, g))
-
-
-def scale_form(f: Form, c: int) -> Form:
-    return tuple(c * a for a in f)
-
-
 def multiply_forms(f: Form, g: Form) -> Form:
     out = [0] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
@@ -59,29 +46,20 @@ def multiply_forms(f: Form, g: Form) -> Form:
     return tuple(out)
 
 
-def power_form(f: Form, k: int) -> Form:
-    if k < 0:
-        raise ValueError("negative power")
-    out: Form = (1,)
-    for _ in range(k):
-        out = multiply_forms(out, f)
-    return out
-
-
 def substitute_forms(f: Form, u: Form, v: Form) -> Form:
     """f(u(X,Y), v(X,Y)) for forms u, v of equal degree e; result degree d*e."""
     if len(u) != len(v):
         raise ValueError("substituted forms must have equal degree")
     d = form_degree(f)
-    # precompute u^(d-i) * v^i
-    upow = [power_form(u, d - i) for i in range(d + 1)]
-    vpow = [power_form(v, i) for i in range(d + 1)]
-    e = form_degree(u)
-    out = [0] * (d * e + 1)
+    # u^0..u^d and v^0..v^d, one product each
+    upow, vpow = [(1,)], [(1,)]
+    for _ in range(d):
+        upow.append(multiply_forms(upow[-1], u))
+        vpow.append(multiply_forms(vpow[-1], v))
+    out = [0] * (d * form_degree(u) + 1)
     for i, c in enumerate(f):
         if c:
-            term = multiply_forms(upow[i], vpow[i])
-            for j, t in enumerate(term):
+            for j, t in enumerate(multiply_forms(upow[d - i], vpow[i])):
                 out[j] += c * t
     return tuple(out)
 

@@ -12,12 +12,11 @@ from math import gcd
 
 from .forms import (
     Form,
-    add_forms,
     content,
     evaluate_form,
     form_degree,
+    multiply_forms,
     resultant,
-    scale_form,
     substitute_forms,
 )
 from .numtheory import BudgetError, factor, vp
@@ -112,8 +111,8 @@ def _canonical(F, G) -> tuple[Form, Form, int]:
     if lead is None:
         lead = next((c for c in F if c), None)
     if lead is not None and lead < 0:
-        F = scale_form(F, -1)
-        G = scale_form(G, -1)
+        F = tuple(-c for c in F)
+        G = tuple(-c for c in G)
     return F, G, joint
 
 
@@ -167,15 +166,11 @@ def _mul(a: list[int], b: list[int]) -> list[int]:
     degree = len(a) + len(b) - 2
     if degree > MAX_DEGREE:
         raise BudgetError(degree, MAX_DEGREE, "intermediate degree")
-    out = [0] * (degree + 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
+    out = multiply_forms(a, b)
     bits = max(map(abs, out)).bit_length()
     if bits > DEFAULT_COEFF_BITS:
         raise BudgetError(bits, DEFAULT_COEFF_BITS, "intermediate coefficient size")
-    return _trim(out)
+    return _trim(list(out))
 
 
 def _pow(a: list[int], k: int) -> list[int]:
@@ -488,9 +483,7 @@ def conjugate(m: RationalMap, A: RationalMap) -> RationalMap:
     v: Form = (-c, a)
     Fs = substitute_forms(m.F, u, v)
     Gs = substitute_forms(m.G, u, v)
-    F2 = add_forms(scale_form(Fs, a), scale_form(Gs, b))
-    G2 = add_forms(scale_form(Fs, c), scale_form(Gs, d))
-    F2, G2, joint = _canonical(F2, G2)
+    F2, G2, joint = _canonical(substitute_forms(A.F, Fs, Gs), substitute_forms(A.G, Fs, Gs))
     deg = m.degree
     res, rest = divmod(A.res ** (deg * deg + deg) * m.res, joint ** (2 * deg))
     if rest:
@@ -498,30 +491,32 @@ def conjugate(m: RationalMap, A: RationalMap) -> RationalMap:
     return _with_resultant(F2, G2, res)
 
 
-def compose_maps(outer: RationalMap, inner: RationalMap) -> RationalMap:
-    """Formal composition outer(inner), content-normalized, budget-guarded.
-
-    Both budgets (MAX_DEGREE, DEFAULT_COEFF_BITS) are checked before the
-    composite's resultant is computed.
-    """
-    d = outer.degree * inner.degree
+def _compose(outer: RationalMap, F: Form, G: Form) -> tuple[Form, Form]:
+    """The canonical forms of outer(F, G), held to both budgets before any resultant."""
+    d = outer.degree * form_degree(F)
     if d > MAX_DEGREE:
         raise BudgetError(d, MAX_DEGREE, "composite degree")
-    F, G, _ = _canonical(
-        substitute_forms(outer.F, inner.F, inner.G),
-        substitute_forms(outer.G, inner.F, inner.G),
-    )
+    F, G, _ = _canonical(substitute_forms(outer.F, F, G), substitute_forms(outer.G, F, G))
     worst = max(abs(c).bit_length() for c in F + G)
     if worst > DEFAULT_COEFF_BITS:
         raise BudgetError(worst, DEFAULT_COEFF_BITS, "coefficient size")
-    return RationalMap(F, G)
+    return F, G
+
+
+def compose_maps(outer: RationalMap, inner: RationalMap) -> RationalMap:
+    """Formal composition outer(inner), content-normalized, budget-guarded."""
+    return RationalMap(*_compose(outer, inner.F, inner.G))
 
 
 def iterate_map(m: RationalMap, k: int) -> RationalMap:
-    """k-fold composite of m with itself (k >= 1)."""
+    """k-fold composite of m with itself (k >= 1).
+
+    Intermediate composites stay bare forms (a composite of maps has nonzero
+    resultant), so only the map returned runs its validation and resultant.
+    """
     if k < 1:
         raise ValueError("k must be positive")
-    acc = m
+    F, G = m.F, m.G
     for _ in range(k - 1):
-        acc = compose_maps(m, acc)
-    return acc
+        F, G = _compose(m, F, G)
+    return m if k == 1 else RationalMap(F, G)

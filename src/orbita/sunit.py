@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, log2
 
 from . import bounds as _bounds
 from .numtheory import BudgetError, PlaceSet, Rational
@@ -21,6 +21,7 @@ __all__ = [
     "TwoWaysReport",
     "ThreeTermReport",
     "DEFAULT_CAP",
+    "WORK_CAP",
     "box_units",
     "is_box_s_unit",
     "solve_unit_equation",
@@ -30,6 +31,12 @@ __all__ = [
 
 # candidate-count ceiling; beyond this the scan refuses instead of hanging
 DEFAULT_CAP = 4_000_000
+# ceiling on candidates times the bit length of prod p^B, the size of the
+# box's largest integer: a scan's time grows with both. The benchmark's
+# largest box is about 1.8e6; the slowest box admitted, the three-term scan
+# over 2, 3, 5, 7, 11, 13 at B = 1 (3.2e7, held by its 2.1e6 candidates),
+# takes about 1 s on a 2-core x86-64 box
+WORK_CAP = 50_000_000
 
 
 def _box_pairs(primes: tuple[int, ...], B: int):
@@ -66,16 +73,21 @@ def _smooth_set(primes: tuple[int, ...], B: int) -> set[int]:
 
 
 def _sized_box(S: PlaceSet, B: int, power: int = 1) -> set[int]:
-    """The smooth set of the box |a_i| <= B, once its scan is sized within DEFAULT_CAP.
+    """The smooth set of the box |a_i| <= B, once its scan is sized within both caps.
 
     The box holds 2 (2B+1)^r S-units, r = len(S.finite_primes) the rank; a
     scan over pairs of them (power 2) has that count squared as candidates.
+    Their work is the count times the bit length of prod p^B, taken from
+    logs without forming the product.
     """
     if B < 1:
         raise ValueError("exponent bound must be positive")
     candidates = (2 * (2 * B + 1) ** len(S.finite_primes)) ** power
     if candidates > DEFAULT_CAP:
         raise BudgetError(candidates, DEFAULT_CAP, "box candidates")
+    work = candidates * (int(B * sum(log2(p) for p in S.finite_primes)) + 1)
+    if work > WORK_CAP:
+        raise BudgetError(work, WORK_CAP, "box candidate bits")
     return _smooth_set(S.finite_primes, B)
 
 

@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -8,6 +9,7 @@ from mpmath import libmp, mp
 from orbita import bounds
 from orbita.bounds import (
     INCONCLUSIVE,
+    MAX_PRECISION,
     SATISFIED,
     VIOLATED,
     BoundFormula,
@@ -312,9 +314,30 @@ def test_exact_value_refused_before_it_is_formed():
 
 
 def test_exact_value_limit_follows_python(no_int_str_limit):
-    # a limit of 0 means no limit: past 2^65536, KRun still has its exact value
+    # a limit of 0 caps the budget at MAX_PRECISION digits: past 2^65536,
+    # KRun s=4097 (19734 digits) still has its exact value
     assert evaluate_bound(k_run(4097)).exact == 2 ** (16 * 4097)
     sys.set_int_max_str_digits(19733)
     with pytest.raises(BudgetError) as info:
         evaluate_bound(k_run(4097))
     assert (info.value.observed, info.value.limit) == (19734, 19733)
+
+
+@pytest.mark.parametrize(
+    ("bound", "digits"), [(k_run(10**9), 4816479931), (beukers_schlickewei(10**9), 2408239968)]
+)
+def test_exact_value_capped_without_python_limit(no_int_str_limit, bound, digits):
+    start = time.perf_counter()
+    with pytest.raises(BudgetError) as info:
+        evaluate_bound(bound)
+    assert time.perf_counter() - start < 0.1
+    assert (info.value.observed, info.value.limit) == (digits, MAX_PRECISION)
+    assert MAX_PRECISION == 20000
+
+
+def test_exact_value_capped_above_python_limit(no_int_str_limit):
+    # a limit above MAX_PRECISION is capped too: KRun s=5000 has 24083 digits
+    sys.set_int_max_str_digits(10**6)
+    with pytest.raises(BudgetError) as info:
+        evaluate_bound(k_run(5000))
+    assert (info.value.observed, info.value.limit) == (24083, MAX_PRECISION)

@@ -1,16 +1,14 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from orbita.forms import (
-    add_forms,
     content,
     evaluate_form,
     form_degree,
     multiply_forms,
-    power_form,
     resultant,
-    scale_form,
     substitute_forms,
 )
 
@@ -25,10 +23,7 @@ def test_degree_and_evaluation():
 def test_arithmetic():
     f = (1, 1)  # X + Y
     g = (1, -1)  # X - Y
-    assert add_forms(f, g) == (2, 0)
-    assert scale_form(f, 3) == (3, 3)
     assert multiply_forms(f, g) == (1, 0, -1)
-    assert power_form(f, 3) == (1, 3, 3, 1)
 
 
 def test_substitute():
@@ -37,6 +32,51 @@ def test_substitute():
     assert h == (1, 0, 1)
     # X*Y o (X^2, Y^2) = X^2 Y^2
     assert substitute_forms((0, 1, 0), (1, 0, 0), (0, 0, 1)) == (0, 0, 1, 0, 0)
+
+
+def _substitute_oracle(f, u, v):
+    """The former O(d^2) substitution: every power of u and v rebuilt from 1."""
+
+    def power(g, k):
+        out = (1,)
+        for _ in range(k):
+            out = multiply_forms(out, g)
+        return out
+
+    d = form_degree(f)
+    out = [0] * (d * form_degree(u) + 1)
+    for i, c in enumerate(f):
+        if c:
+            for j, t in enumerate(multiply_forms(power(u, d - i), power(v, i))):
+                out[j] += c * t
+    return tuple(out)
+
+
+def test_substitute_matches_quadratic_oracle():
+    rng = random.Random(20261019)
+
+    def draw(degree):
+        return tuple(
+            rng.choice((0, 0, rng.randint(-9, 9), rng.randint(-(2**40), 2**40)))
+            for _ in range(degree + 1)
+        )
+
+    zeros = 0
+    for _ in range(600):
+        d, e = rng.randint(0, 6), rng.randint(0, 4)
+        f, u, v = draw(d), draw(e), draw(e)
+        h = substitute_forms(f, u, v)
+        assert h == _substitute_oracle(f, u, v), (f, u, v)
+        x, y = rng.randint(-20, 20), rng.randint(-20, 20)
+        image = evaluate_form(u, x, y), evaluate_form(v, x, y)
+        assert evaluate_form(h, x, y) == evaluate_form(f, *image)
+        zeros += 0 in f + u + v
+    assert zeros > 400
+
+
+def test_substitute_requires_equal_degree():
+    with pytest.raises(ValueError):
+        substitute_forms((1, 1), (1, 0), (1, 0, 0))
 
 
 def test_content():

@@ -1,0 +1,193 @@
+"""Fuzz gate: drawn command lines end in exit 0, 2 or 3, each within a cap.
+
+hypothesis draws command lines for `orbit`, `bounds`, `sunit`, `delta` and
+`semigroup`. It is derandomized, with a fixed number of examples per
+command, so every run checks the same lines. Each line runs in-process
+through `cli.main`. An error exit must leave stdout empty, except
+`semigroup`'s exit 3: it prints the place set it found before it reports an
+undecided orbit. One field in eight is drawn malformed on purpose.
+
+Maps come from the parser's grammar at depth 2 (depth 1 for `semigroup`),
+with exponents up to 3 and one-digit literals, and the points of `orbit` and
+`semigroup` have coordinates up to 10^6. `semigroup` factors every
+resultant, and a closed orbit factors its resultant and the cross term of
+each pair of its points. Factoring runs a fixed number of rho iterations
+before it gives up, whatever the operand, so larger maps or points would
+measure that budget (ROADMAP items 4 and 6), not the command lines: `orbit
+--map "1 - z" --point 1/10^200` runs for more than a minute.
+"""
+
+import io
+import time
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from orbita import cli
+from orbita.bounds import FORMULAS, PRECISION_ENV
+
+CAP = 3.0  # seconds per call
+
+
+def mostly(valid, invalid):
+    """valid seven times in eight, invalid otherwise."""
+    return st.integers(0, 7).flatmap(lambda i: invalid if i == 7 else valid)
+
+
+# a typographic minus, brackets and a colon reach the point parser too
+GARBAGE = st.text(alphabet="z0123456789+-*/^() []:inf−", max_size=10)
+# parameters: 0, small and negative values, and huge ones
+INTEGERS = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-(10**6), 10**6),
+    st.sampled_from([10**9, -(10**9), 2**64, 10**30, -(10**30), 10**400]),
+)
+LITERALS = st.one_of(
+    st.integers(0, 9).map(str),
+    st.tuples(st.integers(0, 9), st.integers(1, 9)).map("{0[0]}/{0[1]}".format),
+)
+
+
+def expressions(depth: int):
+    leaf = st.one_of(st.just("z"), LITERALS)
+    if depth == 0:
+        return leaf
+    sub = expressions(depth - 1)
+    return st.one_of(
+        st.tuples(sub, st.sampled_from("+-*/"), sub).map("({0[0]}) {0[1]} ({0[2]})".format),
+        st.tuples(sub, st.sampled_from("+-*/"), sub).map("{0[0]}{0[1]}{0[2]}".format),
+        st.tuples(sub, st.integers(0, 3)).map("({0[0]})^{0[1]}".format),
+        sub.map("-({})".format),
+        leaf,
+    )
+
+
+def maps(depth: int):
+    """Expressions with z kept in one term, so that few are constant."""
+    e = expressions(depth)
+    return mostly(st.tuples(e, st.sampled_from("+-*/")).map("({0[0]}) {0[1]} z".format), GARBAGE)
+
+
+def points(integers):
+    return mostly(
+        st.one_of(
+            integers.map(str),
+            st.tuples(integers, integers).map("{0[0]}/{0[1]}".format),
+            st.tuples(integers, integers).map("[{0[0]}:{0[1]}]".format),
+            st.just("inf"),
+        ),
+        GARBAGE,
+    )
+
+
+# a closed orbit factors the cross term of every pair of its points
+ORBIT_POINTS = points(st.integers(-(10**6), 10**6))
+
+
+def _run(argv: list[str], precision: str | None = None) -> None:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv(PRECISION_ENV, raising=False)
+        if precision is not None:
+            mp.setenv(PRECISION_ENV, precision)
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+        elapsed = time.perf_counter() - start
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert elapsed <= CAP, (argv, elapsed)
+    if code and not (argv[0] == "semigroup" and code == 3):
+        assert out.getvalue() == "", argv
+
+
+def fuzz(examples: int):
+    return settings(
+        max_examples=examples,
+        derandomize=True,
+        deadline=None,
+        database=None,
+        suppress_health_check=list(HealthCheck),
+    )
+
+
+@fuzz(200)
+@given(maps(2), ORBIT_POINTS, st.booleans())
+def test_orbit(expr, point, as_json):
+    _run(["orbit", "--map", expr, "--point", point] + ["--json"] * as_json)
+
+
+@st.composite
+def bounds_lines(draw):
+    formula = draw(mostly(st.sampled_from(sorted(FORMULAS)), st.sampled_from(["", "Unknown"])))
+    names = list(FORMULAS[formula].param_names) if formula in FORMULAS else []
+    # the formula's own names, or one missing, repeated or unknown
+    names = draw(mostly(st.just(names), st.sampled_from([names[1:], names + names[:1], ["x"]])))
+    huge = st.sampled_from([10**9, 2**64, 10**30, 10**400])
+    values = mostly(
+        st.one_of(st.integers(1, 10**6), huge).map(str),
+        st.one_of(INTEGERS.map(str), st.sampled_from(["", "x", "1.5", "1e3", "-"])),
+    )
+    return ["bounds", "--formula", formula, "--params"] + [f"{k}={draw(values)}" for k in names]
+
+
+@fuzz(300)
+@given(
+    bounds_lines(),
+    mostly(st.sampled_from([None, "10", "60", "200"]), st.sampled_from(["9", "20001", "x"])),
+    st.booleans(),
+)
+def test_bounds(argv, precision, as_json):
+    _run(argv + ["--json"] * as_json, precision)
+
+
+NONZERO = st.tuples(st.sampled_from(["", "-"]), st.integers(1, 9), st.integers(1, 9)).map(
+    "{0[0]}{0[1]}/{0[2]}".format
+)
+
+
+@fuzz(200)
+@given(
+    mostly(
+        st.lists(st.sampled_from(["2", "3", "5", "7", "11", "13"]), max_size=4, unique=True),
+        st.sampled_from([["0"], ["1"], ["4"], ["-3"], ["inf", "2"], ["x"], ["2", "2"]]),
+    ),
+    mostly(st.one_of(st.integers(1, 12), st.integers(13, 10**6)), st.integers(-2, 0)),
+    st.one_of(
+        st.none(),
+        mostly(
+            st.lists(NONZERO, min_size=3, max_size=3).map(",".join),
+            st.sampled_from(["1,1", "1,1,1,1", "1,x,1", "1,0,1"]),
+        ),
+    ),
+    st.booleans(),
+)
+def test_sunit(primes, B, three_term, as_json):
+    argv = ["sunit", "--primes", ",".join(primes), "--bound", str(B)]
+    if three_term is not None:
+        argv += ["--three-term", three_term]
+    _run(argv + ["--json"] * as_json)
+
+
+@fuzz(200)
+@given(
+    mostly(st.sampled_from([2, 3, 5, 7, 10**9 + 7, 2**61 - 1]), INTEGERS),
+    points(INTEGERS),
+    points(INTEGERS),
+)
+def test_delta(p, a, b):
+    _run(["delta", "--p", str(p), "--a", a, "--b", b])
+
+
+@fuzz(100)
+@given(
+    mostly(st.lists(maps(1), min_size=1, max_size=3).map(",".join), st.just("")),
+    st.one_of(st.none(), ORBIT_POINTS),
+    st.booleans(),
+)
+def test_semigroup(exprs, point, as_json):
+    argv = ["semigroup", "--maps", exprs]
+    if point is not None:
+        argv += ["--point", point]
+    _run(argv + ["--json"] * as_json)

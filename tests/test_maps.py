@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 from fractions import Fraction
 
 import pytest
@@ -372,3 +373,77 @@ class TestComposition:
         assert (info.value.observed, info.value.limit) == (4501, DEFAULT_COEFF_BITS)
         assert str(info.value) == f"coefficient size 4501 exceeds budget {DEFAULT_COEFF_BITS}"
         assert calls == []  # refused before the composite's resultant
+
+    def test_iterate_equals_the_fold_of_compose(self):
+        # composites up to degree 16: a cubic is iterated at most twice
+        rng = random.Random(20261019)
+        seen = set()
+        maps_drawn = 0
+        while maps_drawn < 300:
+            d = rng.randint(1, 3)
+            k = rng.randint(1, 2 if d == 3 else 4)
+            try:
+                m = make_map(
+                    [rng.randint(-3, 3) for _ in range(d + 1)],
+                    [rng.randint(-3, 3) for _ in range(d + 1)],
+                )
+            except ValueError:
+                continue
+            fold = reduce(lambda acc, _: compose_maps(m, acc), range(k - 1), m)
+            got = iterate_map(m, k)
+            assert (got.F, got.G, got.res) == (fold.F, fold.G, fold.res), (str(m), k)
+            maps_drawn += 1
+            seen.add((d, k))
+        assert len(seen) == 10
+
+    @pytest.mark.parametrize(
+        ("text", "k", "formed", "observed", "limit"),
+        [
+            # degree 2^8, refused before the seventh composite is formed
+            ("z^2", 8, 6, 256, MAX_DEGREE),
+            # degree 3^5, refused before the fourth of five
+            ("z^3", 6, 3, 243, MAX_DEGREE),
+            # the third composite, m^4, has lead 2^(300 (2^4 - 1)): refused once formed
+            ("2^300*z^2 + 1", 5, 3, 4501, DEFAULT_COEFF_BITS),
+        ],
+    )
+    def test_iterate_refuses_where_the_fold_does(
+        self, monkeypatch, text, k, formed, observed, limit
+    ):
+        m = parse_map(text)
+        canonical = maps._canonical
+        composites = []
+
+        def counting(F, G):
+            composites.append(len(F) - 1)
+            return canonical(F, G)
+
+        monkeypatch.setattr(maps, "_canonical", counting)
+        # a refusal does not depend on the resultants, so skip their Bareiss
+        monkeypatch.setattr(maps, "resultant", lambda F, G: 1)
+        with pytest.raises(BudgetError) as folded:
+            reduce(lambda acc, _: compose_maps(m, acc), range(k - 1), m)
+        folded_composites, composites[:] = list(composites), []
+        with pytest.raises(BudgetError) as iterated:
+            iterate_map(m, k)
+        assert composites == folded_composites
+        assert len(composites) == formed
+        for info in (folded, iterated):
+            assert (info.value.observed, info.value.limit) == (observed, limit)
+        assert str(iterated.value) == str(folded.value)
+
+    def test_iterate_runs_one_resultant(self, monkeypatch):
+        m = parse_map("(z^2 - 1)/(3*z + 2)")
+        calls = []
+
+        def counting(F, G):
+            calls.append(len(F) - 1)
+            return forms.resultant(F, G)
+
+        monkeypatch.setattr(maps, "resultant", counting)
+        assert iterate_map(m, 1) is m
+        for k in range(2, 6):
+            calls.clear()
+            composite = iterate_map(m, k)
+            assert calls == [2**k]
+            assert composite.res == forms.resultant(composite.F, composite.G)

@@ -8,6 +8,7 @@ from orbita.bounds import SATISFIED, compare
 from orbita.numtheory import BudgetError, PlaceSet
 from orbita.sunit import (
     DEFAULT_CAP,
+    WORK_CAP,
     box_units,
     count_three_term,
     is_box_s_unit,
@@ -124,6 +125,24 @@ class TestUnitEquation:
         with pytest.raises(ValueError):
             solve_unit_equation(PlaceSet.of(2), 0)
 
+    @pytest.mark.parametrize(
+        ("primes", "B", "work"),
+        [
+            ((2,), 30000, 120_002 * 30_001),  # few candidates, 30001-bit integers
+            ((11, 13), 700, 3_925_602 * 5012),  # under the candidate cap
+            ((2,), 999_999, 3_999_998 * 1_000_000),
+            ((2,), 3535, 14_142 * 3536),  # the first box refused for one prime
+        ],
+    )
+    def test_work_refusal(self, monkeypatch, primes, B, work):
+        monkeypatch.setattr(sunit, "_box_pairs", None)
+        monkeypatch.setattr(sunit, "_smooth_set", None)
+        for scan in (solve_unit_equation, lambda S, B: two_way_representations(5, S, B)):
+            with pytest.raises(BudgetError) as info:
+                scan(PlaceSet.of(*primes), B)
+            assert (info.value.observed, info.value.limit) == (work, WORK_CAP)
+            assert str(info.value) == f"box candidate bits {work} exceeds budget {WORK_CAP}"
+
     def test_deterministic(self):
         S = PlaceSet.of(2, 3)
         assert solve_unit_equation(S, 4) == solve_unit_equation(S, 4)
@@ -188,6 +207,14 @@ class TestThreeTerm:
         with pytest.raises(BudgetError) as info:
             count_three_term(PlaceSet.of(2, 3), (1, 1, -1), 40)
         assert (info.value.observed, info.value.limit) == (172_186_884, DEFAULT_CAP)
+
+    def test_work_refusal(self, monkeypatch):
+        # (2 * 999)^2 = 3 992 004 candidate pairs of 1847-bit integers
+        monkeypatch.setattr(sunit, "_box_pairs", None)
+        monkeypatch.setattr(sunit, "_smooth_set", None)
+        with pytest.raises(BudgetError) as info:
+            count_three_term(PlaceSet.of(13), (1, 1, 1), 499)
+        assert (info.value.observed, info.value.limit) == (3_992_004 * 1847, WORK_CAP)
 
     def test_degenerate_subsums_excluded(self):
         # x + y + z = 1 with x = -y leaves z = 1; all such triples are skipped,
@@ -290,3 +317,23 @@ def test_three_term_matches_fraction_scan(case):
 def test_every_scan_refuses_an_empty_box(scan):
     with pytest.raises(ValueError, match="exponent bound must be positive"):
         scan(PlaceSet.of(2, 3), 0)
+
+
+@pytest.mark.parametrize(
+    ("primes", "B", "power"),
+    [
+        ((5, 7, 11, 13), 5, 1),  # the benchmark's largest box: 1.8e6
+        ((2, 3, 5, 7, 11, 13), 1, 2),  # the slowest box admitted: 3.2e7
+        ((2,), 3534, 1),  # 14138 candidates of 3535 bits
+        ((2, 3), 12, 2),
+    ],
+)
+def test_largest_boxes_admitted(primes, B, power):
+    assert len(sunit._sized_box(PlaceSet.of(*primes), B, power)) == (B + 1) ** len(primes)
+
+
+def test_candidate_count_refused_first():
+    # 8 168 202 candidates of 112 bits: over both caps, the count is reported
+    assert 8_168_202 * 112 > WORK_CAP
+    with pytest.raises(BudgetError, match="^box candidates 8168202 exceeds"):
+        solve_unit_equation(PlaceSet.of(2, 3, 5, 7, 11), 10)
