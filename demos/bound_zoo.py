@@ -30,8 +30,8 @@ PARAMS = {
     "Pgl2Order": {"D": 1},
 }
 
-for name, spec in FORMULAS.items():
-    formula = BoundFormula(name, tuple((k, PARAMS[name][k]) for k in spec.param_names))
+for name in FORMULAS:
+    formula = BoundFormula.of(name, **PARAMS[name])
     value = evaluate_bound(formula)
     exact = "" if value.exact is None else f"  = {value.exact}"
     print(f"{formula}")
@@ -39,13 +39,13 @@ for name, spec in FORMULAS.items():
     print(f"    magnitude {value.magnitude_str()}{exact}")
 
 # a desk-scale verdict: is an orbit of total length 3 within the s=1 bound?
-value = evaluate_bound(BoundFormula("CanciC", (("s", 1),)))
+value = evaluate_bound(BoundFormula.of("CanciC", s=1))
 print("compare(3, CanciC(1)) ->", compare(3, value))
 assert compare(3, value) == SATISFIED
 
 # raising ORBITA_PRECISION (default 60 digits) narrows every enclosure;
 # the endpoints at 60 and at 200 digits nest
-coarse = evaluate_bound(BoundFormula("CanciC", (("s", 1),)), precision=60)
-fine = evaluate_bound(BoundFormula("CanciC", (("s", 1),)), precision=200)
+coarse = evaluate_bound(BoundFormula.of("CanciC", s=1), precision=60)
+fine = evaluate_bound(BoundFormula.of("CanciC", s=1), precision=200)
 print("ln upper, 60 digits: ", coarse.ln_upper_str[:40], "...")
 print("ln upper, 200 digits:", fine.ln_upper_str[:40], "...")

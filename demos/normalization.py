@@ -44,7 +44,8 @@ print("conditions hold:", report.all_ok)
 print("tail bound:", report.tail_bound_display)
 
 # the normalized tail walks into [0:1] with monotone valuations at every
-# good prime; that monotonicity is what makes the tail shorter than any
-# prescribed valuation budget. A violation raises TailDivisibilityError.
-div = check_tail_divisibility(map2, tail2, S)
+# good prime of map2 (the primes of its resultant are skipped); that
+# monotonicity is what makes the tail shorter than any prescribed valuation
+# budget. A violation raises TailDivisibilityError.
+div = check_tail_divisibility(map2, tail2)
 print(f"divisibility: {div.comparisons} comparisons over {div.steps} steps")

@@ -23,7 +23,8 @@ cert = detect_orbit(m, parse_point("3/4"))
 doc = certificate_to_json(cert)
 print(json.dumps(doc, indent=2)[:400], "...")
 
-# orbits that do not close within budget come back as UndecidedOrbit rather
-# than an exception; the CLI turns that into exit status 3
-grow = detect_orbit(parse_map("z^2 + 1"), parse_point("1"), max_steps=10)
+# orbits that do not close within the budgets (10000 points, 4096-bit
+# coordinates) come back as UndecidedOrbit rather than an exception; the CLI
+# turns that into exit status 3
+grow = detect_orbit(parse_map("z^2 + 1"), parse_point("1"))
 print(type(grow).__name__, "-", grow.reason)

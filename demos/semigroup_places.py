@@ -7,7 +7,7 @@ through s = |S| for a common set S of places of bad reduction. Computing S
 for the generated semigroup is just a union of resultant prime sets.
 """
 
-from orbita import bad_primes, canci_c, evaluate_bound, parse_map
+from orbita import BoundFormula, bad_primes, evaluate_bound, parse_map
 
 generators = [parse_map("z^2 - 1"), parse_map("z^2 - 29/16"), parse_map("1/z")]
 
@@ -20,5 +20,5 @@ for m in generators:
 s = 1 + len(union)
 print(f"common S: infinity plus {sorted(union)}, s = {s}")
 
-bound = evaluate_bound(canci_c(s))
+bound = evaluate_bound(BoundFormula.of("CanciC", s=s))
 print(f"orbit-length bound for the whole semigroup: {bound.magnitude_str()}")

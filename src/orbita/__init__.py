@@ -15,20 +15,10 @@ from .bounds import (
     VIOLATED,
     BoundFormula,
     BoundValue,
-    beukers_schlickewei,
-    canci_c,
     compare,
     decimal_str,
-    ess,
     evaluate_bound,
-    k_run,
     ln_interval,
-    morton_silverman,
-    narkiewicz_pezda_orbit,
-    np_tail,
-    pezda_br,
-    pgl2_order,
-    two_ways_ideals,
     working_precision,
 )
 from .maps import (
@@ -154,20 +144,10 @@ __all__ = [
     "VIOLATED",
     "BoundFormula",
     "BoundValue",
-    "beukers_schlickewei",
-    "canci_c",
     "compare",
     "decimal_str",
-    "ess",
     "evaluate_bound",
-    "k_run",
     "ln_interval",
-    "morton_silverman",
-    "narkiewicz_pezda_orbit",
-    "np_tail",
-    "pezda_br",
-    "pgl2_order",
-    "two_ways_ideals",
     "working_precision",
     # sunit
     "ThreeTermReport",

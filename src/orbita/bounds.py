@@ -33,16 +33,6 @@ __all__ = [
     "VIOLATED",
     "INCONCLUSIVE",
     "FORMULAS",
-    "canci_c",
-    "morton_silverman",
-    "pezda_br",
-    "narkiewicz_pezda_orbit",
-    "beukers_schlickewei",
-    "ess",
-    "np_tail",
-    "k_run",
-    "two_ways_ideals",
-    "pgl2_order",
     "PRECISION_ENV",
     "MAX_PRECISION",
     "ESS_MAX_BITS",
@@ -193,7 +183,7 @@ def decimal_str(value: mpmath.mpf, digits: int, upward: bool) -> str:
 
 @dataclass(frozen=True)
 class BoundFormula:
-    """One of the named bound formulas with integer parameters."""
+    """A formula of FORMULAS with its integer parameters, in registry order."""
 
     name: str
     params: tuple[tuple[str, int], ...]
@@ -201,16 +191,23 @@ class BoundFormula:
     def __post_init__(self):
         spec = FORMULAS.get(self.name)
         if spec is None:
-            raise ValueError(f"unknown bound formula {self.name!r}")
-        got = tuple(k for k, _ in self.params)
-        if got != spec.param_names:
-            raise ValueError(f"{self.name} expects parameters {spec.param_names}, got {got}")
-        for k, v in self.params:
+            known = ", ".join(sorted(FORMULAS))
+            raise ValueError(f"unknown formula {self.name!r}; known: {known}")
+        if tuple(k for k, _ in self.params) != spec.param_names:
+            raise ValueError(f"{self.name} expects parameters {', '.join(spec.param_names)}")
+        for (k, v), (_, floor) in zip(self.params, spec.params):
             if not isinstance(v, int):
                 raise ValueError(f"parameter {k} must be an integer")
-            floor = 0 if k in ("t", "r") else 1
             if v < floor:
                 raise ValueError(f"parameter {k}={v} below minimum {floor}")
+
+    @classmethod
+    def of(cls, name: str, /, **params: int) -> BoundFormula:
+        """The formula `name` with its parameters by keyword, in any order."""
+        spec = FORMULAS.get(name)
+        if spec is not None and params.keys() == set(spec.param_names):
+            params = {k: params[k] for k in spec.param_names}
+        return cls(name, tuple(params.items()))
 
     def __str__(self) -> str:
         inner = ", ".join(f"{k}={v}" for k, v in self.params)
@@ -293,8 +290,11 @@ def _pgl2_order(D: int) -> int:
 
 
 class _FormulaSpec:
-    def __init__(self, param_names, ln, display, exact=None):
-        self.param_names = param_names
+    """A registry entry: each parameter with its least value, and the formula's evaluators."""
+
+    def __init__(self, params, ln, display, exact=None):
+        self.params = params
+        self.param_names = tuple(k for k, _ in params)
         self.ln = ln
         self.display = display
         self.exact = exact
@@ -332,99 +332,59 @@ def _ln_np_tail(ctx, s):
 
 FORMULAS: dict[str, _FormulaSpec] = {
     "CanciC": _FormulaSpec(
-        ("s",),
+        (("s", 1),),
         _ln_canci_c,
         lambda s: f"[e^(10^12) (s+1)^8 ln(5(s+1))^8]^s with s={s}",
     ),
     "MortonSilverman": _FormulaSpec(
-        ("t", "D"),
+        (("t", 0), ("D", 1)),
         _ln_morton_silverman,
         lambda t, D: f"[12(t+2) ln(5(t+2))]^(4D) with t={t}, D={D}",
     ),
     "PezdaBR": _FormulaSpec(
-        ("s", "D"),
+        (("s", 1), ("D", 1)),
         _ln_pezda_br,
         lambda s, D: f"[12 s ln(5 s)]^(2D+1) with s={s}, D={D}",
     ),
     "NarkiewiczPezdaOrbit": _FormulaSpec(
-        ("s", "D"),
+        (("s", 1), ("D", 1)),
         _ln_narkiewicz_pezda,
         lambda s, D: f"(1/3) [12 s ln(5 s)]^(2D+1) (31 + 2^(1031 s)) - 1 with s={s}, D={D}",
     ),
     "BeukersSchlickewei": _FormulaSpec(
-        ("r",),
+        (("r", 0),),
         lambda ctx, r: 8 * (r + 1) * _ln_int(ctx, 2),
         lambda r: f"2^(8(r+1)) with r={r}",
         lambda r: _pow2(8 * (r + 1)),
     ),
     "ESS": _FormulaSpec(
-        ("n", "r"),
+        (("n", 1), ("r", 0)),
         _ln_ess,
         lambda n, r: f"e^((6n)^(3n) (r+1)) with n={n}, r={r}",
     ),
     "NpTail": _FormulaSpec(
-        ("s",),
+        (("s", 1),),
         _ln_np_tail,
         lambda s: f"e^(10^12 s) - 2 with s={s}",
     ),
     "KRun": _FormulaSpec(
-        ("s",),
+        (("s", 1),),
         lambda ctx, s: 16 * s * _ln_int(ctx, 2),
         lambda s: f"2^(16 s) per the proof (statement says 2^(16^s)) with s={s}",
         lambda s: _pow2(16 * s),
     ),
     "TwoWaysIdeals": _FormulaSpec(
-        ("s",),
+        (("s", 1),),
         lambda ctx, s: ctx.mpf(18**9 * (3 * s - 2)),
         lambda s: f"e^(18^9 (3s-2)) with s={s}",
     ),
     "Pgl2Order": _FormulaSpec(
-        ("D",),
+        (("D", 1),),
         lambda ctx, D: _ln_int(ctx, 2 + 4 * D * D),
         lambda D: f"2 + 4 D^2 with D={D}",
         _pgl2_order,
     ),
 }
-
-
-def canci_c(s: int) -> BoundFormula:
-    return BoundFormula("CanciC", (("s", s),))
-
-
-def morton_silverman(t: int, D: int = 1) -> BoundFormula:
-    return BoundFormula("MortonSilverman", (("t", t), ("D", D)))
-
-
-def pezda_br(s: int, D: int = 1) -> BoundFormula:
-    return BoundFormula("PezdaBR", (("s", s), ("D", D)))
-
-
-def narkiewicz_pezda_orbit(s: int, D: int = 1) -> BoundFormula:
-    return BoundFormula("NarkiewiczPezdaOrbit", (("s", s), ("D", D)))
-
-
-def beukers_schlickewei(r: int) -> BoundFormula:
-    return BoundFormula("BeukersSchlickewei", (("r", r),))
-
-
-def ess(n: int, r: int) -> BoundFormula:
-    return BoundFormula("ESS", (("n", n), ("r", r)))
-
-
-def np_tail(s: int) -> BoundFormula:
-    return BoundFormula("NpTail", (("s", s),))
-
-
-def k_run(s: int) -> BoundFormula:
-    return BoundFormula("KRun", (("s", s),))
-
-
-def two_ways_ideals(s: int) -> BoundFormula:
-    return BoundFormula("TwoWaysIdeals", (("s", s),))
-
-
-def pgl2_order(D: int = 1) -> BoundFormula:
-    return BoundFormula("Pgl2Order", (("D", D),))
 
 
 def evaluate_bound(f: BoundFormula, precision: int | None = None) -> BoundValue:

@@ -30,8 +30,6 @@ from .numtheory import (
     is_prime,
 )
 from .orbits import (
-    DEFAULT_MAX_BITS,
-    DEFAULT_MAX_STEPS,
     CertificateCheckError,
     OrbitCertificate,
     UndecidedOrbit,
@@ -90,9 +88,7 @@ def _primes_str(primes) -> str:
 def _cmd_orbit(args) -> int:
     m = _parse_map_arg(args.map)
     start = _parse_point_arg(args.point)
-    if args.max_steps < 1 or args.max_bits < 1:
-        raise _InputError("budgets must be positive")
-    result = detect_orbit(m, start, args.max_steps, args.max_bits)
+    result = detect_orbit(m, start)
     if isinstance(result, UndecidedOrbit):
         _fail(f"orbit undecided: {result.reason} after {result.steps} steps")
         return 3
@@ -178,19 +174,10 @@ def _parse_params(tokens: list[str]) -> dict[str, int]:
 
 
 def _cmd_bounds(args) -> int:
-    spec = _bounds.FORMULAS.get(args.formula)
-    if spec is None:
-        known = ", ".join(sorted(_bounds.FORMULAS))
-        raise _InputError(f"unknown formula {args.formula!r}; known: {known}")
-    given = _parse_params(args.params)
-    if set(given) != set(spec.param_names):
-        raise _InputError(
-            f"{args.formula} expects parameters {', '.join(spec.param_names)}"
-        )
+    # an unknown formula is reported before a malformed parameter token
+    given = _parse_params(args.params) if args.formula in _bounds.FORMULAS else {}
     try:
-        formula = _bounds.BoundFormula(
-            args.formula, tuple((k, given[k]) for k in spec.param_names)
-        )
+        formula = _bounds.BoundFormula.of(args.formula, **given)
     except ValueError as exc:
         raise _InputError(str(exc)) from None
     value = _bounds.evaluate_bound(formula)
@@ -359,7 +346,7 @@ def _cmd_semigroup(args) -> int:
     per_map += [tuple(bad_primes(m)) for m in maps[len(orbits) :]]
     union = sorted(set().union(*per_map)) if per_map else []
     s = 1 + len(union)
-    c = _bounds.evaluate_bound(_bounds.canci_c(s))
+    c = _bounds.evaluate_bound(_bounds.BoundFormula.of("CanciC", s=s))
     if args.point is not None and start is None:
         _parse_point_arg(args.point)  # raises the point's input error
     if args.json:
@@ -415,8 +402,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orbit", help="iterate a map and certify the orbit")
     p.add_argument("--map", required=True, help="rational map expression in z")
     p.add_argument("--point", required=True, help="start point (rational, inf, or [x:y])")
-    p.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
-    p.add_argument("--max-bits", type=int, default=DEFAULT_MAX_BITS)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("delta", help="p-adic logarithmic distance between two points")

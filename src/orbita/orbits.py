@@ -65,6 +65,8 @@ __all__ = [
 STEPS_EXHAUSTED = "steps-exhausted"
 BITS_EXHAUSTED = "bit-budget-exhausted"
 
+# the orbit budgets, fixed so that every orbit ends within seconds: 10000
+# points and 4096 bits per coordinate
 DEFAULT_MAX_STEPS = 10000
 DEFAULT_MAX_BITS = 4096
 
@@ -138,10 +140,6 @@ class OrbitCertificate:
     def length(self) -> int:
         return len(self.points)
 
-    @property
-    def place_set(self) -> PlaceSet:
-        return PlaceSet(self.bad_primes)
-
     def point_at(self, i: int) -> ProjectivePoint:
         """Orbit point Q_i for -m <= i <= n-1 (Q_0 is the first cycle point)."""
         if not -self.tail_length <= i < self.period:
@@ -153,19 +151,13 @@ def _coord_bits(P: ProjectivePoint) -> int:
     return max(abs(P.x).bit_length(), abs(P.y).bit_length())
 
 
-def detect_orbit(
-    m: RationalMap,
-    start: ProjectivePoint,
-    max_steps: int = DEFAULT_MAX_STEPS,
-    max_bits: int = DEFAULT_MAX_BITS,
-) -> OrbitCertificate | UndecidedOrbit:
+def detect_orbit(m: RationalMap, start: ProjectivePoint) -> OrbitCertificate | UndecidedOrbit:
     """Iterate from start until the orbit closes or a budget is exhausted.
 
-    Cycle detection keys on canonical coordinates, so the first repeat pins
-    both the exact tail length and the minimal period.
+    The budgets are DEFAULT_MAX_STEPS points and DEFAULT_MAX_BITS bits per
+    coordinate. Cycle detection keys on canonical coordinates, so the first
+    repeat pins both the exact tail length and the minimal period.
     """
-    if max_steps < 1 or max_bits < 1:
-        raise ValueError("budgets must be positive")
     seen: dict[tuple[int, int], int] = {}
     pts: list[ProjectivePoint] = []
     P = start
@@ -178,9 +170,9 @@ def detect_orbit(
                 points=tuple(pts),
                 bad_primes=tuple(bad_primes(m)),
             )
-        if _coord_bits(P) > max_bits:
+        if _coord_bits(P) > DEFAULT_MAX_BITS:
             return UndecidedOrbit(BITS_EXHAUSTED, P, len(pts))
-        if len(pts) >= max_steps:
+        if len(pts) >= DEFAULT_MAX_STEPS:
             return UndecidedOrbit(STEPS_EXHAUSTED, P, len(pts))
         seen[key] = len(pts)
         pts.append(P)
@@ -314,19 +306,16 @@ class DivisibilityReport:
     comparisons: int
 
 
-def check_tail_divisibility(
-    map2: RationalMap, tail2: list[ProjectivePoint], S: PlaceSet
-) -> DivisibilityReport:
-    """Along a normalized tail, v_p(x_i) is nondecreasing for every p outside S.
+def check_tail_divisibility(map2: RationalMap, tail2: list[ProjectivePoint]) -> DivisibilityReport:
+    """Along a normalized tail, v_p(x_i) is nondecreasing for every good prime p of map2.
 
     Equivalently the distance to the fixed point [0:1] never shrinks, which
-    is exactly non-expansion at good-reduction primes. A violation carries an
+    is exactly non-expansion at good-reduction primes. The primes of x_i
+    that divide map2's resultant are skipped. A violation carries an
     (index, prime) witness and aborts the caller's run.
     """
     if not tail2 or tail2[-1] != ProjectivePoint(0, 1):
         raise ValueError("tail must end at [0:1]")
-    if s_membership(map2.res, S) != S_UNIT:
-        raise ValueError(f"S = {S} must contain the bad primes: the resultant is not an S-unit")
     comparisons = 0
     for i in range(len(tail2) - 1):
         x_here = tail2[i].x
@@ -341,7 +330,8 @@ def check_tail_divisibility(
         # d_p(Q, [0:1]) = v_p(x) in canonical coordinates; x_next = 0 is [0:1] itself
         here = dict(factor(x_here).factors)
         after = None if x_next == 0 else {p: _valuation(x_next, p) for p in here}
-        count, failure = _non_expansion_witness(here, after, S)
+        bad = {p for p in here if map2.res % p == 0}
+        count, failure = _non_expansion_witness(here, after, bad)
         comparisons += count
         if failure:
             raise TailDivisibilityError(i, *failure)
@@ -529,9 +519,7 @@ def _check_remark(cert: OrbitCertificate, table: dict) -> int:
 def _check_divisibility(cert: OrbitCertificate) -> int:
     composite, tail = collapse_to_fixed_point(cert)
     map2, tail2, _ = normalize_orbit(composite, tail)
-    # Res(f^n) divides a power of Res(f), and det-1 conjugation keeps |Res|,
-    # so the certificate's bad primes already cover those of map2
-    return check_tail_divisibility(map2, tail2, cert.place_set).comparisons
+    return check_tail_divisibility(map2, tail2).comparisons
 
 
 def run_certificate_checks(cert: OrbitCertificate) -> dict[str, bool]:
@@ -558,9 +546,9 @@ def _bounds_block(cert: OrbitCertificate) -> dict:
     key = (cert.s, precision)
     cached = _CERTIFICATE_BOUNDS.get(key)
     if cached is None:
-        c = _bounds.evaluate_bound(_bounds.canci_c(cert.s), precision)
+        c = _bounds.evaluate_bound(_bounds.BoundFormula.of("CanciC", s=cert.s), precision)
         ms = _bounds.evaluate_bound(
-            _bounds.morton_silverman(len(cert.bad_primes), 1), precision
+            _bounds.BoundFormula.of("MortonSilverman", t=len(cert.bad_primes), D=1), precision
         )
         cached = _CERTIFICATE_BOUNDS[key] = (c, c.ln_upper_str, ms, ms.ln_upper_str)
     c, ln_c, ms, ln_ms = cached

@@ -15,8 +15,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .maps import RationalMap, bad_primes, evaluate, make_map, parse_map
-from .numtheory import PlaceSet, _valuation
+from .maps import RationalMap, evaluate, make_map, parse_map
+from .numtheory import _valuation
 from .orbits import (
     CertificateCheckError,
     OrbitCertificate,
@@ -295,9 +295,8 @@ def run_divisibility(
         m2 = synthesize_map(pairs, 2)
         if m2 is None:
             continue
-        S = PlaceSet(tuple(bad_primes(m2)))
         try:
-            report = check_tail_divisibility(m2, chain, S)
+            report = check_tail_divisibility(m2, chain)
         except TailDivisibilityError as exc:
             return SuiteReport(
                 suite="divisibility",

@@ -22,8 +22,6 @@ __all__ = [
     "ThreeTermReport",
     "DEFAULT_CAP",
     "WORK_CAP",
-    "box_units",
-    "is_box_s_unit",
     "solve_unit_equation",
     "two_way_representations",
     "count_three_term",
@@ -44,7 +42,7 @@ def _box_pairs(primes: tuple[int, ...], B: int):
 
     Exponent vectors run in itertools.product order over [-B, B]^rank (last
     prime fastest), and each one yields +u before -u. This is the one place
-    the scan order is defined; box_units is a Fraction view of it.
+    the scan order is defined.
     """
     steps = [[(p**e, 1) if e >= 0 else (1, p**-e) for e in range(-B, B + 1)] for p in primes]
     *outer, last = steps or [[(1, 1)]]
@@ -91,30 +89,6 @@ def _sized_box(S: PlaceSet, B: int, power: int = 1) -> set[int]:
     return _smooth_set(S.finite_primes, B)
 
 
-def box_units(S: PlaceSet, B: int) -> list[Fraction]:
-    """All S-units with exponent vector in [-B, B]^rank, in a fixed scan order."""
-    return [Fraction(n, d) for n, d in _box_pairs(S.finite_primes, B)]
-
-
-def is_box_s_unit(x: Rational, S: PlaceSet, B: int) -> bool:
-    """True when x = +-(product of S-primes) with every exponent in [-B, B]."""
-    x = Fraction(x)
-    if x == 0:
-        return False
-    num, den = abs(x.numerator), x.denominator
-    for p in S.finite_primes:
-        e = 0
-        while num % p == 0:
-            num //= p
-            e += 1
-        while den % p == 0:
-            den //= p
-            e -= 1
-        if abs(e) > B:
-            return False
-    return num == 1 and den == 1
-
-
 @dataclass(frozen=True)
 class UnitEquationReport:
     """Solutions of u + v = 1 found within the box, with the rank-based bound."""
@@ -151,7 +125,7 @@ def solve_unit_equation(S: PlaceSet, B: int) -> UnitEquationReport:
     return UnitEquationReport(
         solutions=tuple(sols),
         gamma_rank=r,
-        ln_bound=_bounds.evaluate_bound(_bounds.beukers_schlickewei(r)),
+        ln_bound=_bounds.evaluate_bound(_bounds.BoundFormula.of("BeukersSchlickewei", r=r)),
     )
 
 
@@ -249,5 +223,5 @@ def count_three_term(S: PlaceSet, a, B: int) -> ThreeTermReport:
         coefficients=coeffs,
         count=count,
         gamma_rank=r,
-        ln_bound=_bounds.evaluate_bound(_bounds.ess(3, r)),
+        ln_bound=_bounds.evaluate_bound(_bounds.BoundFormula.of("ESS", n=3, r=r)),
     )

@@ -15,13 +15,10 @@ from fractions import Fraction
 from orbita import cli
 from orbita.bounds import (
     SATISFIED,
-    beukers_schlickewei,
-    canci_c,
+    BoundFormula,
     compare,
     evaluate_bound,
-    morton_silverman,
     mp,
-    pgl2_order,
 )
 from orbita.maps import bad_primes, parse_map
 from orbita.numtheory import PlaceSet
@@ -127,7 +124,7 @@ def test_criterion_4_certificate_reproduction(capsys):
         and [p[0] for p in doc1["points"]] == ["1", "0", "-1"]
         and doc1["bad_primes"] == []
         and doc1["s"] == "1"
-        and compare(3, evaluate_bound(canci_c(1))) == SATISFIED
+        and compare(3, evaluate_bound(BoundFormula.of("CanciC", s=1))) == SATISFIED
         and t1 < 1.0
     )
 
@@ -142,7 +139,7 @@ def test_criterion_4_certificate_reproduction(capsys):
         and doc2["bad_primes"] == ["2"]
         and len(doc2["bad_primes"]) == 1
         and parse_map("z^2-29/16").res == 2**16
-        and compare(3, evaluate_bound(morton_silverman(1, 1))) == SATISFIED
+        and compare(3, evaluate_bound(BoundFormula.of("MortonSilverman", t=1, D=1))) == SATISFIED
         and t2 < 1.0
     )
     ok = first_ok and second_ok
@@ -175,8 +172,8 @@ def test_criterion_5_bound_regression(capsys):
             abs(oracle_c1 - mp.mpf(frozen_c1)) / oracle_c1 < mp.mpf(10) ** -95
             and abs(oracle_ms11 - mp.mpf(frozen_ms11)) / oracle_ms11 < mp.mpf(10) ** -95
         )
-        c1 = evaluate_bound(canci_c(1))
-        ms11 = evaluate_bound(morton_silverman(1, 1))
+        c1 = evaluate_bound(BoundFormula.of("CanciC", s=1))
+        ms11 = evaluate_bound(BoundFormula.of("MortonSilverman", t=1, D=1))
         rel_ok = True
         for value, oracle in ((c1, oracle_c1), (ms11, oracle_ms11)):
             lo, hi = mp.mpf(value.ln_lower), mp.mpf(value.ln_upper)
@@ -184,8 +181,8 @@ def test_criterion_5_bound_regression(capsys):
             rel_ok = rel_ok and abs(lo - oracle) / oracle < mp.mpf(10) ** -6
             rel_ok = rel_ok and abs(hi - oracle) / oracle < mp.mpf(10) ** -6
     exact_ok = (
-        evaluate_bound(pgl2_order(1)).exact == 6
-        and evaluate_bound(beukers_schlickewei(2)).exact == 16777216
+        evaluate_bound(BoundFormula.of("Pgl2Order", D=1)).exact == 6
+        and evaluate_bound(BoundFormula.of("BeukersSchlickewei", r=2)).exact == 16777216
     )
     ok = pin_ok and rel_ok and exact_ok
     with capsys.disabled():

@@ -1,32 +1,25 @@
 import random
+import re
 import sys
 import time
 import tracemalloc
+from itertools import permutations
 
 import pytest
 from mpmath import libmp, mp
 
 from orbita import bounds
 from orbita.bounds import (
+    FORMULAS,
     INCONCLUSIVE,
     MAX_PRECISION,
     SATISFIED,
     VIOLATED,
     BoundFormula,
-    beukers_schlickewei,
-    canci_c,
     compare,
     decimal_str,
-    ess,
     evaluate_bound,
-    k_run,
     ln_interval,
-    morton_silverman,
-    narkiewicz_pezda_orbit,
-    np_tail,
-    pezda_br,
-    pgl2_order,
-    two_ways_ideals,
     working_precision,
 )
 from orbita.numtheory import BudgetError
@@ -53,32 +46,32 @@ def _encloses(value, oracle_str):
 
 
 def test_canci_c_against_oracle():
-    _encloses(evaluate_bound(canci_c(1)), ORACLES["c1"])
-    _encloses(evaluate_bound(canci_c(2)), ORACLES["c2"])
+    _encloses(evaluate_bound(BoundFormula.of("CanciC", s=1)), ORACLES["c1"])
+    _encloses(evaluate_bound(BoundFormula.of("CanciC", s=2)), ORACLES["c2"])
 
 
 def test_morton_silverman_against_oracle():
-    _encloses(evaluate_bound(morton_silverman(1, 1)), ORACLES["ms11"])
-    _encloses(evaluate_bound(morton_silverman(0, 1)), ORACLES["ms01"])
+    _encloses(evaluate_bound(BoundFormula.of("MortonSilverman", t=1, D=1)), ORACLES["ms11"])
+    _encloses(evaluate_bound(BoundFormula.of("MortonSilverman", t=0, D=1)), ORACLES["ms01"])
 
 
 def test_pezda_br_against_oracle():
-    _encloses(evaluate_bound(pezda_br(2, 1)), ORACLES["pbr21"])
+    _encloses(evaluate_bound(BoundFormula.of("PezdaBR", s=2, D=1)), ORACLES["pbr21"])
 
 
 def test_narkiewicz_pezda_orbit_against_oracle():
-    _encloses(evaluate_bound(narkiewicz_pezda_orbit(1, 1)), ORACLES["npo11"])
+    _encloses(evaluate_bound(BoundFormula.of("NarkiewiczPezdaOrbit", s=1, D=1)), ORACLES["npo11"])
 
 
 def test_exact_small_bounds():
-    assert evaluate_bound(pgl2_order(1)).exact == 6
-    assert evaluate_bound(pgl2_order(3)).exact == 38
-    assert evaluate_bound(beukers_schlickewei(2)).exact == 16777216
-    assert evaluate_bound(beukers_schlickewei(0)).exact == 256
+    assert evaluate_bound(BoundFormula.of("Pgl2Order", D=1)).exact == 6
+    assert evaluate_bound(BoundFormula.of("Pgl2Order", D=3)).exact == 38
+    assert evaluate_bound(BoundFormula.of("BeukersSchlickewei", r=2)).exact == 16777216
+    assert evaluate_bound(BoundFormula.of("BeukersSchlickewei", r=0)).exact == 256
 
 
 def test_k_run_exact_and_display():
-    v = evaluate_bound(k_run(1))
+    v = evaluate_bound(BoundFormula.of("KRun", s=1))
     assert v.exact == 65536
     # the closed form records the discrepancy between statement and proof
     assert "2^(16 s)" in v.exact_form and "2^(16^s)" in v.exact_form
@@ -86,7 +79,7 @@ def test_k_run_exact_and_display():
 
 def test_np_tail_log_value():
     # ln(e^(10^12 s) - 2) is a hair under 10^12 s; the upper rounding may equal it
-    v = evaluate_bound(np_tail(3))
+    v = evaluate_bound(BoundFormula.of("NpTail", s=3))
     mp.dps = 80
     target = mp.mpf(3) * mp.mpf(10) ** 12
     assert v.ln_upper <= target
@@ -94,16 +87,21 @@ def test_np_tail_log_value():
 
 
 def test_ess_and_two_ways_are_exact_integers_in_log_space():
-    assert evaluate_bound(ess(3, 3)).ln_upper == 18**9 * 4
-    assert evaluate_bound(ess(3, 3)).ln_lower == 18**9 * 4
-    assert evaluate_bound(two_ways_ideals(1)).ln_upper == 18**9
-    assert evaluate_bound(two_ways_ideals(2)).ln_upper == 18**9 * 4
+    assert evaluate_bound(BoundFormula.of("ESS", n=3, r=3)).ln_upper == 18**9 * 4
+    assert evaluate_bound(BoundFormula.of("ESS", n=3, r=3)).ln_lower == 18**9 * 4
+    assert evaluate_bound(BoundFormula.of("TwoWaysIdeals", s=1)).ln_upper == 18**9
+    assert evaluate_bound(BoundFormula.of("TwoWaysIdeals", s=2)).ln_upper == 18**9 * 4
 
 
 def test_outward_rounding_nests_with_precision():
     # the 60-digit enclosure must contain the 200-digit one
-    for formula in (canci_c(3), morton_silverman(2, 2), pezda_br(1, 1),
-                    narkiewicz_pezda_orbit(2, 1), np_tail(1)):
+    for formula in (
+        BoundFormula.of("CanciC", s=3),
+        BoundFormula.of("MortonSilverman", t=2, D=2),
+        BoundFormula.of("PezdaBR", s=1, D=1),
+        BoundFormula.of("NarkiewiczPezdaOrbit", s=2, D=1),
+        BoundFormula.of("NpTail", s=1),
+    ):
         coarse = evaluate_bound(formula, 60)
         fine = evaluate_bound(formula, 200)
         assert coarse.ln_lower <= fine.ln_lower
@@ -112,28 +110,28 @@ def test_outward_rounding_nests_with_precision():
 
 
 def test_monotone_in_parameters():
-    def up(f):
-        return evaluate_bound(f).ln_upper
+    def up(name, **params):
+        return evaluate_bound(BoundFormula.of(name, **params)).ln_upper
 
-    assert up(canci_c(1)) < up(canci_c(2)) < up(canci_c(5))
-    assert up(morton_silverman(0, 1)) < up(morton_silverman(1, 1))
-    assert up(morton_silverman(1, 1)) < up(morton_silverman(1, 2))
-    assert up(pezda_br(1, 1)) < up(pezda_br(2, 1)) < up(pezda_br(2, 2))
-    assert up(np_tail(1)) < up(np_tail(2))
+    assert up("CanciC", s=1) < up("CanciC", s=2) < up("CanciC", s=5)
+    assert up("MortonSilverman", t=0, D=1) < up("MortonSilverman", t=1, D=1)
+    assert up("MortonSilverman", t=1, D=1) < up("MortonSilverman", t=1, D=2)
+    assert up("PezdaBR", s=1, D=1) < up("PezdaBR", s=2, D=1) < up("PezdaBR", s=2, D=2)
+    assert up("NpTail", s=1) < up("NpTail", s=2)
 
 
 def test_compare_directions():
-    c1 = evaluate_bound(canci_c(1))
+    c1 = evaluate_bound(BoundFormula.of("CanciC", s=1))
     assert compare(3, c1) == SATISFIED
-    ms = evaluate_bound(morton_silverman(1, 1))
+    ms = evaluate_bound(BoundFormula.of("MortonSilverman", t=1, D=1))
     assert compare(3, ms) == SATISFIED
     # e^18.319 < 10^8, so 10^9 certifiably violates
     assert compare(10**9, ms) == VIOLATED
-    assert compare(1, evaluate_bound(np_tail(1))) == SATISFIED
+    assert compare(1, evaluate_bound(BoundFormula.of("NpTail", s=1))) == SATISFIED
 
 
 def test_compare_exact_path():
-    pgl = evaluate_bound(pgl2_order(1))
+    pgl = evaluate_bound(BoundFormula.of("Pgl2Order", D=1))
     assert compare(6, pgl) == SATISFIED
     assert compare(7, pgl) == VIOLATED
     with pytest.raises(ValueError):
@@ -150,7 +148,7 @@ def test_compare_inconclusive_band():
         mid = (lo + hi) / 2
     assert lo < mid < hi
     crafted = BoundValue(
-        formula=morton_silverman(1, 1),
+        formula=BoundFormula.of("MortonSilverman", t=1, D=1),
         ln_lower=mid,
         ln_upper=mid,
         exact=None,
@@ -193,8 +191,8 @@ def test_ln_interval_encloses():
 
 
 def test_magnitude_strings():
-    assert evaluate_bound(pgl2_order(1)).magnitude_str() == "6"
-    m = evaluate_bound(canci_c(1)).magnitude_str()
+    assert evaluate_bound(BoundFormula.of("Pgl2Order", D=1)).magnitude_str() == "6"
+    m = evaluate_bound(BoundFormula.of("CanciC", s=1)).magnitude_str()
     assert m.startswith("10^434294481903.") or m.startswith("10^434294481908.")
 
 
@@ -204,12 +202,69 @@ def test_formula_validation():
     with pytest.raises(ValueError):
         BoundFormula("CanciC", (("r", 1),))
     with pytest.raises(ValueError):
-        canci_c(0)
+        BoundFormula.of("CanciC", s=0)
     with pytest.raises(ValueError):
-        morton_silverman(-1, 1)
+        BoundFormula.of("MortonSilverman", t=-1, D=1)
     # t and r may be zero
-    assert evaluate_bound(morton_silverman(0, 1)).ln_upper > 0
-    assert evaluate_bound(beukers_schlickewei(0)).exact == 256
+    assert evaluate_bound(BoundFormula.of("MortonSilverman", t=0, D=1)).ln_upper > 0
+    assert evaluate_bound(BoundFormula.of("BeukersSchlickewei", r=0)).exact == 256
+
+
+@pytest.mark.parametrize("name", sorted(FORMULAS))
+def test_keyword_order_is_free(name):
+    params = {k: 3 + i for i, k in enumerate(FORMULAS[name].param_names)}
+    built = {BoundFormula.of(name, **dict(order)) for order in permutations(params.items())}
+    assert built == {BoundFormula(name, tuple(params.items()))}
+
+
+def test_floors_are_pinned():
+    # t and r may be zero; every other parameter is at least 1
+    floors = {name: dict(spec.params) for name, spec in FORMULAS.items()}
+    assert floors == {
+        "CanciC": {"s": 1},
+        "MortonSilverman": {"t": 0, "D": 1},
+        "PezdaBR": {"s": 1, "D": 1},
+        "NarkiewiczPezdaOrbit": {"s": 1, "D": 1},
+        "BeukersSchlickewei": {"r": 0},
+        "ESS": {"n": 1, "r": 0},
+        "NpTail": {"s": 1},
+        "KRun": {"s": 1},
+        "TwoWaysIdeals": {"s": 1},
+        "Pgl2Order": {"D": 1},
+    }
+
+
+@pytest.mark.parametrize("name", sorted(FORMULAS))
+def test_floors_come_from_the_registry(name):
+    spec = FORMULAS[name]
+    floors = dict(spec.params)
+    assert BoundFormula.of(name, **floors).params == spec.params
+    for k, floor in spec.params:
+        message = f"parameter {k}={floor - 1} below minimum {floor}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BoundFormula.of(name, **{**floors, k: floor - 1})
+        for value in (1.5, "1", None):
+            with pytest.raises(ValueError, match=f"^parameter {k} must be an integer$"):
+                BoundFormula.of(name, **{**floors, k: value})
+
+
+@pytest.mark.parametrize(
+    ("name", "params", "message"),
+    [
+        ("NoSuch", {"s": 1}, "unknown formula 'NoSuch'; known: " + ", ".join(sorted(FORMULAS))),
+        ("ESS", {"n": 1}, "ESS expects parameters n, r"),
+        ("ESS", {"n": 1, "r": 0, "s": 1}, "ESS expects parameters n, r"),
+        ("CanciC", {"r": 1}, "CanciC expects parameters s"),
+        ("CanciC", {}, "CanciC expects parameters s"),
+        ("CanciC", {"name": 1}, "CanciC expects parameters s"),
+        ("CanciC", {"cls": 1}, "CanciC expects parameters s"),
+        ("CanciC", {"s": 1, "name": 1}, "CanciC expects parameters s"),
+    ],
+)
+def test_malformed_keywords_refused(name, params, message):
+    with pytest.raises(ValueError) as info:
+        BoundFormula.of(name, **params)
+    assert str(info.value) == message
 
 
 def test_precision_env_override(monkeypatch):
@@ -217,7 +272,7 @@ def test_precision_env_override(monkeypatch):
     assert working_precision() == 60
     monkeypatch.setenv(bounds.PRECISION_ENV, "80")
     assert working_precision() == 80
-    v = evaluate_bound(canci_c(1))
+    v = evaluate_bound(BoundFormula.of("CanciC", s=1))
     assert v.precision_digits == 80
     monkeypatch.setenv(bounds.PRECISION_ENV, "abc")
     with pytest.raises(ValueError):
@@ -228,7 +283,7 @@ def test_precision_env_override(monkeypatch):
 
 
 def test_bound_strings_round_trip_enclosure():
-    v = evaluate_bound(canci_c(1))
+    v = evaluate_bound(BoundFormula.of("CanciC", s=1))
     mp.dps = 100
     lo = mp.mpf(v.ln_lower_str)
     hi = mp.mpf(v.ln_upper_str)
@@ -304,7 +359,7 @@ def test_exact_value_refused_before_it_is_formed():
     tracemalloc.start()
     try:
         with pytest.raises(BudgetError) as info:
-            evaluate_bound(beukers_schlickewei(10**7 - 1))
+            evaluate_bound(BoundFormula.of("BeukersSchlickewei", r=10**7 - 1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -316,15 +371,19 @@ def test_exact_value_refused_before_it_is_formed():
 def test_exact_value_limit_follows_python(no_int_str_limit):
     # a limit of 0 caps the budget at MAX_PRECISION digits: past 2^65536,
     # KRun s=4097 (19734 digits) still has its exact value
-    assert evaluate_bound(k_run(4097)).exact == 2 ** (16 * 4097)
+    assert evaluate_bound(BoundFormula.of("KRun", s=4097)).exact == 2 ** (16 * 4097)
     sys.set_int_max_str_digits(19733)
     with pytest.raises(BudgetError) as info:
-        evaluate_bound(k_run(4097))
+        evaluate_bound(BoundFormula.of("KRun", s=4097))
     assert (info.value.observed, info.value.limit) == (19734, 19733)
 
 
 @pytest.mark.parametrize(
-    ("bound", "digits"), [(k_run(10**9), 4816479931), (beukers_schlickewei(10**9), 2408239968)]
+    ("bound", "digits"),
+    [
+        (BoundFormula.of("KRun", s=10**9), 4816479931),
+        (BoundFormula.of("BeukersSchlickewei", r=10**9), 2408239968),
+    ],
 )
 def test_exact_value_capped_without_python_limit(no_int_str_limit, bound, digits):
     start = time.perf_counter()
@@ -339,5 +398,5 @@ def test_exact_value_capped_above_python_limit(no_int_str_limit):
     # a limit above MAX_PRECISION is capped too: KRun s=5000 has 24083 digits
     sys.set_int_max_str_digits(10**6)
     with pytest.raises(BudgetError) as info:
-        evaluate_bound(k_run(5000))
+        evaluate_bound(BoundFormula.of("KRun", s=5000))
     assert (info.value.observed, info.value.limit) == (24083, MAX_PRECISION)

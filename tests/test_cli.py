@@ -17,6 +17,12 @@ from orbita.orbits import CertificateCheckError, NpConditionError, TailDivisibil
 from orbita.suites import SuiteReport
 
 
+KNOWN = (
+    "BeukersSchlickewei, CanciC, ESS, KRun, MortonSilverman, NarkiewiczPezdaOrbit, "
+    "NpTail, PezdaBR, Pgl2Order, TwoWaysIdeals"
+)
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -64,25 +70,22 @@ class TestOrbit:
         assert code == 2
         assert "orbita: error:" in err
 
-    def test_nonpositive_budget_exits_2(self, capsys):
-        code, _, _ = run(
-            capsys, "orbit", "--map", "z^2", "--point", "0", "--max-steps", "0"
-        )
-        assert code == 2
+    @pytest.mark.parametrize("flag", ["--max-steps", "--max-bits"])
+    def test_budget_flags_exit_2(self, capsys, flag):
+        # the budgets are fixed; argparse refuses the former flags
+        code, out, err = run(capsys, "orbit", "--map", "z + 1", "--point", "0", flag, "5")
+        assert (code, out) == (2, "")
+        assert f"unrecognized arguments: {flag} 5" in err
 
     def test_step_budget_exits_3(self, capsys):
-        code, _, err = run(
-            capsys, "orbit", "--map", "z + 1", "--point", "0", "--max-steps", "5"
-        )
+        code, _, err = run(capsys, "orbit", "--map", "z + 1", "--point", "0")
         assert code == 3
-        assert "orbit undecided" in err
+        assert err == "orbita: error: orbit undecided: steps-exhausted after 10000 steps\n"
 
     def test_bit_budget_exits_3(self, capsys):
-        code, _, err = run(
-            capsys, "orbit", "--map", "z^2", "--point", "2", "--max-bits", "16"
-        )
+        code, _, err = run(capsys, "orbit", "--map", "z^2", "--point", "2")
         assert code == 3
-        assert "orbit undecided" in err
+        assert err == "orbita: error: orbit undecided: bit-budget-exhausted after 12 steps\n"
 
     def test_invariant_breach_exits_5(self, capsys, monkeypatch):
         def breach(cert):
@@ -249,6 +252,29 @@ class TestBounds:
         code, _, _ = run(capsys, "bounds", "--formula", "CanciC", "--params", "s")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        ("formula", "params", "message"),
+        [
+            # an unknown formula is reported before any malformed token
+            ("Nope", ["s=1"], f"unknown formula 'Nope'; known: {KNOWN}"),
+            ("Nope", ["s"], f"unknown formula 'Nope'; known: {KNOWN}"),
+            ("Nope", ["s=x,s=y"], f"unknown formula 'Nope'; known: {KNOWN}"),
+            ("ESS", ["n=1"], "ESS expects parameters n, r"),
+            ("CanciC", ["s=1", "t=2"], "CanciC expects parameters s"),
+            ("CanciC", ["s=1,s=2"], "parameter 's' is given more than once"),
+            ("MortonSilverman", ["D=1", "t=-1"], "parameter t=-1 below minimum 0"),
+            ("ESS", ["r=0,n=0"], "parameter n=0 below minimum 1"),
+            ("CanciC", ["s=1.5"], "parameter 's=1.5' needs an integer value"),
+            ("CanciC", ["s"], "parameter 's' is not of the form key=value"),
+            ("CanciC", ["name=1"], "CanciC expects parameters s"),
+            ("CanciC", ["cls=1"], "CanciC expects parameters s"),
+            ("CanciC", ["s=1,name=1"], "CanciC expects parameters s"),
+        ],
+    )
+    def test_parameter_errors_pinned(self, capsys, formula, params, message):
+        code, out, err = run(capsys, "bounds", "--formula", formula, "--params", *params)
+        assert (code, out, err) == (2, "", f"orbita: error: {message}\n")
+
     def test_repeated_parameter_exits_2(self, capsys):
         code, out, err = run(capsys, "bounds", "--formula", "Pgl2Order", "--params", "D=1", "D=2")
         assert (code, out) == (2, "")
@@ -323,7 +349,7 @@ class TestBounds:
         )
         # the largest n within the budget, refused one step above it
         with pytest.raises(BudgetError):
-            _bounds.evaluate_bound(_bounds.ess(139811, 0))
+            _bounds.evaluate_bound(_bounds.BoundFormula.of("ESS", n=139811, r=0))
         assert 3 * 139810 * (6 * 139810).bit_length() + 1 <= _bounds.ESS_MAX_BITS
 
     @pytest.mark.parametrize(
@@ -638,8 +664,8 @@ class TestDriver:
         (("bounds", "--formula", "CanciC", "--params", "s=x"), None, 2),
         (("orbit", "--map", "z^2 - 1", "--point", "1"), "abc", 2),
         (("bounds", "--formula", "CanciC", "--params", "s=1"), "abc", 2),
-        (("orbit", "--map", "z + 1", "--point", "0", "--max-steps", "5"), None, 3),
-        (("orbit", "--map", "z^2", "--point", "2", "--max-bits", "16", "--json"), None, 3),
+        (("orbit", "--map", "z + 1", "--point", "0"), None, 3),
+        (("orbit", "--map", "z^2", "--point", "2", "--json"), None, 3),
         (("badprimes", "--map", "(z+1)^3000"), None, 3),
         (("badprimes", "--map", "(z+1)^3000", "--json"), None, 3),
         # Res = 2^16000: over the factor budget, and more digits than Python prints

@@ -86,7 +86,7 @@ def points(integers):
 ORBIT_POINTS = points(st.integers(-(10**6), 10**6))
 
 
-def _run(argv: list[str], precision: str | None = None) -> None:
+def _run(argv: list[str], precision: str | None = None) -> int:
     with pytest.MonkeyPatch.context() as mp:
         mp.delenv(PRECISION_ENV, raising=False)
         if precision is not None:
@@ -100,6 +100,7 @@ def _run(argv: list[str], precision: str | None = None) -> None:
     assert elapsed <= CAP, (argv, elapsed)
     if code and not (argv[0] == "semigroup" and code == 3):
         assert out.getvalue() == "", argv
+    return code
 
 
 def fuzz(examples: int):
@@ -112,18 +113,29 @@ def fuzz(examples: int):
     )
 
 
+# the orbit budgets are fixed: a budget flag is a usage error
+BUDGET_FLAGS = st.tuples(st.sampled_from(["--max-steps", "--max-bits"]), INTEGERS).map(
+    lambda pair: [pair[0], str(pair[1])]
+)
+
+
 @fuzz(200)
-@given(maps(2), ORBIT_POINTS, st.booleans())
-def test_orbit(expr, point, as_json):
-    _run(["orbit", "--map", expr, "--point", point] + ["--json"] * as_json)
+@given(maps(2), ORBIT_POINTS, st.booleans(), mostly(st.just([]), BUDGET_FLAGS))
+def test_orbit(expr, point, as_json, budget):
+    code = _run(["orbit", "--map", expr, "--point", point] + ["--json"] * as_json + budget)
+    if budget:
+        assert code == 2
 
 
 @st.composite
 def bounds_lines(draw):
     formula = draw(mostly(st.sampled_from(sorted(FORMULAS)), st.sampled_from(["", "Unknown"])))
     names = list(FORMULAS[formula].param_names) if formula in FORMULAS else []
-    # the formula's own names, or one missing, repeated or unknown
-    names = draw(mostly(st.just(names), st.sampled_from([names[1:], names + names[:1], ["x"]])))
+    names = draw(st.permutations(names))
+    # the formula's own names in any order, or one missing, repeated or unknown,
+    # or one that is also the name of a parameter of BoundFormula.of
+    malformed = [names[1:], names + names[:1], ["x"], ["name"], ["cls"], names + ["name"]]
+    names = draw(mostly(st.just(names), st.sampled_from(malformed)))
     huge = st.sampled_from([10**9, 2**64, 10**30, 10**400])
     values = mostly(
         st.one_of(st.integers(1, 10**6), huge).map(str),

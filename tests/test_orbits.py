@@ -8,6 +8,8 @@ from orbita.maps import bad_primes, evaluate, make_map, parse_map
 from orbita.numtheory import PlaceSet, factor
 from orbita.orbits import (
     BITS_EXHAUSTED,
+    DEFAULT_MAX_BITS,
+    DEFAULT_MAX_STEPS,
     STEPS_EXHAUSTED,
     CertificateCheckError,
     NpConditionError,
@@ -81,20 +83,17 @@ class TestDetect:
         assert cert.points == (O, canonical_point(Fraction(-1)), ProjectivePoint(1, 0))
 
     def test_steps_budget(self):
-        out = detect_orbit(parse_map("z + 1"), parse_point("0"), max_steps=50)
+        out = detect_orbit(parse_map("z + 1"), parse_point("0"))
         assert isinstance(out, UndecidedOrbit)
         assert out.reason == STEPS_EXHAUSTED
-        assert out.steps == 50
-        assert out.last_point == canonical_point(50)
+        assert out.steps == DEFAULT_MAX_STEPS == 10000
+        assert out.last_point == canonical_point(10000)
 
     def test_bits_budget(self):
-        out = detect_orbit(parse_map("z^2 + 1"), parse_point("1"), max_bits=64)
+        out = detect_orbit(parse_map("z^2 + 1"), parse_point("1"))
         assert isinstance(out, UndecidedOrbit)
         assert out.reason == BITS_EXHAUSTED
-
-    def test_budget_validation(self):
-        with pytest.raises(ValueError):
-            detect_orbit(parse_map("z"), parse_point("0"), max_steps=0)
+        assert out.last_point.x.bit_length() > DEFAULT_MAX_BITS == 4096
 
     def test_point_at_indexing(self):
         cert = detect_orbit(parse_map("z^2 - 29/16"), parse_point("7/4"))
@@ -266,8 +265,7 @@ class TestTailDivisibility:
         cert = detect_orbit(parse_map("z^2 - 2"), parse_point("0"))
         composite, tail = collapse_to_fixed_point(cert)
         map2, tail2, _ = normalize_orbit(composite, tail)
-        S = PlaceSet(tuple(bad_primes(map2)))
-        report = check_tail_divisibility(map2, tail2, S)
+        report = check_tail_divisibility(map2, tail2)
         # x-coordinates -2, -4, 0: one comparison at p=2 per step
         assert report.steps == 2
         assert report.comparisons == 2
@@ -278,30 +276,38 @@ class TestTailDivisibility:
         ident = parse_map("z")
         tail = _affine(4, 2) + [O]
         with pytest.raises(TailDivisibilityError) as info:
-            check_tail_divisibility(ident, tail, PlaceSet.of())
+            check_tail_divisibility(ident, tail)
         err = info.value
         assert (err.index, err.prime, err.v_here, err.v_next) == (0, 2, 2, 1)
 
     def test_rejects_tail_leaving_origin(self):
         ident = parse_map("z")
         with pytest.raises(ValueError):
-            check_tail_divisibility(ident, [O, canonical_point(1), O], PlaceSet.of())
+            check_tail_divisibility(ident, [O, canonical_point(1), O])
 
     def test_requires_terminal_origin(self):
         with pytest.raises(ValueError):
-            check_tail_divisibility(parse_map("z"), _affine(1, 2), PlaceSet.of())
+            check_tail_divisibility(parse_map("z"), _affine(1, 2))
 
     def test_unit_coordinates_skip_cleanly(self):
         ident = parse_map("z")
-        report = check_tail_divisibility(ident, _affine(1, -1) + [O], PlaceSet.of())
+        report = check_tail_divisibility(ident, _affine(1, -1) + [O])
         assert report.comparisons == 0
 
-    def test_requires_covering_place_set(self):
-        cert = detect_orbit(parse_map("z^2 - 29/16"), parse_point("7/4"))
-        map2, tail2, _ = normalize_orbit(*collapse_to_fixed_point(cert))
-        with pytest.raises(ValueError, match="must contain the bad primes"):
-            check_tail_divisibility(map2, tail2, PlaceSet.of(3))
-        assert check_tail_divisibility(map2, tail2, PlaceSet.of(2, 3)).steps == len(tail2) - 1
+    def test_skips_exactly_the_primes_of_the_resultant(self):
+        # v_2 falls from 2 to 1: skipped where 2 divides the resultant (2 z,
+        # Res = 2), compared and refused where it does not (3 z, Res = 3)
+        tail = _affine(4, 2) + [O]
+        assert check_tail_divisibility(parse_map("2*z"), tail).comparisons == 0
+        with pytest.raises(TailDivisibilityError) as info:
+            check_tail_divisibility(parse_map("3*z"), tail)
+        assert (info.value.prime, info.value.v_here, info.value.v_next) == (2, 2, 1)
+        # 12 = 2^2 * 3 before 6 = 2 * 3: 3 is compared under 2 z, 2 under 3 z
+        tail = _affine(12, 6) + [O]
+        assert check_tail_divisibility(parse_map("2*z"), tail).comparisons == 2
+        with pytest.raises(TailDivisibilityError) as info:
+            check_tail_divisibility(parse_map("3*z"), tail)
+        assert info.value.prime == 2
 
     def test_bad_primes_of_normalized_composite_are_the_certificates(self):
         # Res(f^n) divides a power of Res(f) and det-1 conjugation keeps |Res|

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 
 import pytest
 
@@ -9,9 +10,7 @@ from orbita.numtheory import BudgetError, PlaceSet
 from orbita.sunit import (
     DEFAULT_CAP,
     WORK_CAP,
-    box_units,
     count_three_term,
-    is_box_s_unit,
     solve_unit_equation,
     two_way_representations,
 )
@@ -31,6 +30,10 @@ def _oracle_box(primes, B):
     return out
 
 
+def _pairs(primes, B):
+    return list(sunit._box_pairs(primes, B))
+
+
 class TestBoxUnits:
     def test_scan_order(self):
         # exponent vectors in product order, last prime fastest; +u before -u
@@ -40,42 +43,52 @@ class TestBoxUnits:
             v = F(1)
             for p, e in zip(primes, exps):
                 v *= F(p) ** e
-            expected += [v, -v]
-        assert box_units(PlaceSet.of(*primes), B) == expected
+            expected += [(v.numerator, v.denominator), (-v.numerator, v.denominator)]
+        assert _pairs(primes, B) == expected
 
     def test_trivial_group(self):
-        assert sorted(box_units(PlaceSet.of(), 5)) == [-1, 1]
+        assert sorted(_pairs((), 5)) == [(-1, 1), (1, 1)]
 
     def test_one_prime(self):
-        units = box_units(PlaceSet.of(2), 1)
-        assert sorted(units) == [-2, -1, F(-1, 2), F(1, 2), 1, 2]
+        units = sorted(F(n, d) for n, d in _pairs((2,), 1))
+        assert units == [-2, -1, F(-1, 2), F(1, 2), 1, 2]
 
     def test_count_matches_problem_size(self):
-        S = PlaceSet.of(2, 3)
-        assert len(box_units(S, 4)) == 2 * (2 * 4 + 1) ** 2
-        assert len(set(box_units(S, 4))) == len(box_units(S, 4))
+        pairs = _pairs((2, 3), 4)
+        assert len(pairs) == 2 * (2 * 4 + 1) ** 2
+        assert len(set(pairs)) == len(pairs)
 
     def test_matches_oracle(self):
-        S = PlaceSet.of(3, 7)
-        assert set(box_units(S, 3)) == _oracle_box((3, 7), 3)
+        pairs = _pairs((3, 7), 3)
+        # coprime pairs with a positive denominator: each one a reduced fraction
+        assert all(gcd(n, d) == 1 and d > 0 for n, d in pairs)
+        assert {F(n, d) for n, d in pairs} == _oracle_box((3, 7), 3)
+
+
+def _in_smooth_set(x, smooth):
+    """The scans' membership rule: both parts of the reduced fraction are smooth."""
+    return x != 0 and abs(x.numerator) in smooth and x.denominator in smooth
 
 
 class TestMembership:
     def test_recognizes_units(self):
-        S = PlaceSet.of(2)
-        assert is_box_s_unit(F(8), S, 3)
-        assert not is_box_s_unit(F(8), S, 2)
-        assert is_box_s_unit(F(-1, 16), S, 4)
-        assert not is_box_s_unit(F(3, 2), S, 4)
-        assert not is_box_s_unit(F(0), S, 4)
-        assert is_box_s_unit(F(-1), PlaceSet.of(), 1)
+        smooth2, smooth3, smooth4 = (sunit._smooth_set((2,), B) for B in (2, 3, 4))
+        assert _in_smooth_set(F(8), smooth3)
+        assert not _in_smooth_set(F(8), smooth2)
+        assert _in_smooth_set(F(-1, 16), smooth4)
+        assert not _in_smooth_set(F(3, 2), smooth4)
+        assert not _in_smooth_set(F(0), smooth4)
+        assert _in_smooth_set(F(-1), sunit._smooth_set((), 1))
 
     def test_agrees_with_box(self):
-        S = PlaceSet.of(2, 5)
-        box = set(box_units(S, 2))
-        for v in box:
-            assert is_box_s_unit(v, S, 2)
-        assert not is_box_s_unit(F(2) ** 3, S, 2)
+        small = {F(a, b) for a in range(-30, 31) for b in range(1, 31)}
+        for primes, B in [((), 1), ((2,), 1), ((2,), 3), ((3,), 2), ((2, 5), 2), ((3, 7), 1)]:
+            box = _oracle_box(primes, B)
+            smooth = sunit._smooth_set(primes, B)
+            # the box, its neighbours one prime step away, and small fractions
+            steps = [F(p) ** e for p in primes + (3, 11) for e in (-1, 1)]
+            for x in box | {u * t for u in box for t in steps} | small:
+                assert _in_smooth_set(x, smooth) == (x in box), (primes, B, x)
 
 
 class TestUnitEquation:
@@ -234,7 +247,7 @@ class TestThreeTerm:
 # ---------------------------------------------------------------- differential
 #
 # The scans work on integer pairs and a smooth-number set; these tests check
-# them against plain Fraction arithmetic over box_units with is_box_s_unit.
+# them against plain Fraction arithmetic over the box _oracle_box enumerates.
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 SCAN_CASES = [
@@ -263,24 +276,18 @@ def _case_id(case):
 @pytest.mark.parametrize("case", SCAN_CASES, ids=_case_id)
 def test_unit_equation_matches_fraction_scan(case):
     primes, B = case
-    S = PlaceSet.of(*primes)
-    expected = sorted(
-        (u, 1 - u) for u in box_units(S, B) if u != 1 and is_box_s_unit(1 - u, S, B)
-    )
-    assert list(solve_unit_equation(S, B).solutions) == expected
+    box = _oracle_box(primes, B)
+    expected = sorted((u, 1 - u) for u in box if u != 1 and 1 - u in box)
+    assert list(solve_unit_equation(PlaceSet.of(*primes), B).solutions) == expected
 
 
 @pytest.mark.parametrize("case", SCAN_CASES, ids=_case_id)
 def test_two_ways_matches_fraction_scan(case):
     primes, B = case
     S = PlaceSet.of(*primes)
-    units = box_units(S, B)
+    box = _oracle_box(primes, B)
     for T in TARGETS:
-        pairs = {
-            (min(u, T - u), max(u, T - u))
-            for u in units
-            if u != T and is_box_s_unit(T - u, S, B)
-        }
+        pairs = {(min(u, T - u), max(u, T - u)) for u in box if u != T and T - u in box}
         report = two_way_representations(T, S, B)
         assert report.representations == tuple(sorted(pairs)), T
 
@@ -289,15 +296,15 @@ def test_two_ways_matches_fraction_scan(case):
 def test_three_term_matches_fraction_scan(case):
     primes, B = case
     S = PlaceSet.of(*primes)
-    units = box_units(S, B)
+    box = _oracle_box(primes, B)
     for a in COEFFICIENTS:
         a1, a2, a3 = map(F, a)
         expected = 0
-        for x1 in units:
-            for x2 in units:
+        for x1 in box:
+            for x2 in box:
                 t1, t2 = a1 * x1, a2 * x2
                 t3 = 1 - t1 - t2
-                if t3 == 0 or not is_box_s_unit(t3 / a3, S, B):
+                if t3 / a3 not in box:
                     continue
                 if t1 + t2 == 0 or t1 + t3 == 0 or t2 + t3 == 0:
                     continue
