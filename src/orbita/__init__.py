@@ -46,15 +46,12 @@ from .numtheory import (
     vp,
 )
 from .orbits import (
-    BITS_EXHAUSTED,
-    STEPS_EXHAUSTED,
     CertificateCheckError,
     DivisibilityReport,
     NpConditionError,
     NpReport,
     OrbitCertificate,
     TailDivisibilityError,
-    UndecidedOrbit,
     certificate_from_json,
     certificate_to_json,
     check_tail_divisibility,
@@ -119,15 +116,12 @@ __all__ = [
     "moebius_order",
     "parse_map",
     # orbits
-    "BITS_EXHAUSTED",
-    "STEPS_EXHAUSTED",
     "CertificateCheckError",
     "DivisibilityReport",
     "NpConditionError",
     "NpReport",
     "OrbitCertificate",
     "TailDivisibilityError",
-    "UndecidedOrbit",
     "certificate_from_json",
     "certificate_to_json",
     "check_tail_divisibility",

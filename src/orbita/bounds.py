@@ -196,7 +196,7 @@ class BoundFormula:
         if tuple(k for k, _ in self.params) != spec.param_names:
             raise ValueError(f"{self.name} expects parameters {', '.join(spec.param_names)}")
         for (k, v), (_, floor) in zip(self.params, spec.params):
-            if not isinstance(v, int):
+            if not isinstance(v, int) or isinstance(v, bool):
                 raise ValueError(f"parameter {k} must be an integer")
             if v < floor:
                 raise ValueError(f"parameter {k}={v} below minimum {floor}")

@@ -3,8 +3,8 @@
 Exit status taxonomy:
   0  success
   2  input could not be parsed (map, point, flags, ORBITA_PRECISION)
-  3  a budget was exhausted (orbit undecided, factorization or size refusal,
-     an exact bound too long to print)
+  3  a budget was exhausted (orbit points or coordinate bits, factorization or
+     size refusal, an exact bound too long to print)
   4  a verification suite found a counterexample (printed with its witness)
   5  an internal invariant was breached
 
@@ -32,7 +32,6 @@ from .numtheory import (
 from .orbits import (
     CertificateCheckError,
     OrbitCertificate,
-    UndecidedOrbit,
     certificate_to_json,
     detect_orbit,
 )
@@ -89,9 +88,6 @@ def _cmd_orbit(args) -> int:
     m = _parse_map_arg(args.map)
     start = _parse_point_arg(args.point)
     result = detect_orbit(m, start)
-    if isinstance(result, UndecidedOrbit):
-        _fail(f"orbit undecided: {result.reason} after {result.steps} steps")
-        return 3
     doc = certificate_to_json(result)
     if args.json:
         doc = {"command": "orbit", **doc}
@@ -329,18 +325,18 @@ def _cmd_semigroup(args) -> int:
         raise _InputError("--maps needs at least one expression")
     maps = [_parse_map_arg(e) for e in exprs]
     orbits: list[OrbitCertificate] = []
-    undecided: UndecidedOrbit | None = None
+    exhausted: BudgetError | None = None
     try:
         start = None if args.point is None else parse_point(args.point)
     except ValueError:
         start = None  # reported below, after any budget or precision error
     if start is not None:
         for m in maps:
-            result = detect_orbit(m, start)
-            if isinstance(result, UndecidedOrbit):
-                undecided = result
+            try:
+                orbits.append(detect_orbit(m, start))
+            except BudgetError as exc:
+                exhausted = exc
                 break
-            orbits.append(result)
     # a closed orbit's certificate already holds its generator's bad primes
     per_map = [cert.bad_primes for cert in orbits]
     per_map += [tuple(bad_primes(m)) for m in maps[len(orbits) :]]
@@ -382,8 +378,8 @@ def _cmd_semigroup(args) -> int:
                 f"orbit of {cert.start} under {cert.map}: m={cert.tail_length} "
                 f"n={cert.period} length {cert.length}"
             )
-    if undecided is not None:
-        _fail(f"orbit undecided: {undecided.reason} after {undecided.steps} steps")
+    if exhausted is not None:
+        _fail(f"budget exhausted: {exhausted}")
         return 3
     return 0
 

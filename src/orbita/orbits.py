@@ -1,14 +1,14 @@
 """Orbit detection, certification, and the fixed-point normalization pipeline.
 
-detect_orbit iterates a map with exact arithmetic until the orbit closes or a
-budget runs out. A closed orbit becomes an OrbitCertificate whose invariants
-are re-verified at every construction (including deserialization). The
-pipeline collapse_to_fixed_point -> normalize_orbit -> verify_np_conditions /
-check_tail_divisibility reduces a certificate to a fixed-point orbit at [0:1]
-and checks the structural conditions that make tail lengths bounded.
-run_certificate_checks re-verifies the distance propositions (triangle,
-non-expansion, repeated differences) on the certificate's own points, all
-read from one distance_table of the orbit.
+detect_orbit iterates a map with exact arithmetic until the orbit closes, or
+raises BudgetError when a budget runs out. A closed orbit becomes an
+OrbitCertificate whose invariants are re-verified at every construction
+(including deserialization). The pipeline collapse_to_fixed_point ->
+normalize_orbit -> verify_np_conditions / check_tail_divisibility reduces a
+certificate to a fixed-point orbit at [0:1] and checks the structural
+conditions that make tail lengths bounded. run_certificate_checks re-verifies
+the distance propositions (triangle, non-expansion, repeated differences) on
+the certificate's own points, all read from one distance_table of the orbit.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .maps import (
 )
 from .numtheory import (
     S_UNIT,
+    BudgetError,
     PlaceSet,
     _strip_primes,
     _valuation,
@@ -41,9 +42,6 @@ from .projective import INFINITE_DISTANCE, ProjectivePoint, cross_term, distance
 
 __all__ = [
     "OrbitCertificate",
-    "UndecidedOrbit",
-    "STEPS_EXHAUSTED",
-    "BITS_EXHAUSTED",
     "DEFAULT_MAX_STEPS",
     "DEFAULT_MAX_BITS",
     "NpConditionError",
@@ -62,28 +60,12 @@ __all__ = [
     "certificate_from_json",
 ]
 
-STEPS_EXHAUSTED = "steps-exhausted"
-BITS_EXHAUSTED = "bit-budget-exhausted"
-
 # the orbit budgets, fixed so that every orbit ends within seconds: 10000
 # points and 4096 bits per coordinate
 DEFAULT_MAX_STEPS = 10000
 DEFAULT_MAX_BITS = 4096
 
 SCHEMA_TAG = "orbita/1"
-
-
-@dataclass(frozen=True)
-class UndecidedOrbit:
-    """Budget exhaustion report; never a claim that the orbit is infinite."""
-
-    reason: str
-    last_point: ProjectivePoint
-    steps: int
-
-    def __post_init__(self):
-        if self.reason not in (STEPS_EXHAUSTED, BITS_EXHAUSTED):
-            raise ValueError(f"unknown reason {self.reason!r}")
 
 
 @dataclass(frozen=True)
@@ -151,12 +133,13 @@ def _coord_bits(P: ProjectivePoint) -> int:
     return max(abs(P.x).bit_length(), abs(P.y).bit_length())
 
 
-def detect_orbit(m: RationalMap, start: ProjectivePoint) -> OrbitCertificate | UndecidedOrbit:
-    """Iterate from start until the orbit closes or a budget is exhausted.
+def detect_orbit(m: RationalMap, start: ProjectivePoint) -> OrbitCertificate:
+    """Iterate from start until the orbit closes, or raise BudgetError.
 
     The budgets are DEFAULT_MAX_STEPS points and DEFAULT_MAX_BITS bits per
-    coordinate. Cycle detection keys on canonical coordinates, so the first
-    repeat pins both the exact tail length and the minimal period.
+    coordinate; a BudgetError is never a claim that the orbit is infinite.
+    Cycle detection keys on canonical coordinates, so the first repeat pins
+    both the exact tail length and the minimal period.
     """
     seen: dict[tuple[int, int], int] = {}
     pts: list[ProjectivePoint] = []
@@ -171,9 +154,9 @@ def detect_orbit(m: RationalMap, start: ProjectivePoint) -> OrbitCertificate | U
                 bad_primes=tuple(bad_primes(m)),
             )
         if _coord_bits(P) > DEFAULT_MAX_BITS:
-            return UndecidedOrbit(BITS_EXHAUSTED, P, len(pts))
+            raise BudgetError(_coord_bits(P), DEFAULT_MAX_BITS, "orbit coordinate bits")
         if len(pts) >= DEFAULT_MAX_STEPS:
-            return UndecidedOrbit(STEPS_EXHAUSTED, P, len(pts))
+            raise BudgetError(len(pts) + 1, DEFAULT_MAX_STEPS, "orbit points")
         seen[key] = len(pts)
         pts.append(P)
         P = evaluate(m, P)

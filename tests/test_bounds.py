@@ -248,6 +248,16 @@ def test_floors_come_from_the_registry(name):
                 BoundFormula.of(name, **{**floors, k: value})
 
 
+@pytest.mark.parametrize("name", sorted(FORMULAS))
+def test_bool_parameters_refused(name):
+    # bool is a subclass of int, but True is not a parameter value
+    floors = dict(FORMULAS[name].params)
+    for k in floors:
+        for value in (True, False):
+            with pytest.raises(ValueError, match=f"^parameter {k} must be an integer$"):
+                BoundFormula.of(name, **{**floors, k: value})
+
+
 @pytest.mark.parametrize(
     ("name", "params", "message"),
     [

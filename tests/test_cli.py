@@ -80,12 +80,14 @@ class TestOrbit:
     def test_step_budget_exits_3(self, capsys):
         code, _, err = run(capsys, "orbit", "--map", "z + 1", "--point", "0")
         assert code == 3
-        assert err == "orbita: error: orbit undecided: steps-exhausted after 10000 steps\n"
+        assert err == "orbita: error: budget exhausted: orbit points 10001 exceeds budget 10000\n"
 
     def test_bit_budget_exits_3(self, capsys):
         code, _, err = run(capsys, "orbit", "--map", "z^2", "--point", "2")
         assert code == 3
-        assert err == "orbita: error: orbit undecided: bit-budget-exhausted after 12 steps\n"
+        assert err == (
+            "orbita: error: budget exhausted: orbit coordinate bits 4097 exceeds budget 4096\n"
+        )
 
     def test_invariant_breach_exits_5(self, capsys, monkeypatch):
         def breach(cert):
@@ -556,13 +558,15 @@ class TestSemigroup:
         )
         assert code == 3
         assert "orbit of [1:1] under" in out  # the closing generator still reports
-        assert "orbit undecided" in err
+        assert err == (
+            "orbita: error: budget exhausted: orbit coordinate bits 4097 exceeds budget 4096\n"
+        )
 
     @pytest.mark.parametrize(
         ("exprs", "point", "status"),
         [
             ("z^2 - 1,z^2 - 29/16", None, 0),
-            ("z^2 - 1,z^2 - 29/16", "1", 3),  # the second orbit is undecided
+            ("z^2 - 1,z^2 - 29/16", "1", 3),  # the second orbit exhausts a budget
             ("z^2 - 1,z^2", "1", 0),  # both orbits close
         ],
     )
@@ -678,7 +682,7 @@ class TestDriver:
     ],
 )
 def test_error_exit_leaves_stdout_empty(capsys, monkeypatch, argv, env, status):
-    # semigroup is the one exception by design: an undecided generator orbit
+    # semigroup is the one exception by design: a generator orbit over budget
     # still prints the complete report before it exits 3
     if env is not None:
         monkeypatch.setenv("ORBITA_PRECISION", env)

@@ -1,11 +1,13 @@
 """Fuzz gate: drawn command lines end in exit 0, 2 or 3, each within a cap.
 
-hypothesis draws command lines for `orbit`, `bounds`, `sunit`, `delta` and
-`semigroup`. It is derandomized, with a fixed number of examples per
-command, so every run checks the same lines. Each line runs in-process
-through `cli.main`. An error exit must leave stdout empty, except
-`semigroup`'s exit 3: it prints the place set it found before it reports an
-undecided orbit. One field in eight is drawn malformed on purpose.
+hypothesis draws command lines for `orbit`, `bounds`, `sunit`, `delta`,
+`semigroup` and `verify`. It is derandomized, with a fixed number of
+examples per command, so every run checks the same lines. Each line runs
+in-process through `cli.main`. An error exit must leave stdout empty, except
+`semigroup`'s exit 3: it prints the place set it found before it reports the
+orbit budget that ran out. An exit 3 of `orbit` or `semigroup` must name what
+it used against what it allowed. One field in eight is drawn malformed on
+purpose.
 
 Maps come from the parser's grammar at depth 2 (depth 1 for `semigroup`),
 with exponents up to 3 and one-digit literals, and the points of `orbit` and
@@ -18,6 +20,7 @@ measure that budget (ROADMAP items 4 and 6), not the command lines: `orbit
 """
 
 import io
+import re
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -29,6 +32,7 @@ from orbita import cli
 from orbita.bounds import FORMULAS, PRECISION_ENV
 
 CAP = 3.0  # seconds per call
+BUDGET_EXIT = re.compile(r"orbita: error: budget exhausted: \w[\w ]* \d+ exceeds budget \d+\n")
 
 
 def mostly(valid, invalid):
@@ -100,6 +104,8 @@ def _run(argv: list[str], precision: str | None = None) -> int:
     assert elapsed <= CAP, (argv, elapsed)
     if code and not (argv[0] == "semigroup" and code == 3):
         assert out.getvalue() == "", argv
+    if code == 3 and argv[0] in ("orbit", "semigroup"):
+        assert BUDGET_EXIT.fullmatch(err.getvalue()), (argv, err.getvalue())
     return code
 
 
@@ -203,3 +209,27 @@ def test_semigroup(exprs, point, as_json):
     if point is not None:
         argv += ["--point", point]
     _run(argv + ["--json"] * as_json)
+
+
+# an explicit count of 1 to 10 cases, or one over the 10000 ceiling
+ITERATIONS = mostly(
+    st.one_of(st.integers(1, 10), st.integers(10001, 10**9)).map(str),
+    st.sampled_from(["0", "-1", "", "x", "1.5"]),
+)
+
+
+@fuzz(60)
+@given(
+    mostly(
+        st.sampled_from(["prop51", "prop52", "remark", "divisibility", "all"]),
+        st.sampled_from(["", "none", "ALL"]),
+    ),
+    ITERATIONS,
+    mostly(INTEGERS.map(str), st.sampled_from(["", "x", "1.5"])),
+    st.booleans(),
+)
+def test_verify(suite, iterations, seed, as_json):
+    argv = ["verify", "--suite", suite, "--iterations", iterations, "--seed", seed]
+    code = _run(argv + ["--json"] * as_json)
+    if code == 0 and int(iterations) > 10000:
+        assert suite == "remark"  # the corpus suite ignores the count

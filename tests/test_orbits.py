@@ -5,17 +5,14 @@ import pytest
 
 from orbita import projective
 from orbita.maps import bad_primes, evaluate, make_map, parse_map
-from orbita.numtheory import PlaceSet, factor
+from orbita.numtheory import BudgetError, PlaceSet, factor
 from orbita.orbits import (
-    BITS_EXHAUSTED,
     DEFAULT_MAX_BITS,
     DEFAULT_MAX_STEPS,
-    STEPS_EXHAUSTED,
     CertificateCheckError,
     NpConditionError,
     OrbitCertificate,
     TailDivisibilityError,
-    UndecidedOrbit,
     _check_non_expansion,
     _check_remark,
     _check_triangle,
@@ -83,17 +80,18 @@ class TestDetect:
         assert cert.points == (O, canonical_point(Fraction(-1)), ProjectivePoint(1, 0))
 
     def test_steps_budget(self):
-        out = detect_orbit(parse_map("z + 1"), parse_point("0"))
-        assert isinstance(out, UndecidedOrbit)
-        assert out.reason == STEPS_EXHAUSTED
-        assert out.steps == DEFAULT_MAX_STEPS == 10000
-        assert out.last_point == canonical_point(10000)
+        # the orbit needs a 10001st point, one over the budget
+        with pytest.raises(BudgetError) as info:
+            detect_orbit(parse_map("z + 1"), parse_point("0"))
+        assert (info.value.observed, info.value.limit) == (10001, DEFAULT_MAX_STEPS)
+        assert DEFAULT_MAX_STEPS == 10000
+        assert str(info.value) == "orbit points 10001 exceeds budget 10000"
 
     def test_bits_budget(self):
-        out = detect_orbit(parse_map("z^2 + 1"), parse_point("1"))
-        assert isinstance(out, UndecidedOrbit)
-        assert out.reason == BITS_EXHAUSTED
-        assert out.last_point.x.bit_length() > DEFAULT_MAX_BITS == 4096
+        with pytest.raises(BudgetError) as info:
+            detect_orbit(parse_map("z^2 + 1"), parse_point("1"))
+        assert info.value.observed > DEFAULT_MAX_BITS == info.value.limit == 4096
+        assert str(info.value).startswith("orbit coordinate bits ")
 
     def test_point_at_indexing(self):
         cert = detect_orbit(parse_map("z^2 - 29/16"), parse_point("7/4"))
