@@ -24,7 +24,6 @@ from .maps import RationalMap, bad_primes, parse_map
 from .numtheory import (
     BudgetError,
     Factorization,
-    FactorizationBudgetError,
     PlaceSet,
     factor,
     is_prime,
@@ -335,6 +334,8 @@ def _cmd_semigroup(args) -> int:
             try:
                 orbits.append(detect_orbit(m, start))
             except BudgetError as exc:
+                if hasattr(exc, "cofactor"):
+                    raise  # the orbit closed but its resultant did not factor
                 exhausted = exc
                 break
     # a closed orbit's certificate already holds its generator's bad primes
@@ -480,7 +481,7 @@ def main(argv: list[str] | None = None) -> int:
     except (_InputError, _bounds.PrecisionError) as exc:
         _fail(str(exc))
         return 2
-    except (FactorizationBudgetError, BudgetError) as exc:
+    except BudgetError as exc:
         _fail(f"budget exhausted: {exc}")
         return 3
     except (CertificateCheckError, AssertionError, ValueError) as exc:

@@ -447,21 +447,19 @@ def good_reduction_at(m: RationalMap, p: int) -> bool:
 
 
 def moebius_order(A: RationalMap) -> int | None:
-    """Least k <= 12 with A^k the identity for a degree-1 map A, or None when there is none.
+    """Order of a degree-1 map A = ((a, b), (c, d)) in PGL2(Q), or None when it is infinite.
 
-    An element of finite order in PGL2(Q) has order 1, 2, 3, 4 or 6, so 12
-    covers them all. A scalar matrix's model is the identity's, so the test
-    is plain equality.
+    Order 1 is the identity model. Otherwise A has finite order k exactly
+    when tr^2/det is 0, 1, 2 or 3, for k = 2, 3, 4 or 6: the ratio of A's
+    eigenvalues is then a primitive k-th root of unity.
     """
     if A.degree != 1:
         raise ValueError(f"a Moebius transformation has degree 1, not {A.degree}")
-    identity = RationalMap((1, 0), (0, 1))
-    acc = A
-    for k in range(1, 13):
-        if acc == identity:
-            return k
-        acc = compose_maps(acc, A)
-    return None
+    (a, b), (c, d) = A.F, A.G
+    if (a, b, c, d) == (1, 0, 0, 1):
+        return 1
+    det = a * d - b * c
+    return {0: 2, det: 3, 2 * det: 4, 3 * det: 6}.get((a + d) ** 2)
 
 
 def conjugate(m: RationalMap, A: RationalMap) -> RationalMap:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import gcd, prod
 
 Rational = Fraction
@@ -98,16 +99,8 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _int_str(n: int) -> str:
-    """str(n), or n named by its bit length when it has more digits than Python prints."""
-    try:
-        return str(n)
-    except ValueError:
-        return f"{'-' if n < 0 else ''}<{n.bit_length()}-bit integer>"
-
-
 class BudgetError(Exception):
-    """A size (bits, degree, digits, box candidates) over its budget, refused before the work."""
+    """A size or an amount of work over its budget, refused before that work is done."""
 
     def __init__(self, observed: int, limit: int, what: str):
         self.observed = observed
@@ -115,21 +108,16 @@ class BudgetError(Exception):
         super().__init__(f"{what} {observed} exceeds budget {limit}")
 
 
-class FactorizationBudgetError(Exception):
-    """Complete factorization could not be certified within the budget.
+class FactorizationBudgetError(BudgetError):
+    """A refused factorization (bits or rho work), with n, the cofactor left and the partial."""
 
-    Carries the unfactored cofactor and whatever factors were already
-    certified, so callers can report precisely what is known.
-    """
-
-    def __init__(self, n: int, cofactor: int, partial: tuple[tuple[int, int], ...]):
+    def __init__(
+        self, observed: int, limit: int, what: str, n: int, cofactor: int, partial: tuple
+    ):
+        super().__init__(observed, limit, what)
         self.n = n
         self.cofactor = cofactor
         self.partial = partial
-        super().__init__(
-            f"factorization incomplete for {_int_str(n)}: "
-            f"unfactored cofactor {_int_str(cofactor)}"
-        )
 
 
 @dataclass(frozen=True)
@@ -159,13 +147,19 @@ class Factorization:
         return tuple(p for p, _ in self.factors)
 
 
-def _brent_rho(n: int, c: int, max_iter: int) -> int | None:
-    """One Brent-cycle rho run with increment c; returns a proper factor or None."""
+def _brent_rho(n: int, c: int, max_iter: int) -> tuple[int | None, int]:
+    """One Brent-cycle rho run with increment c: a proper factor or None, and the iterations spent.
+
+    A round of 2r iterations that would take the run past max_iter is not
+    started: the run returns None and the iterations it would have needed.
+    """
     y, m = 2, 128
     g = r = q = 1
     x = ys = y
     spent = 0
     while g == 1:
+        if spent + 2 * r > max_iter:
+            return None, spent + 2 * r
         x = y
         for _ in range(r):
             y = (y * y + c) % n
@@ -180,8 +174,6 @@ def _brent_rho(n: int, c: int, max_iter: int) -> int | None:
             spent += step
             g = gcd(q, n)
             k += m
-        if g == 1 and spent > max_iter:
-            return None
         r *= 2
     if g == n:
         # gcd batching overshot; replay the last window one step at a time
@@ -189,26 +181,27 @@ def _brent_rho(n: int, c: int, max_iter: int) -> int | None:
         while g == 1:
             ys = (ys * ys + c) % n
             g = gcd(x - ys, n)
-    return g if g != n else None
+    return (g if g != n else None), spent
 
 
-# per-composite rho iteration allowance; generous for factors up to ~2^40
-_RHO_ITER = 1 << 21
-_RHO_INCREMENTS = (1, 3, 5, 7, 11, 2, 4, 6)
+# rho work of one factor call: iterations times 64-bit limbs of the operand,
+# shared by every increment and cofactor. Operands below 2^64 get 2^21
+# iterations, enough for factors up to about 2^40 (Brent, BIT 20, 1980)
+RHO_WORK = 1 << 21
 
 
 def factor(n: int, max_bits: int = DEFAULT_FACTOR_BITS) -> Factorization:
     """Complete deterministic factorization of a nonzero integer.
 
     Raises FactorizationBudgetError (never returns a partial answer) when
-    |n| exceeds max_bits or the rho stage exhausts its iteration budget.
+    |n| exceeds max_bits or the rho stage needs more than RHO_WORK work.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
     sign = 1 if n > 0 else -1
     m = abs(n)
     if m.bit_length() > max_bits:
-        raise FactorizationBudgetError(n, m, ())
+        raise FactorizationBudgetError(m.bit_length(), max_bits, "factor input bits", n, m, ())
     found: dict[int, int] = {}
     shown = gcd(m, _PRIMORIAL)
     if shown > 1:
@@ -222,20 +215,21 @@ def factor(n: int, max_bits: int = DEFAULT_FACTOR_BITS) -> Factorization:
     # m is now 1 or has no prime factor below the table limit, and so has
     # every piece rho splits off it
     stack = [m] if m > 1 else []
+    work = 0
     while stack:
         m = stack.pop()
         if m < _TABLE_SQUARE or is_prime(m):
             found[m] = found.get(m, 0) + 1
             continue
-        g = None
-        for c in _RHO_INCREMENTS:
-            g = _brent_rho(m, c, _RHO_ITER)
-            if g is not None and 1 < g < m:
+        limbs = -(-m.bit_length() // 64)
+        for c in count(1):
+            g, spent = _brent_rho(m, c, (RHO_WORK - work) // limbs)
+            work += spent * limbs
+            if g is not None:
                 break
-            g = None
-        if g is None:
-            partial = tuple(sorted(found.items()))
-            raise FactorizationBudgetError(n, m, partial)
+            if work > RHO_WORK:
+                partial = tuple(sorted(found.items()))
+                raise FactorizationBudgetError(work, RHO_WORK, "factorization work", n, m, partial)
         stack.append(g)
         stack.append(m // g)
     return Factorization(sign, tuple(sorted(found.items())))

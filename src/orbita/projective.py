@@ -152,8 +152,9 @@ def distance_table(
                 try:
                     found.update(factor(m).factors)
                 except FactorizationBudgetError as exc:
-                    partial = tuple(sorted({**found, **dict(exc.partial)}.items()))
-                    raise FactorizationBudgetError(c, exc.cofactor, partial) from None
+                    exc.n = c
+                    exc.partial = tuple(sorted({**found, **dict(exc.partial)}.items()))
+                    raise
             known.update(found)
             table[i, i + gap] = found
     return table

@@ -20,15 +20,12 @@ __all__ = [
     "UnitEquationReport",
     "TwoWaysReport",
     "ThreeTermReport",
-    "DEFAULT_CAP",
     "WORK_CAP",
     "solve_unit_equation",
     "two_way_representations",
     "count_three_term",
 ]
 
-# candidate-count ceiling; beyond this the scan refuses instead of hanging
-DEFAULT_CAP = 4_000_000
 # ceiling on candidates times the bit length of prod p^B, the size of the
 # box's largest integer: a scan's time grows with both. The benchmark's
 # largest box is about 1.8e6; the slowest box admitted, the three-term scan
@@ -71,7 +68,7 @@ def _smooth_set(primes: tuple[int, ...], B: int) -> set[int]:
 
 
 def _sized_box(S: PlaceSet, B: int, power: int = 1) -> set[int]:
-    """The smooth set of the box |a_i| <= B, once its scan is sized within both caps.
+    """The smooth set of the box |a_i| <= B, once its scan is sized within WORK_CAP.
 
     The box holds 2 (2B+1)^r S-units, r = len(S.finite_primes) the rank; a
     scan over pairs of them (power 2) has that count squared as candidates.
@@ -81,9 +78,8 @@ def _sized_box(S: PlaceSet, B: int, power: int = 1) -> set[int]:
     if B < 1:
         raise ValueError("exponent bound must be positive")
     candidates = (2 * (2 * B + 1) ** len(S.finite_primes)) ** power
-    if candidates > DEFAULT_CAP:
-        raise BudgetError(candidates, DEFAULT_CAP, "box candidates")
-    work = candidates * (int(B * sum(log2(p) for p in S.finite_primes)) + 1)
+    # exact in B: a float product overflows for a B beyond float range
+    work = candidates * (int(B * Fraction(sum(log2(p) for p in S.finite_primes))) + 1)
     if work > WORK_CAP:
         raise BudgetError(work, WORK_CAP, "box candidate bits")
     return _smooth_set(S.finite_primes, B)

@@ -584,6 +584,34 @@ class TestSemigroup:
         assert code == status
         assert calls == [maps.parse_map(e).res for e in exprs.split(",")]
 
+    @pytest.mark.parametrize(
+        ("failing", "message"),
+        [
+            ("2^4000*z^4", "factor input bits 16001 exceeds budget 4096"),
+            (
+                "z^2/(1000000000000000000000007*1000000000000000000000049)",
+                "factorization work 2621430 exceeds budget 2097152",
+            ),
+        ],
+    )
+    def test_closed_orbit_whose_resultant_does_not_factor(
+        self, capsys, monkeypatch, failing, message
+    ):
+        # the orbit of 0 closes at once; the refusal leaves stdout empty, and
+        # the resultant that was refused is not factored a second time
+        calls = []
+
+        def counting(n):
+            calls.append(n)
+            return factor(n)
+
+        monkeypatch.setattr(maps, "factor", counting)
+        code, out, err = run(capsys, "semigroup", "--maps", f"z^2 - 1,{failing}", "--point", "0")
+        assert (code, out) == (3, "")
+        assert err == f"orbita: error: budget exhausted: {message}\n"
+        res = maps.parse_map(failing).res
+        assert calls == [maps.parse_map("z^2 - 1").res, res]
+
     def test_bad_point_reported_last(self, capsys, monkeypatch):
         # a budget or precision error outranks a point that does not parse, as
         # it did when every generator was factored before the point was read

@@ -10,13 +10,12 @@ it used against what it allowed. One field in eight is drawn malformed on
 purpose.
 
 Maps come from the parser's grammar at depth 2 (depth 1 for `semigroup`),
-with exponents up to 3 and one-digit literals, and the points of `orbit` and
-`semigroup` have coordinates up to 10^6. `semigroup` factors every
-resultant, and a closed orbit factors its resultant and the cross term of
-each pair of its points. Factoring runs a fixed number of rho iterations
-before it gives up, whatever the operand, so larger maps or points would
-measure that budget (ROADMAP items 4 and 6), not the command lines: `orbit
---map "1 - z" --point 1/10^200` runs for more than a minute.
+with exponents up to 3 and one-digit literals. The points of `orbit` and
+`semigroup` have coordinates up to 10^6, and one point in eight has
+coordinates up to 10^60. `semigroup` factors every resultant, and a closed
+orbit factors its resultant and the cross term of each pair of its points.
+Each factor call spends at most one rho work budget, so a large point ends
+within the cap too, certified or refused.
 """
 
 import io
@@ -86,8 +85,14 @@ def points(integers):
     )
 
 
-# a closed orbit factors the cross term of every pair of its points
-ORBIT_POINTS = points(st.integers(-(10**6), 10**6))
+# coordinates of 7 to 60 digits, the length drawn first so that long ones occur
+LARGE = st.integers(7, 60).flatmap(lambda k: st.integers(10 ** (k - 1), 10**k - 1))
+LARGE = st.tuples(LARGE, st.booleans()).map(lambda pair: -pair[0] if pair[1] else pair[0])
+# a closed orbit factors the cross term of every pair of its points; one
+# point in eight is large (both strata are drawn, which keeps that share)
+ORBIT_POINTS = st.tuples(
+    st.integers(0, 7), points(st.integers(-(10**6), 10**6)), points(LARGE)
+).map(lambda drawn: drawn[2] if drawn[0] == 7 else drawn[1])
 
 
 def _run(argv: list[str], precision: str | None = None) -> int:

@@ -242,6 +242,30 @@ class TestMoebius:
         assert moebius_order(make_map((1, -1), (1, 0))) == 3  # z -> 1 - 1/z
         assert moebius_order(make_map((1, 1), (0, 1))) is None  # translation
 
+    def test_order_matches_the_composition_fold(self):
+        # oracle: the least k <= 12 with A^k the identity model, by composing
+        def fold(A):
+            identity = RationalMap((1, 0), (0, 1))
+            acc = A
+            for k in range(1, 13):
+                if acc == identity:
+                    return k
+                acc = compose_maps(acc, A)
+            return None
+
+        rng = random.Random("moebius-order")
+        seen = set()
+        for _ in range(2000):
+            while True:
+                a, b, c, d = (rng.randint(-4, 4) for _ in range(4))
+                if a * d != b * c:
+                    break
+            A = make_map((a, b), (c, d))
+            order = moebius_order(A)
+            assert order == fold(A), (a, b, c, d)
+            seen.add(order)
+        assert seen == {1, 2, 3, 4, 6, None}
+
     def test_order_of_parsed_maps(self):
         assert moebius_order(parse_map("(z - 1)/z")) == 3
         assert moebius_order(parse_map("-1/z")) == 2

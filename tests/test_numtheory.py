@@ -1,9 +1,11 @@
 import hashlib
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from orbita import numtheory
 from orbita.numtheory import (
     DEFAULT_FACTOR_BITS,
     NOT_S_INTEGER,
@@ -11,6 +13,8 @@ from orbita.numtheory import (
     S_UNIT,
     ZERO,
     Factorization,
+    RHO_WORK,
+    BudgetError,
     FactorizationBudgetError,
     PlaceSet,
     factor,
@@ -101,19 +105,62 @@ def test_factor_bit_budget():
     with pytest.raises(FactorizationBudgetError) as info:
         factor(1 << 5000, max_bits=4096)
     assert info.value.n == 1 << 5000
+    assert (info.value.observed, info.value.limit) == (5001, 4096)
 
 
-def test_budget_message_names_an_unprintable_integer_by_size():
-    # below Python's 4300-digit limit the message prints the integers
-    small = FactorizationBudgetError(-(10**4299), 10**4299, ())
-    assert str(small) == (
-        f"factorization incomplete for {-(10**4299)}: unfactored cofactor {10**4299}"
-    )
-    big = FactorizationBudgetError(-(2**16000), 2**16000, ())
-    assert str(big) == (
-        "factorization incomplete for -<16001-bit integer>: "
-        "unfactored cofactor <16001-bit integer>"
-    )
+def test_bit_refusal_message():
+    # an integer past Python's 4300-digit print limit is named by its size alone
+    with pytest.raises(BudgetError) as info:
+        factor(-(2**16000))
+    assert str(info.value) == "factor input bits 16001 exceeds budget 4096"
+    assert (info.value.n, info.value.cofactor, info.value.partial) == (-(2**16000), 2**16000, ())
+
+
+def test_factorization_refusal_is_a_budget_error():
+    assert issubclass(FactorizationBudgetError, BudgetError)
+
+
+# two Mersenne primes: a 196-bit semiprime of 4 limbs that rho cannot split
+HARD = (2**89 - 1) * (2**107 - 1)
+
+
+def _work_refusal(n):
+    with pytest.raises(FactorizationBudgetError) as info:
+        factor(n)
+    exc = info.value
+    return exc.observed, exc.limit, str(exc), exc.n, exc.cofactor, exc.partial
+
+
+def test_work_refusal_carries_observed_limit_and_what():
+    observed, limit, message, n, cofactor, partial = _work_refusal(12 * HARD)
+    assert limit == RHO_WORK == 2**21
+    assert observed > limit
+    assert message == f"factorization work {observed} exceeds budget {limit}"
+    assert (n, cofactor, partial) == (12 * HARD, HARD, ((2, 2), (3, 1)))
+
+
+def test_work_refusal_does_not_read_the_clock(monkeypatch):
+    first = _work_refusal(HARD)
+    ticks = iter(range(0, 10**12, 1000))
+    for name in ("time", "monotonic", "perf_counter", "process_time"):
+        monkeypatch.setattr(time, name, lambda: float(next(ticks)))
+        monkeypatch.setattr(time, name + "_ns", lambda: next(ticks) * 10**9)
+    assert _work_refusal(HARD) == first
+
+
+def test_work_budget_is_shared_by_every_cofactor(monkeypatch):
+    # rho splits one ~2^20 prime off, then the 40-bit cofactor on what is left
+    allowances = []
+    real = numtheory._brent_rho
+
+    def spy(n, c, max_iter):
+        allowances.append(max_iter)
+        return real(n, c, max_iter)
+
+    monkeypatch.setattr(numtheory, "_brent_rho", spy)
+    assert factor(1000003 * 1000033 * 1000037).primes == (1000003, 1000033, 1000037)
+    assert allowances[0] == RHO_WORK
+    assert len(allowances) == 2 and allowances[1] < RHO_WORK
 
 
 def test_factorization_primes_property():

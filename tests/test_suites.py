@@ -117,13 +117,14 @@ class TestTriangleSuite:
 
         def factor_first_only(m):
             if m != first:
-                raise FactorizationBudgetError(m, m, ())
+                raise FactorizationBudgetError(2**21 + 1, 2**21, "factorization work", m, m, ())
             return factor(m)
 
         monkeypatch.setattr(projective, "factor", factor_first_only)
         with pytest.raises(FactorizationBudgetError) as info:
             distance_table((P, Q, R))
         c = cross_term(Q, R)
+        assert str(info.value) == "factorization work 2097153 exceeds budget 2097152"
         assert info.value.n == c
         assert info.value.partial == tuple(
             sorted((p, log_distance(Q, R, p)) for p in factor(first).primes if c % p == 0)

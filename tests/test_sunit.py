@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, log2
 
 import pytest
 
@@ -8,7 +8,6 @@ from orbita import sunit
 from orbita.bounds import SATISFIED, compare
 from orbita.numtheory import BudgetError, PlaceSet
 from orbita.sunit import (
-    DEFAULT_CAP,
     WORK_CAP,
     count_three_term,
     solve_unit_equation,
@@ -128,11 +127,11 @@ class TestUnitEquation:
                 assert compare(report.count, report.ln_bound) == SATISFIED
 
     def test_cap_refusal(self, monkeypatch):
-        # 2 * 21^5 = 8 168 202 candidates, refused before any scan
+        # 2 * 21^5 = 8 168 202 candidates of 112 bits, refused before any scan
         monkeypatch.setattr(sunit, "_box_pairs", None)
         with pytest.raises(BudgetError) as info:
             solve_unit_equation(PlaceSet.of(2, 3, 5, 7, 11), 10)
-        assert (info.value.observed, info.value.limit) == (8_168_202, DEFAULT_CAP)
+        assert (info.value.observed, info.value.limit) == (8_168_202 * 112, WORK_CAP)
 
     def test_bound_validation(self):
         with pytest.raises(ValueError):
@@ -215,11 +214,11 @@ class TestThreeTerm:
             count_three_term(PlaceSet.of(2), (1, 1), 3)
 
     def test_cap_refusal(self, monkeypatch):
-        # (2 * 81^2)^2 = 172 186 884 candidate pairs, refused before any scan
+        # (2 * 81^2)^2 = 172 186 884 candidate pairs of 104 bits, refused before any scan
         monkeypatch.setattr(sunit, "_box_pairs", None)
         with pytest.raises(BudgetError) as info:
             count_three_term(PlaceSet.of(2, 3), (1, 1, -1), 40)
-        assert (info.value.observed, info.value.limit) == (172_186_884, DEFAULT_CAP)
+        assert (info.value.observed, info.value.limit) == (172_186_884 * 104, WORK_CAP)
 
     def test_work_refusal(self, monkeypatch):
         # (2 * 999)^2 = 3 992 004 candidate pairs of 1847-bit integers
@@ -339,8 +338,21 @@ def test_largest_boxes_admitted(primes, B, power):
     assert len(sunit._sized_box(PlaceSet.of(*primes), B, power)) == (B + 1) ** len(primes)
 
 
-def test_candidate_count_refused_first():
-    # 8 168 202 candidates of 112 bits: over both caps, the count is reported
-    assert 8_168_202 * 112 > WORK_CAP
-    with pytest.raises(BudgetError, match="^box candidates 8168202 exceeds"):
+def test_candidate_heavy_box_refused_by_work():
+    # 8 168 202 candidates: a box with B * sum(log2 p) < 12 has at most 486
+    # units (486^2 pairs), so one of over 4e6 candidates has at least 13 bits
+    # each and is over WORK_CAP, without a cap on the count
+    with pytest.raises(BudgetError) as info:
         solve_unit_equation(PlaceSet.of(2, 3, 5, 7, 11), 10)
+    assert str(info.value) == f"box candidate bits {8_168_202 * 112} exceeds budget {WORK_CAP}"
+
+
+@pytest.mark.parametrize("power", [1, 2])
+def test_work_of_a_bound_past_float_range(power):
+    # B * sum(log2 p) is taken exactly, so a float product cannot overflow
+    B = 10**400
+    with pytest.raises(BudgetError) as info:
+        sunit._sized_box(PlaceSet.of(2, 3), B, power)
+    candidates = (2 * (2 * B + 1) ** 2) ** power
+    bits = int(B * Fraction(log2(2) + log2(3))) + 1
+    assert (info.value.observed, info.value.limit) == (candidates * bits, WORK_CAP)
