@@ -8,6 +8,7 @@ when its budget runs out instead of returning a partial answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import count
 from math import gcd, prod
@@ -105,7 +106,8 @@ class BudgetError(Exception):
     def __init__(self, observed: int, limit: int, what: str):
         self.observed = observed
         self.limit = limit
-        super().__init__(f"{what} {observed} exceeds budget {limit}")
+        # Decimal prints an integer past Python's int-to-str digit limit
+        super().__init__(f"{what} {Decimal(observed)} exceeds budget {Decimal(limit)}")
 
 
 class FactorizationBudgetError(BudgetError):

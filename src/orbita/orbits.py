@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, permutations
 from math import gcd
 
 from . import bounds as _bounds
@@ -359,7 +359,8 @@ def synthesize_map(
 
     Solves the homogeneous linear system on the 2d+2 coefficients, then
     searches nullspace lines (basis vectors first, then small combinations,
-    in a fixed order) for one with nonzero resultant.
+    in a fixed order, each formed only when reached) for one with nonzero
+    resultant.
     """
     if d < 1:
         raise ValueError("degree must be at least 1")
@@ -373,19 +374,12 @@ def synthesize_map(
         row += [Fraction(-mono * Q.x) for mono in monomials]
         rows.append(row)
     basis = _rref_nullspace(rows, width)
-    candidates: list[list[Fraction]] = []
-    candidates.extend(basis)
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            candidates.append([a + b for a, b in zip(basis[i], basis[j])])
-    for i in range(len(basis)):
-        for j in range(len(basis)):
-            if i != j:
-                candidates.append([a - b for a, b in zip(basis[i], basis[j])])
-    for i in range(len(basis)):
-        for j in range(len(basis)):
-            if i != j:
-                candidates.append([a + 2 * b for a, b in zip(basis[i], basis[j])])
+    candidates = chain(
+        basis,
+        ([a + b for a, b in zip(u, v)] for u, v in combinations(basis, 2)),
+        ([a - b for a, b in zip(u, v)] for u, v in permutations(basis, 2)),
+        ([a + 2 * b for a, b in zip(u, v)] for u, v in permutations(basis, 2)),
+    )
     for vec in candidates:
         if all(v == 0 for v in vec):
             continue

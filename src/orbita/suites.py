@@ -1,10 +1,12 @@
 """Randomized and corpus-driven verification suites.
 
-Each suite re-checks one structural property on generated or recorded data
-and returns a deterministic SuiteReport: same name, same seed, same report,
-with no timing or environment noise. Generators are engineered so that every
-cross term that must be factored splits into tractable pieces even when the
-point coordinates themselves are large. The triangle, non-expansion and
+Each suite re-checks one structural property on generated or recorded data.
+It is a case generator in _RUNNERS, yielding (comparisons, counterexample or
+None) per case; run_suite, the one runner, folds the cases into a
+deterministic SuiteReport: same name, same seed, same report, with no timing
+or environment noise. The generators are engineered so that every cross term
+that must be factored splits into tractable pieces even when the point
+coordinates themselves are large. The triangle, non-expansion and
 remark suites read their distances from projective.distance_table and run
 the same checks as the certificate (orbits._triangle_witness,
 orbits._non_expansion_witness, orbits._check_remark).
@@ -13,6 +15,7 @@ orbits._non_expansion_witness, orbits._check_remark).
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .maps import RationalMap, evaluate, make_map, parse_map
@@ -36,10 +39,10 @@ __all__ = [
     "SUITE_DEFAULTS",
     "CORPUS",
     "corpus_certificates",
-    "run_prop51",
-    "run_prop52",
-    "run_remark",
-    "run_divisibility",
+    "prop51_cases",
+    "prop52_cases",
+    "remark_cases",
+    "divisibility_cases",
     "run_suite",
 ]
 
@@ -62,8 +65,6 @@ CORPUS: tuple[tuple[str, str], ...] = (
     ("-z^3", "1"),
     ("z^3", "-1"),
 )
-
-SUITE_NAMES = ("prop51", "prop52", "remark", "divisibility")
 
 # an explicit iteration count asks at most prop51's default size of a suite:
 # `verify --suite all --iterations 10000` takes 9-13 s in-process on a 2-core
@@ -115,11 +116,6 @@ def corpus_certificates() -> list[OrbitCertificate]:
     return certs
 
 
-def _rng(suite: str, seed: int) -> random.Random:
-    # string seeding hashes via sha512, so streams are stable across platforms
-    return random.Random(f"{suite}:{seed}")
-
-
 def _random_point(rng: random.Random, bits: int) -> ProjectivePoint:
     bound = 1 << bits
     while True:
@@ -159,8 +155,8 @@ def _triangle_triple(
             return P, Q, R
 
 
-def run_prop51(iterations: int = SUITE_DEFAULTS["prop51"], seed: int = 0) -> SuiteReport:
-    """Ultrametric triangle inequality on random point triples.
+def prop51_cases(rng: random.Random, n: int) -> Iterator[tuple[int, str | None]]:
+    """Ultrametric triangle inequality on n random point triples.
 
     For each triple and every prime dividing any pairwise cross term, checks
     d(P, R) >= min(d(P, Q), d(Q, R)) for all three choices of middle point
@@ -170,24 +166,16 @@ def run_prop51(iterations: int = SUITE_DEFAULTS["prop51"], seed: int = 0) -> Sui
     identities in _triangle_triple, what is left of cross(Q, R) and
     cross(P, R) divides a and b, so only the multipliers reach rho.
     """
-    rng = _rng("prop51", seed)
-    comparisons = 0
-    for i in range(iterations):
+    for i in range(n):
         triple = _triangle_triple(rng, i)
         table = distance_table(triple)
         count, failure = _triangle_witness(table[0, 1], table[1, 2], table[0, 2])
-        comparisons += count
         if failure:
             p, order = failure
             P1, P2, P3 = (triple[t] for t in order)
-            return SuiteReport(
-                suite="prop51",
-                seed=seed,
-                cases=i + 1,
-                comparisons=comparisons,
-                counterexample=f"p={p}: d({P1},{P3}) < min over middle {P2}",
-            )
-    return SuiteReport(suite="prop51", seed=seed, cases=iterations, comparisons=comparisons)
+            yield count, f"p={p}: d({P1},{P3}) < min over middle {P2}"
+        else:
+            yield count, None
 
 
 def _random_map(rng: random.Random) -> RationalMap:
@@ -201,17 +189,15 @@ def _random_map(rng: random.Random) -> RationalMap:
             continue
 
 
-def run_prop52(iterations: int = SUITE_DEFAULTS["prop52"], seed: int = 0) -> SuiteReport:
-    """Non-expansion at good primes: d(f(P), f(Q)) >= d(P, Q).
+def prop52_cases(rng: random.Random, n: int) -> Iterator[tuple[int, str | None]]:
+    """Non-expansion at good primes on n random maps: d(f(P), f(Q)) >= d(P, Q).
 
     Only primes dividing the cross term of (P, Q) matter (elsewhere the right
     side is zero), so the one factored integer stays small by construction.
     The images' distances are valuations of their cross term at those primes;
     the comparison is the certificate's (orbits._non_expansion_witness).
     """
-    rng = _rng("prop52", seed)
-    comparisons = 0
-    for i in range(iterations):
+    for _ in range(n):
         m = _random_map(rng)
         while True:
             P = _random_point(rng, 8)
@@ -223,38 +209,20 @@ def run_prop52(iterations: int = SUITE_DEFAULTS["prop52"], seed: int = 0) -> Sui
         c = cross_term(evaluate(m, P), evaluate(m, Q))
         after = None if c == 0 else {p: _valuation(c, p) for p in before}
         count, failure = _non_expansion_witness(before, after, bad)
-        comparisons += count
-        if failure:
-            return SuiteReport(
-                suite="prop52",
-                seed=seed,
-                cases=i + 1,
-                comparisons=comparisons,
-                counterexample=f"map {m}, p={failure[0]}, points {P},{Q}",
-            )
-    return SuiteReport(suite="prop52", seed=seed, cases=iterations, comparisons=comparisons)
+        yield count, f"map {m}, p={failure[0]}, points {P},{Q}" if failure else None
 
 
-def run_remark(seed: int = 0) -> SuiteReport:
-    """Repeated-difference divisibility along every corpus orbit.
+def remark_cases(rng: random.Random, n: int) -> Iterator[tuple[int, str | None]]:
+    """Repeated-difference divisibility along the orbits of the first n corpus entries.
 
-    Corpus-driven, so it takes no iteration count, and the seed is recorded
-    but not consumed.
+    Corpus-driven: the rng is not consumed, so the seed is recorded only.
+    A failing entry's comparisons are not counted.
     """
-    certs = corpus_certificates()
-    comparisons = 0
-    for cert in certs:
+    for cert in corpus_certificates()[:n]:
         try:
-            comparisons += _check_remark(cert, distance_table(cert.points))
+            yield _check_remark(cert, distance_table(cert.points)), None
         except CertificateCheckError as exc:
-            return SuiteReport(
-                suite="remark",
-                seed=seed,
-                cases=len(certs),
-                comparisons=comparisons,
-                counterexample=f"{cert.map}: {exc}",
-            )
-    return SuiteReport(suite="remark", seed=seed, cases=len(certs), comparisons=comparisons)
+            yield 0, f"{cert.map}: {exc}"
 
 
 _DIVISIBILITY_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -267,24 +235,21 @@ def _unit_mod(rng: random.Random, p: int, lo: int = 1, hi: int = 60) -> int:
             return a
 
 
-def run_divisibility(
-    iterations: int = SUITE_DEFAULTS["divisibility"], seed: int = 0
-) -> SuiteReport:
-    """Monotone tail valuations on synthesized fixed-point orbits.
+def divisibility_cases(rng: random.Random, n: int) -> Iterator[tuple[int, str | None]]:
+    """Monotone tail valuations on n synthesized fixed-point orbits.
 
     Builds degree-2 maps realizing a prescribed tail into the fixed point
     [0:1], with x-coordinates carrying increasing powers of a chosen prime so
     the comparisons are not vacuous, then checks every good prime's
-    valuations along the tail. Counts only successful syntheses as cases.
+    valuations along the tail. Only successful syntheses are cases; a
+    failing tail's comparisons are not counted.
     """
-    rng = _rng("divisibility", seed)
-    comparisons = 0
     successes = 0
     attempts = 0
     origin = ProjectivePoint(0, 1)
-    while successes < iterations:
+    while successes < n:
         attempts += 1
-        if attempts > 60 * iterations:
+        if attempts > 60 * n:
             raise RuntimeError("map synthesis success rate collapsed")
         p = rng.choice(_DIVISIBILITY_PRIMES)
         depth = 3 if attempts % 4 == 0 else 2
@@ -300,49 +265,49 @@ def run_divisibility(
         m2 = synthesize_map(pairs, 2)
         if m2 is None:
             continue
-        try:
-            report = check_tail_divisibility(m2, chain)
-        except TailDivisibilityError as exc:
-            return SuiteReport(
-                suite="divisibility",
-                seed=seed,
-                cases=successes + 1,
-                comparisons=comparisons,
-                counterexample=f"map {m2}, tail {[str(P) for P in chain]}: {exc}",
-            )
-        comparisons += report.comparisons
         successes += 1
-    return SuiteReport(suite="divisibility", seed=seed, cases=successes, comparisons=comparisons)
+        try:
+            yield check_tail_divisibility(m2, chain).comparisons, None
+        except TailDivisibilityError as exc:
+            yield 0, f"map {m2}, tail {[str(P) for P in chain]}: {exc}"
 
 
 _RUNNERS = {
-    "prop51": run_prop51,
-    "prop52": run_prop52,
-    "remark": run_remark,
-    "divisibility": run_divisibility,
+    "prop51": prop51_cases,
+    "prop52": prop52_cases,
+    "remark": remark_cases,
+    "divisibility": divisibility_cases,
 }
+
+SUITE_NAMES = tuple(_RUNNERS)
 
 
 def run_suite(name: str, iterations: int | None = None, seed: int = 0) -> list[SuiteReport]:
     """Run one suite, or all of them, at per-suite default sizes.
 
     An explicit iteration count overrides the default for the random suites;
-    the corpus-driven remark suite always covers the whole corpus.
+    the corpus-driven remark suite always covers the whole corpus. A suite
+    stops at its first counterexample, which counts as a case.
     """
     if name == "all":
-        reports = []
-        for n in SUITE_NAMES:
-            reports.extend(run_suite(n, iterations, seed))
-        return reports
+        return [r for suite in SUITE_NAMES for r in run_suite(suite, iterations, seed)]
     if name not in _RUNNERS:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")
-    if name == "remark":
-        return [run_remark(seed=seed)]
-    runner = _RUNNERS[name]
-    if iterations is None:
-        return [runner(seed=seed)]
-    if iterations < 1:
+    if iterations is None or name == "remark":
+        n = SUITE_DEFAULTS[name]
+    elif iterations < 1:
         raise ValueError("iterations must be positive")
-    if iterations > MAX_ITERATIONS:
+    elif iterations > MAX_ITERATIONS:
         raise BudgetError(iterations, MAX_ITERATIONS, "suite iterations")
-    return [runner(iterations, seed=seed)]
+    else:
+        n = iterations
+    cases = comparisons = 0
+    counterexample = None
+    # string seeding hashes via sha512, so streams are stable across platforms
+    rng = random.Random(f"{name}:{seed}")
+    for count, counterexample in _RUNNERS[name](rng, n):
+        cases += 1
+        comparisons += count
+        if counterexample is not None:
+            break
+    return [SuiteReport(name, seed, cases, comparisons, counterexample)]

@@ -31,10 +31,7 @@ from orbita.suites import (
     CORPUS,
     _triangle_triple,
     corpus_certificates,
-    run_divisibility,
-    run_prop51,
-    run_prop52,
-    run_remark,
+    run_suite,
 )
 from orbita.sunit import solve_unit_equation
 
@@ -55,7 +52,7 @@ def _run_cli(argv: list[str], capsys) -> tuple[int, str, float]:
 
 def test_criterion_1_triangle_suite(capsys):
     t0 = time.monotonic()
-    report = run_prop51(10_000, seed=7)
+    report = run_suite("prop51", 10_000, seed=7)[0]
     elapsed = time.monotonic() - t0
     # the generator's wide family must actually reach 64-bit coordinates
     rng = random.Random("acceptance-sample")
@@ -83,7 +80,7 @@ def test_criterion_1_triangle_suite(capsys):
 
 def test_criterion_2_non_expansion_suite(capsys):
     t0 = time.monotonic()
-    report = run_prop52(1_000, seed=7)
+    report = run_suite("prop52", 1_000, seed=7)[0]
     elapsed = time.monotonic() - t0
     ok = (
         report.passed
@@ -101,7 +98,7 @@ def test_criterion_2_non_expansion_suite(capsys):
 
 
 def test_criterion_3_repeated_difference_suite(capsys):
-    report = run_remark(seed=0)
+    report = run_suite("remark", seed=0)[0]
     ok = report.passed and report.cases == len(CORPUS) and report.comparisons > 0
     with capsys.disabled():
         _report(
@@ -242,7 +239,7 @@ def test_criterion_6_unit_equation_enumeration(capsys):
 
 
 def test_criterion_7_tail_divisibility_suite(capsys):
-    report = run_divisibility(200, seed=7)
+    report = run_suite("divisibility", 200, seed=7)[0]
     ok = (
         report.passed
         and report.counterexample is None

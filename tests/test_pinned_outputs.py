@@ -1,4 +1,4 @@
-"""Pinned bytes of `orbit`, `bounds` and their `--json` forms, and bound rendering across precisions.
+"""Pinned bytes of `orbit`, `bounds`, `verify` and their `--json` forms, and bound rendering across precisions.
 
 tests/data/orbit_sample.txt lists the 16 suites.CORPUS entries and 224
 conjugates of them, written as unnormalized expressions, with the exit
@@ -6,7 +6,9 @@ status and a digest of stdout and stderr for both output modes. Any change
 to parsing, certification, the checks or the bounds block that moves a byte
 of those outputs fails here, with the offending line named.
 tests/data/bounds_sample.txt does the same for `bounds`: 10 formulas at 4
-precisions with 3 parameter sets each.
+precisions with 3 parameter sets each. `verify --suite all --seed 7` is
+pinned by one digest per mode: its suite comparison counts (282945 / 1793
+/ 8 / 312) and every other byte of both reports.
 """
 
 import hashlib
@@ -81,6 +83,15 @@ def test_bounds_output_bytes_pinned(mode, monkeypatch):
         monkeypatch.setenv(PRECISION_ENV, precision)
         rc, out, err = _run(["bounds", "--formula", formula, "--params", params, *extra])
         assert (str(rc), _digest(out, err)) == (row[col], row[col + 1]), row[:3]
+
+
+@pytest.mark.parametrize(
+    ("mode", "digest"), [("text", "97026eb9ae245867"), ("json", "8da95fc2f6c669b1")]
+)
+def test_verify_all_output_bytes_pinned(mode, digest):
+    extra = ["--json"] if mode == "json" else []
+    rc, out, err = _run(["verify", "--suite", "all", "--seed", "7", *extra])
+    assert (rc, _digest(out, err)) == (0, digest), out
 
 
 def _fresh_process(argv, precision):

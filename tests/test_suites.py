@@ -7,7 +7,7 @@ import pytest
 from orbita import projective, suites
 from orbita.maps import parse_map
 from orbita.numtheory import FactorizationBudgetError, factor
-from orbita.orbits import CertificateCheckError
+from orbita.orbits import CertificateCheckError, check_tail_divisibility
 from orbita.projective import (
     ProjectivePoint,
     cross_term,
@@ -23,10 +23,6 @@ from orbita.suites import (
     SuiteReport,
     _triangle_triple,
     corpus_certificates,
-    run_divisibility,
-    run_prop51,
-    run_prop52,
-    run_remark,
     run_suite,
 )
 
@@ -57,27 +53,27 @@ class TestCorpus:
 
 class TestTriangleSuite:
     def test_small_run_passes(self):
-        report = run_prop51(60, seed=3)
+        report = run_suite("prop51", 60, seed=3)[0]
         assert report.passed
         assert report.counterexample is None
         assert report.cases == 60
         assert report.comparisons > 60
 
     def test_deterministic(self):
-        a = run_prop51(40, seed=11)
-        b = run_prop51(40, seed=11)
+        a = run_suite("prop51", 40, seed=11)[0]
+        b = run_suite("prop51", 40, seed=11)[0]
         assert a == b
 
     def test_seed_changes_workload(self):
-        a = run_prop51(80, seed=1)
-        b = run_prop51(80, seed=2)
+        a = run_suite("prop51", 80, seed=1)[0]
+        b = run_suite("prop51", 80, seed=2)[0]
         assert a.comparisons != b.comparisons
 
     def test_wide_family_reaches_large_coordinates(self):
         # odd-indexed cases use collinear-style points with ~63 bit entries;
         # the comparison count grows with coordinate size, so a run mixing
         # both families must do far more work per case than the 24-bit one
-        narrow = run_prop51(2, seed=5)
+        narrow = run_suite("prop51", 2, seed=5)[0]
         assert narrow.comparisons >= 2
 
     @pytest.mark.parametrize(
@@ -87,11 +83,26 @@ class TestTriangleSuite:
     def test_reports_pinned(self, iterations, seed, comparisons):
         # recorded when every distance still came from log_distance on the
         # whole cross term; sharing factorizations must not move a count
-        assert run_prop51(iterations, seed=seed) == SuiteReport(
+        assert run_suite("prop51", iterations, seed=seed)[0] == SuiteReport(
             suite="prop51",
             seed=seed,
             cases=iterations,
             comparisons=comparisons,
+        )
+
+    def test_forced_failure_names_prime_and_points(self, monkeypatch):
+        # d(P, R) dropped to 0: a prime of both d(P, Q) and d(Q, R) breaks the
+        # inequality with Q in the middle; the failing case's comparisons count
+        monkeypatch.setattr(
+            suites, "distance_table", lambda pts: {**distance_table(pts), (0, 2): {}}
+        )
+        assert run_suite("prop51", 200, seed=7)[0] == SuiteReport(
+            suite="prop51",
+            seed=7,
+            cases=2,
+            comparisons=19,
+            counterexample="p=23: d([23421:17210],[100545230944842763:71816551862449883]) "
+            "< min over middle [-155:18231]",
         )
 
     def test_shared_valuations_match_log_distance(self):
@@ -134,13 +145,13 @@ class TestTriangleSuite:
 
 class TestNonExpansionSuite:
     def test_small_run_passes(self):
-        report = run_prop52(50, seed=3)
+        report = run_suite("prop52", 50, seed=3)[0]
         assert report.passed
         assert report.cases == 50
         assert report.comparisons > 0
 
     def test_deterministic(self):
-        assert run_prop52(30, seed=9) == run_prop52(30, seed=9)
+        assert run_suite("prop52", 30, seed=9)[0] == run_suite("prop52", 30, seed=9)[0]
 
     @pytest.mark.parametrize(
         "iterations, seed, comparisons",
@@ -148,7 +159,7 @@ class TestNonExpansionSuite:
     )
     def test_reports_pinned(self, iterations, seed, comparisons):
         # recorded when the images' distances came from log_distance per prime
-        assert run_prop52(iterations, seed=seed) == SuiteReport(
+        assert run_suite("prop52", iterations, seed=seed)[0] == SuiteReport(
             suite="prop52",
             seed=seed,
             cases=iterations,
@@ -158,7 +169,7 @@ class TestNonExpansionSuite:
     def test_forced_failure_names_map_prime_and_points(self, monkeypatch):
         # z -> z/2 in place of the map halves every even cross term
         monkeypatch.setattr(suites, "evaluate", lambda m, P: from_pair(P.x, 2 * P.y))
-        assert run_prop52(1000, seed=7) == SuiteReport(
+        assert run_suite("prop52", 1000, seed=7)[0] == SuiteReport(
             suite="prop52",
             seed=7,
             cases=8,
@@ -170,32 +181,78 @@ class TestNonExpansionSuite:
     def test_coinciding_images_count_and_pass(self, monkeypatch):
         # equal images sit at infinite distance: every good prime is compared
         monkeypatch.setattr(suites, "evaluate", lambda m, P: ProjectivePoint(0, 1))
-        report = run_prop52(1000, seed=7)
+        report = run_suite("prop52", 1000, seed=7)[0]
         assert report.passed and report.comparisons == 1793
 
 
 class TestRemarkSuite:
     def test_full_corpus_passes(self):
-        report = run_remark(seed=0)
+        report = run_suite("remark", seed=0)[0]
         assert report.passed
         assert report.cases == len(CORPUS)
         assert report.comparisons > 0
 
+    def test_forced_failure_counts_the_entries_checked(self, monkeypatch):
+        # every distance across a gap of two or more dropped to 0: an orbit
+        # with a good prime at gap one fails, and the cases are the entries
+        # checked up to it, not the whole corpus
+        monkeypatch.setattr(
+            suites,
+            "distance_table",
+            lambda pts: {k: {} if k[1] - k[0] > 1 else v for k, v in distance_table(pts).items()},
+        )
+        assert run_suite("remark", seed=7)[0] == SuiteReport(
+            suite="remark",
+            seed=7,
+            cases=2,
+            comparisons=0,
+            counterexample="(16*z^2 - 29)/(16): remark fails at p=3, a=0, b=1, k=2",
+        )
+
     def test_seed_is_recorded_but_inert(self):
-        a = run_remark(seed=1)
-        b = run_remark(seed=2)
+        a = run_suite("remark", seed=1)[0]
+        b = run_suite("remark", seed=2)[0]
         assert a.comparisons == b.comparisons
 
 
 class TestDivisibilitySuite:
     def test_small_run_passes(self):
-        report = run_divisibility(25, seed=3)
+        report = run_suite("divisibility", 25, seed=3)[0]
         assert report.passed
         assert report.cases == 25
         assert report.comparisons > 0
 
     def test_deterministic(self):
-        assert run_divisibility(15, seed=4) == run_divisibility(15, seed=4)
+        assert run_suite("divisibility", 15, seed=4)[0] == run_suite("divisibility", 15, seed=4)[0]
+
+
+    def test_forced_failure_names_map_and_tail(self, monkeypatch):
+        # the first two tail points swapped: v_p of the x-coordinate falls
+        monkeypatch.setattr(
+            suites,
+            "check_tail_divisibility",
+            lambda m, chain: check_tail_divisibility(m, [chain[1], chain[0], *chain[2:]]),
+        )
+        assert run_suite("divisibility", 200, seed=7)[0] == SuiteReport(
+            suite="divisibility",
+            seed=7,
+            cases=1,
+            comparisons=0,
+            counterexample="map (-78338260*z^2 + 225450225*z)/(5046824), "
+            "tail ['[6:91]', '[495:172]', '[0:1]']: v_3(x_0) = 2 > v_3(x_1) = 1",
+        )
+
+
+class TestCaseGenerators:
+    @pytest.mark.parametrize("name", SUITE_NAMES)
+    def test_one_case_per_draw(self, name):
+        cases = list(suites._RUNNERS[name](random.Random(name), 3))
+        assert len(cases) == 3
+        assert all(isinstance(count, int) and failure is None for count, failure in cases)
+
+    def test_run_suite_adds_up_the_cases_of_the_seeded_stream(self):
+        cases = suites.prop52_cases(random.Random("prop52:4"), 30)
+        assert sum(count for count, _ in cases) == run_suite("prop52", 30, seed=4)[0].comparisons
 
 
 class TestRunSuite:
