@@ -37,7 +37,6 @@ from .maps import (
 )
 from .numtheory import (
     BudgetError,
-    Factorization,
     FactorizationBudgetError,
     PlaceSet,
     factor,
@@ -87,7 +86,6 @@ __all__ = [
     "__version__",
     # numtheory
     "BudgetError",
-    "Factorization",
     "FactorizationBudgetError",
     "PlaceSet",
     "factor",

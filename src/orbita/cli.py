@@ -23,7 +23,6 @@ from . import bounds as _bounds
 from .maps import RationalMap, bad_primes, parse_map
 from .numtheory import (
     BudgetError,
-    Factorization,
     PlaceSet,
     factor,
     is_prime,
@@ -70,11 +69,11 @@ def _emit(doc: dict) -> None:
 # ---------------------------------------------------------------- orbit
 
 
-def _factorization_str(n: int, f: Factorization) -> str:
-    if not f.factors:
+def _factorization_str(n: int, f: dict[int, int]) -> str:
+    if not f:
         return str(n)
-    parts = [] if f.sign == 1 else ["-1"]
-    for p, e in f.factors:
+    parts = [] if n > 0 else ["-1"]
+    for p, e in f.items():
         parts.append(f"{p}^{e}" if e > 1 else str(p))
     return f"{n} = " + " * ".join(parts)
 
@@ -127,21 +126,20 @@ def _cmd_delta(args) -> int:
 def _cmd_badprimes(args) -> int:
     m = _parse_map_arg(args.map)
     f = factor(m.res)
-    primes = f.primes
     if args.json:
         _emit(
             {
                 "command": "badprimes",
                 "map": str(m),
                 "resultant": str(m.res),
-                "factorization": [[str(p), str(e)] for p, e in f.factors],
-                "bad_primes": [str(p) for p in primes],
+                "factorization": [[str(p), str(e)] for p, e in f.items()],
+                "bad_primes": [str(p) for p in f],
             }
         )
         return 0
     print(f"map: {m}")
     print(f"resultant: {_factorization_str(m.res, f)}")
-    print(f"bad primes: {_primes_str(primes)}")
+    print(f"bad primes: {_primes_str(f)}")
     return 0
 
 

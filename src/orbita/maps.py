@@ -439,7 +439,7 @@ def bad_primes(m: RationalMap) -> list[int]:
     Good reduction holds at every prime not listed; the list may strictly
     contain the bad set of a minimal model (documented superset semantics).
     """
-    return list(factor(m.res).primes)
+    return list(factor(m.res))
 
 
 def good_reduction_at(m: RationalMap, p: int) -> bool:

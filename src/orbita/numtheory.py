@@ -1,8 +1,10 @@
 """Exact integer/rational arithmetic: valuations, factoring, place sets, membership.
 
-Every operation here is pure and exact. Factorization is deterministic
-(fixed trial-division table, fixed-parameter Brent rho) and refuses loudly
-when its budget runs out instead of returning a partial answer.
+Every operation here is pure and exact. A factorization is a dict {p: e}
+from each prime of |n| to its exponent, in increasing prime order. Factoring
+is deterministic (fixed trial-division table, fixed-parameter Brent rho) and
+refuses loudly when its budget runs out instead of returning a partial
+answer; the refusal carries the primes found so far in the same {p: e} shape.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ Rational = Fraction
 __all__ = [
     "Rational",
     "BudgetError",
-    "Factorization",
     "FactorizationBudgetError",
     "PlaceSet",
     "is_prime",
@@ -111,42 +112,15 @@ class BudgetError(Exception):
 
 
 class FactorizationBudgetError(BudgetError):
-    """A refused factorization (bits or rho work), with n, the cofactor left and the partial."""
+    """A refused factorization (bits or rho work): n, the cofactor left, the partial {p: e}."""
 
     def __init__(
-        self, observed: int, limit: int, what: str, n: int, cofactor: int, partial: tuple
+        self, observed: int, limit: int, what: str, n: int, cofactor: int, partial: dict[int, int]
     ):
         super().__init__(observed, limit, what)
         self.n = n
         self.cofactor = cofactor
         self.partial = partial
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """Signed prime factorization with strictly increasing primes."""
-
-    sign: int
-    factors: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        primes = [p for p, _ in self.factors]
-        if primes != sorted(set(primes)):
-            raise ValueError("primes must be strictly increasing")
-        if any(e <= 0 for _, e in self.factors):
-            raise ValueError("exponents must be positive")
-
-    def value(self) -> int:
-        v = self.sign
-        for p, e in self.factors:
-            v *= p**e
-        return v
-
-    @property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
 
 
 def _brent_rho(n: int, c: int, max_iter: int) -> tuple[int | None, int]:
@@ -192,18 +166,17 @@ def _brent_rho(n: int, c: int, max_iter: int) -> tuple[int | None, int]:
 RHO_WORK = 1 << 21
 
 
-def factor(n: int, max_bits: int = DEFAULT_FACTOR_BITS) -> Factorization:
-    """Complete deterministic factorization of a nonzero integer.
+def factor(n: int, max_bits: int = DEFAULT_FACTOR_BITS) -> dict[int, int]:
+    """Complete deterministic factorization {p: e} of |n| for a nonzero n, primes increasing.
 
     Raises FactorizationBudgetError (never returns a partial answer) when
     |n| exceeds max_bits or the rho stage needs more than RHO_WORK work.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
-    sign = 1 if n > 0 else -1
     m = abs(n)
     if m.bit_length() > max_bits:
-        raise FactorizationBudgetError(m.bit_length(), max_bits, "factor input bits", n, m, ())
+        raise FactorizationBudgetError(m.bit_length(), max_bits, "factor input bits", n, m, {})
     found: dict[int, int] = {}
     shown = gcd(m, _PRIMORIAL)
     if shown > 1:
@@ -230,11 +203,11 @@ def factor(n: int, max_bits: int = DEFAULT_FACTOR_BITS) -> Factorization:
             if g is not None:
                 break
             if work > RHO_WORK:
-                partial = tuple(sorted(found.items()))
+                partial = dict(sorted(found.items()))
                 raise FactorizationBudgetError(work, RHO_WORK, "factorization work", n, m, partial)
         stack.append(g)
         stack.append(m // g)
-    return Factorization(sign, tuple(sorted(found.items())))
+    return dict(sorted(found.items()))
 
 
 def vp(x: Rational | int, p: int) -> int:

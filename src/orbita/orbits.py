@@ -259,8 +259,8 @@ def verify_np_conditions(
     (1) the terminal point is [0:1]; (2) each point's coordinate gcd is an
     S-unit, which holds by construction since ProjectivePoint keeps coprime
     coordinates; (3) all pairwise coordinate cross terms are nonzero. The
-    tail bound is ln(m+2) < 10^12 * s, checked with an upward-rounded left
-    side.
+    tail bound is m <= NpTail(s) = e^(10^12 s) - 2, compared in log space by
+    bounds.compare; m = 0 satisfies it.
     """
     if not tail2:
         raise ValueError("tail must be nonempty")
@@ -273,12 +273,10 @@ def verify_np_conditions(
             if cross_term(tail2[i], tail2[j]) == 0:
                 raise NpConditionError(3, (i, j), "zero cross term (equal points)")
     m = len(tail2) - 1
-    precision = _bounds.working_precision()
-    _, ln_up = _bounds.ln_interval(m + 2, precision)
-    threshold = _bounds.mp.mpf(10) ** 12 * S.s
-    ok = ln_up < threshold
-    display = f"ln({m + 2}) <= {_bounds.decimal_str(ln_up, 8, upward=True)} < 10^12 * {S.s}"
-    return NpReport(m=m, s=S.s, all_ok=bool(ok), tail_bound_display=display)
+    b = _bounds.evaluate_bound(_bounds.BoundFormula.of("NpTail", s=S.s))
+    ok = m == 0 or _bounds.compare(m, b) == _bounds.SATISFIED
+    display = f"m = {m} <= {b.exact_form}, ln <= {b.ln_upper_str}"
+    return NpReport(m=m, s=S.s, all_ok=ok, tail_bound_display=display)
 
 
 @dataclass(frozen=True)
@@ -311,7 +309,7 @@ def check_tail_divisibility(map2: RationalMap, tail2: list[ProjectivePoint]) -> 
         if abs(x_here) == 1:
             continue
         # d_p(Q, [0:1]) = v_p(x) in canonical coordinates; x_next = 0 is [0:1] itself
-        here = dict(factor(x_here).factors)
+        here = factor(x_here)
         after = None if x_next == 0 else {p: _valuation(x_next, p) for p in here}
         bad = {p for p in here if map2.res % p == 0}
         count, failure = _non_expansion_witness(here, after, bad)

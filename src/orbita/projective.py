@@ -150,10 +150,10 @@ def distance_table(
                     m //= p**v
             if m > 1:
                 try:
-                    found.update(factor(m).factors)
+                    found.update(factor(m))
                 except FactorizationBudgetError as exc:
                     exc.n = c
-                    exc.partial = tuple(sorted({**found, **dict(exc.partial)}.items()))
+                    exc.partial = dict(sorted((found | exc.partial).items()))
                     raise
             known.update(found)
             table[i, i + gap] = found

@@ -99,7 +99,9 @@ class UnitEquationReport:
 
     @property
     def bound_ok(self) -> bool:
-        return self.count <= self.ln_bound.exact
+        if self.count == 0:
+            return True
+        return _bounds.compare(self.count, self.ln_bound) == _bounds.SATISFIED
 
 
 def solve_unit_equation(S: PlaceSet, B: int) -> UnitEquationReport:

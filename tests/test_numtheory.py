@@ -1,6 +1,7 @@
 import hashlib
 import time
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,6 @@ from orbita.numtheory import (
     S_INTEGER_NOT_UNIT,
     S_UNIT,
     ZERO,
-    Factorization,
     RHO_WORK,
     BudgetError,
     FactorizationBudgetError,
@@ -66,15 +66,15 @@ def test_is_prime_matches_sieve_below_a_million():
 
 
 def test_factor_splits_psi_12():
-    assert factor(PSI_12).factors == ((399165290221, 1), (798330580441, 1))
+    assert factor(PSI_12) == {399165290221: 1, 798330580441: 1}
 
 
 def test_factor_small_values():
-    assert factor(65536) == Factorization(1, ((2, 16),))
-    assert factor(-84) == Factorization(-1, ((2, 2), (3, 1), (7, 1)))
-    assert factor(1) == Factorization(1, ())
-    assert factor(-1) == Factorization(-1, ())
-    assert factor(9973) == Factorization(1, ((9973, 1),))
+    assert factor(65536) == {2: 16}
+    assert factor(-84) == {2: 2, 3: 1, 7: 1}
+    assert factor(1) == {}
+    assert factor(-1) == {}
+    assert factor(9973) == {9973: 1}
 
 
 def test_factor_rejects_zero():
@@ -82,23 +82,47 @@ def test_factor_rejects_zero():
         factor(0)
 
 
+def _check_factorization(n, f):
+    # primes strictly increasing, exponents positive, every key prime, product |n|
+    assert type(f) is dict
+    assert list(f) == sorted(set(f))
+    assert all(e >= 1 and is_prime(p) for p, e in f.items())
+    assert prod(p**e for p, e in f.items()) == abs(n)
+
+
+def _check_refusal_partial(n, partial):
+    assert type(partial) is dict
+    assert list(partial) == sorted(set(partial))
+    assert all(n % p**e == 0 and is_prime(p) for p, e in partial.items())
+
+
 def test_factor_value_roundtrip():
     for n in (2, -2, 360, -360, 2**40 + 1, 10**12 + 39):
+        _check_factorization(n, factor(n))
+
+
+def _recorded_suite_inputs():
+    path = Path(__file__).parent / "data" / "factor_sample.txt"
+    text = path.read_text(encoding="utf-8")
+    return [int(line) for line in text.splitlines() if not line.startswith("#")]
+
+
+def test_factor_invariants_on_recorded_suite_inputs():
+    inputs = _recorded_suite_inputs()
+    assert len(inputs) == 2140
+    for n in inputs:
         f = factor(n)
-        assert f.value() == n
-        for p, e in f.factors:
-            assert is_prime(p) and e >= 1
+        _check_factorization(n, f)
+        assert factor(-n) == f
 
 
 def test_factor_semiprime_beyond_trial_division():
     p, q = 1000003, 1000033
-    f = factor(p * q)
-    assert f.factors == ((p, 1), (q, 1))
+    assert factor(p * q) == {p: 1, q: 1}
 
 
 def test_factor_large_prime_power():
-    f = factor(1000003**3)
-    assert f.factors == ((1000003, 3),)
+    assert factor(1000003**3) == {1000003: 3}
 
 
 def test_factor_bit_budget():
@@ -113,7 +137,7 @@ def test_bit_refusal_message():
     with pytest.raises(BudgetError) as info:
         factor(-(2**16000))
     assert str(info.value) == "factor input bits 16001 exceeds budget 4096"
-    assert (info.value.n, info.value.cofactor, info.value.partial) == (-(2**16000), 2**16000, ())
+    assert (info.value.n, info.value.cofactor, info.value.partial) == (-(2**16000), 2**16000, {})
 
 
 def test_factorization_refusal_is_a_budget_error():
@@ -136,7 +160,8 @@ def test_work_refusal_carries_observed_limit_and_what():
     assert limit == RHO_WORK == 2**21
     assert observed > limit
     assert message == f"factorization work {observed} exceeds budget {limit}"
-    assert (n, cofactor, partial) == (12 * HARD, HARD, ((2, 2), (3, 1)))
+    assert (n, cofactor, partial) == (12 * HARD, HARD, {2: 2, 3: 1})
+    _check_refusal_partial(n, partial)
 
 
 def test_work_refusal_does_not_read_the_clock(monkeypatch):
@@ -158,31 +183,30 @@ def test_work_budget_is_shared_by_every_cofactor(monkeypatch):
         return real(n, c, max_iter)
 
     monkeypatch.setattr(numtheory, "_brent_rho", spy)
-    assert factor(1000003 * 1000033 * 1000037).primes == (1000003, 1000033, 1000037)
+    assert list(factor(1000003 * 1000033 * 1000037)) == [1000003, 1000033, 1000037]
     assert allowances[0] == RHO_WORK
     assert len(allowances) == 2 and allowances[1] < RHO_WORK
 
 
-def test_factorization_primes_property():
-    assert factor(360).primes == (2, 3, 5)
+def test_factor_keys_are_the_primes():
+    assert list(factor(360)) == [2, 3, 5]
 
 
 def test_factor_pinned_on_recorded_suite_inputs():
     # 2140 arguments factor received in run_suite('all', seed=7). The digest
     # pins each result, at the default budget and at 40 bits where wider
     # inputs raise, as the trial-division loop over the whole table gave it.
+    # Each line spells a result as the sign of n and the (p, e) pairs in order.
     lines = []
-    path = Path(__file__).parent / "data" / "factor_sample.txt"
-    for text in path.read_text(encoding="utf-8").splitlines():
-        if text.startswith("#"):
-            continue
-        n = int(text)
+    for n in _recorded_suite_inputs():
         for max_bits in (DEFAULT_FACTOR_BITS, 40):
             try:
                 f = factor(n, max_bits)
-                lines.append(f"{n} {max_bits} {f.sign} {f.factors}")
+                lines.append(f"{n} {max_bits} {1 if n > 0 else -1} {tuple(f.items())}")
             except FactorizationBudgetError as exc:
-                lines.append(f"{n} {max_bits} E {exc.n} {exc.cofactor} {exc.partial}")
+                _check_refusal_partial(n, exc.partial)
+                partial = tuple(exc.partial.items())
+                lines.append(f"{n} {max_bits} E {exc.n} {exc.cofactor} {partial}")
     assert len(lines) == 4280
     assert sum(" E " in line for line in lines) == 1532
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()

@@ -240,6 +240,10 @@ class TestNpConditions:
         assert report.m == 2
         assert "10^12" in report.tail_bound_display
 
+    def test_empty_tail_satisfies_the_bound(self):
+        report = verify_np_conditions(parse_map("z^2"), [ProjectivePoint(0, 1)], PlaceSet.of())
+        assert (report.m, report.s, report.all_ok) == (0, 1, True)
+
     def test_condition1_failure(self):
         map2, tail2, S = self._pipeline("z^2 - 2", "0")
         with pytest.raises(NpConditionError) as info:

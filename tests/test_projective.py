@@ -140,7 +140,7 @@ def test_two_point_distance_table_is_the_factored_cross_term():
     pts = [from_pair(rng.randint(-255, 255), rng.randint(1, 255)) for _ in range(400)]
     for P, Q in zip(pts[::2], pts[1::2]):
         if P != Q:
-            expected = list(factor(cross_term(P, Q)).factors)
+            expected = list(factor(cross_term(P, Q)).items())
             assert list(distance_table((P, Q))[0, 1].items()) == expected
 
 
