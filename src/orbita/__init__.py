@@ -46,11 +46,7 @@ from .numtheory import (
 )
 from .orbits import (
     CertificateCheckError,
-    DivisibilityReport,
-    NpConditionError,
-    NpReport,
     OrbitCertificate,
-    TailDivisibilityError,
     certificate_from_json,
     certificate_to_json,
     check_tail_divisibility,
@@ -115,11 +111,7 @@ __all__ = [
     "parse_map",
     # orbits
     "CertificateCheckError",
-    "DivisibilityReport",
-    "NpConditionError",
-    "NpReport",
     "OrbitCertificate",
-    "TailDivisibilityError",
     "certificate_from_json",
     "certificate_to_json",
     "check_tail_divisibility",

@@ -9,6 +9,9 @@ certificate to a fixed-point orbit at [0:1] and checks the structural
 conditions that make tail lengths bounded. run_certificate_checks re-verifies
 the distance propositions (triangle, non-expansion, repeated differences) on
 the certificate's own points, all read from one distance_table of the orbit.
+A failed check raises CertificateCheckError, whose message names the check
+and its witnesses; check_tail_divisibility returns its comparison count, and
+verify_np_conditions the tail bound's display line.
 """
 
 from __future__ import annotations
@@ -44,11 +47,7 @@ __all__ = [
     "OrbitCertificate",
     "DEFAULT_MAX_STEPS",
     "DEFAULT_MAX_BITS",
-    "NpConditionError",
-    "TailDivisibilityError",
     "CertificateCheckError",
-    "NpReport",
-    "DivisibilityReport",
     "detect_orbit",
     "collapse_to_fixed_point",
     "normalize_orbit",
@@ -212,88 +211,53 @@ def normalize_orbit(
 
 
 class CertificateCheckError(Exception):
-    """A certificate-level structural check failed; means an arithmetic bug."""
+    """A certificate-level structural check failed; means an arithmetic bug.
 
-
-class NpConditionError(CertificateCheckError):
-    """A structural condition failed; names the condition and the witnesses."""
-
-    def __init__(self, condition: int, indices: tuple[int, ...], detail: str):
-        self.condition = condition
-        self.indices = indices
-        super().__init__(f"condition ({condition}) failed at {indices}: {detail}")
-
-
-class TailDivisibilityError(CertificateCheckError):
-    """Monotone-valuation violation along a tail; would falsify non-expansion."""
-
-    def __init__(self, index: int, prime: int, v_here: int, v_next) -> None:
-        self.index = index
-        self.prime = prime
-        self.v_here = v_here
-        self.v_next = v_next
-        super().__init__(
-            f"v_{prime}(x_{index}) = {v_here} > v_{prime}(x_{index + 1}) = {v_next}"
-        )
-
-
-@dataclass(frozen=True)
-class NpReport:
-    """The tail-length bound on a normalized orbit whose three conditions hold.
-
-    A report is only returned when conditions (1)-(3) hold; a failure raises
-    NpConditionError instead.
+    The message names the failed check and its witnesses.
     """
-
-    m: int
-    s: int
-    all_ok: bool  # the tail bound holds; conditions (1)-(3) hold for any report
-    tail_bound_display: str
 
 
 def verify_np_conditions(
     map2: RationalMap, tail2: list[ProjectivePoint], S: PlaceSet
-) -> NpReport:
+) -> str:
     """Check the normalized-orbit conditions and the log-space tail bound.
 
     (1) the terminal point is [0:1]; (2) each point's coordinate gcd is an
     S-unit, which holds by construction since ProjectivePoint keeps coprime
     coordinates; (3) all pairwise coordinate cross terms are nonzero. The
     tail bound is m <= NpTail(s) = e^(10^12 s) - 2, compared in log space by
-    bounds.compare; m = 0 satisfies it.
+    bounds.compare; m = 0 satisfies it. Returns the bound's display line, and
+    raises CertificateCheckError naming the condition and its indices.
     """
     if not tail2:
         raise ValueError("tail must be nonempty")
     if s_membership(map2.res, S) != S_UNIT:
         raise ValueError(f"S = {S} must contain the bad primes: the resultant is not an S-unit")
     if tail2[-1] != ProjectivePoint(0, 1):
-        raise NpConditionError(1, (len(tail2) - 1,), "terminal point is not [0:1]")
-    for i in range(len(tail2)):
-        for j in range(i + 1, len(tail2)):
-            if cross_term(tail2[i], tail2[j]) == 0:
-                raise NpConditionError(3, (i, j), "zero cross term (equal points)")
+        raise CertificateCheckError(
+            f"condition (1) failed at ({len(tail2) - 1},): terminal point is not [0:1]"
+        )
+    for i, j in combinations(range(len(tail2)), 2):
+        if cross_term(tail2[i], tail2[j]) == 0:
+            raise CertificateCheckError(
+                f"condition (3) failed at ({i}, {j}): zero cross term (equal points)"
+            )
     m = len(tail2) - 1
     b = _bounds.evaluate_bound(_bounds.BoundFormula.of("NpTail", s=S.s))
-    ok = m == 0 or _bounds.compare(m, b) == _bounds.SATISFIED
     display = f"m = {m} <= {b.exact_form}, ln <= {b.ln_upper_str}"
-    return NpReport(m=m, s=S.s, all_ok=ok, tail_bound_display=display)
+    if m and _bounds.compare(m, b) != _bounds.SATISFIED:
+        raise CertificateCheckError(f"tail bound failed: {display}")
+    return display
 
 
-@dataclass(frozen=True)
-class DivisibilityReport:
-    """Monotone tail-valuation check summary; a violation raises instead."""
-
-    steps: int
-    comparisons: int
-
-
-def check_tail_divisibility(map2: RationalMap, tail2: list[ProjectivePoint]) -> DivisibilityReport:
+def check_tail_divisibility(map2: RationalMap, tail2: list[ProjectivePoint]) -> int:
     """Along a normalized tail, v_p(x_i) is nondecreasing for every good prime p of map2.
 
     Equivalently the distance to the fixed point [0:1] never shrinks, which
     is exactly non-expansion at good-reduction primes. The primes of x_i
-    that divide map2's resultant are skipped. A violation carries an
-    (index, prime) witness and aborts the caller's run.
+    that divide map2's resultant are skipped. Returns the comparison count;
+    a violation raises CertificateCheckError naming the step, the prime and
+    both valuations.
     """
     if not tail2 or tail2[-1] != ProjectivePoint(0, 1):
         raise ValueError("tail must end at [0:1]")
@@ -315,8 +279,11 @@ def check_tail_divisibility(map2: RationalMap, tail2: list[ProjectivePoint]) -> 
         count, failure = _non_expansion_witness(here, after, bad)
         comparisons += count
         if failure:
-            raise TailDivisibilityError(i, *failure)
-    return DivisibilityReport(steps=len(tail2) - 1, comparisons=comparisons)
+            p, v_here, v_next = failure
+            raise CertificateCheckError(
+                f"v_{p}(x_{i}) = {v_here} > v_{p}(x_{i + 1}) = {v_next}"
+            )
+    return comparisons
 
 
 def _rref_nullspace(rows: list[list[Fraction]], width: int) -> list[list[Fraction]]:
@@ -494,7 +461,7 @@ def _check_remark(cert: OrbitCertificate, table: dict) -> int:
 def _check_divisibility(cert: OrbitCertificate) -> int:
     composite, tail = collapse_to_fixed_point(cert)
     map2, tail2, _ = normalize_orbit(composite, tail)
-    return check_tail_divisibility(map2, tail2).comparisons
+    return check_tail_divisibility(map2, tail2)
 
 
 def run_certificate_checks(cert: OrbitCertificate) -> dict[str, bool]:

@@ -23,7 +23,6 @@ from .numtheory import BudgetError, _valuation
 from .orbits import (
     CertificateCheckError,
     OrbitCertificate,
-    TailDivisibilityError,
     _check_remark,
     _non_expansion_witness,
     _triangle_witness,
@@ -267,8 +266,8 @@ def divisibility_cases(rng: random.Random, n: int) -> Iterator[tuple[int, str | 
             continue
         successes += 1
         try:
-            yield check_tail_divisibility(m2, chain).comparisons, None
-        except TailDivisibilityError as exc:
+            yield check_tail_divisibility(m2, chain), None
+        except CertificateCheckError as exc:
             yield 0, f"map {m2}, tail {[str(P) for P in chain]}: {exc}"
 
 

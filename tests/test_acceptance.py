@@ -262,8 +262,8 @@ def test_criterion_8_normalization_pipeline(capsys):
         composite, tail = collapse_to_fixed_point(cert)
         map2, tail2, _ = normalize_orbit(composite, tail)
         S = PlaceSet.of(*sorted(set(bad_primes(cert.map)) | set(bad_primes(map2))))
-        np_report = verify_np_conditions(map2, tail2, S)
-        ok = ok and np_report.all_ok and np_report.m == cert.tail_length // cert.period
+        verify_np_conditions(map2, tail2, S)  # raises CertificateCheckError on a failure
+        ok = ok and len(tail2) - 1 == cert.tail_length // cert.period
         checked += 1
     ok = ok and checked == len(CORPUS)
     with capsys.disabled():

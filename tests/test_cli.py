@@ -13,7 +13,7 @@ import pytest
 from orbita import bounds as _bounds
 from orbita import cli, maps, orbits, sunit
 from orbita.numtheory import BudgetError, factor
-from orbita.orbits import CertificateCheckError, NpConditionError, TailDivisibilityError
+from orbita.orbits import CertificateCheckError
 from orbita.suites import SuiteReport
 
 
@@ -556,8 +556,8 @@ class TestSemigroup:
         code, out, err = run(
             capsys, "semigroup", "--maps", "z^2 - 1,z^2 - 29/16", "--point", "1"
         )
-        assert code == 3
-        assert "orbit of [1:1] under" in out  # the closing generator still reports
+        # the first orbit closes, but nothing is printed: an error leaves stdout empty
+        assert (code, out) == (3, "")
         assert err == (
             "orbita: error: budget exhausted: orbit coordinate bits 4097 exceeds budget 4096\n"
         )
@@ -571,7 +571,8 @@ class TestSemigroup:
         ],
     )
     def test_each_resultant_factored_once(self, capsys, monkeypatch, exprs, point, status):
-        # a generator whose orbit closes takes its bad primes from the certificate
+        # a generator whose orbit closes takes its bad primes from the certificate;
+        # an orbit that exhausts its budget ends the run before the next generator
         calls = []
 
         def counting(n):
@@ -582,7 +583,8 @@ class TestSemigroup:
         argv = ["semigroup", "--maps", exprs] + ([] if point is None else ["--point", point])
         code, _, _ = run(capsys, *argv)
         assert code == status
-        assert calls == [maps.parse_map(e).res for e in exprs.split(",")]
+        factored = exprs.split(",")[: 1 if status == 3 else None]
+        assert calls == [maps.parse_map(e).res for e in factored]
 
     @pytest.mark.parametrize(
         ("failing", "message"),
@@ -613,20 +615,29 @@ class TestSemigroup:
         assert calls == [maps.parse_map("z^2 - 1").res, res]
 
     def test_bad_point_reported_last(self, capsys, monkeypatch):
-        # a budget or precision error outranks a point that does not parse, as
-        # it did when every generator was factored before the point was read
-        code, out, err = run(
-            capsys, "semigroup", "--maps", "z^2 - 1,2^4000*z^4", "--point", "1/0"
-        )
-        assert (code, out) == (3, "")
-        assert err.startswith("orbita: error: budget exhausted: ")
+        # the point is parsed up front, as under orbit: a point that does not
+        # parse exits 2 before any orbit runs or resultant is factored, so a
+        # budget or precision error is reported only after every input parses
+        calls = []
+
+        def counting(n):
+            calls.append(n)
+            return factor(n)
+
+        monkeypatch.setattr(maps, "factor", counting)
+        bad_point = (2, "", "orbita: error: bad point syntax '1/0': Fraction(1, 0)\n")
+        argv = ("semigroup", "--maps", "z^2 - 1,2^4000*z^4", "--point", "1/0")
+        assert run(capsys, *argv) == bad_point
+        assert calls == []
         monkeypatch.setenv("ORBITA_PRECISION", "abc")
+        assert run(capsys, "semigroup", "--maps", "z^2 - 1", "--point", "1/0") == bad_point
+        # ORBITA_PRECISION is read before the orbits, so an orbit that would
+        # exhaust its budget still exits 2 on a bad precision
         bad_precision = run(capsys, "semigroup", "--maps", "z^2 - 1")
-        assert run(capsys, "semigroup", "--maps", "z^2 - 1", "--point", "1/0") == bad_precision
-        monkeypatch.delenv("ORBITA_PRECISION")
-        code, out, err = run(capsys, "semigroup", "--maps", "z^2 - 1", "--point", "1/0")
-        assert (code, out) == (2, "")
-        assert err.startswith("orbita: error: ")
+        assert bad_precision[:2] == (2, "")
+        argv = ("semigroup", "--maps", "z^2 - 1,z^2 - 29/16", "--point", "1")
+        assert run(capsys, *argv) == bad_precision
+        assert calls == []
 
     def test_empty_maps_exits_2(self, capsys):
         code, _, _ = run(capsys, "semigroup", "--maps", "")
@@ -740,16 +751,21 @@ def test_internal_value_error_exits_5(capsys, monkeypatch, module, name, argv):
 
 
 @pytest.mark.parametrize(
-    "error",
-    [TailDivisibilityError(1, 3, 2, 1), NpConditionError(3, (0, 1), "zero cross term")],
-    ids=["tail-divisibility", "np-condition"],
+    ("name", "message"),
+    [
+        ("_check_triangle", "triangle inequality fails at p=3 for [0:1],[3:1],[9:1]"),
+        ("_check_non_expansion", "non-expansion fails at p=3 for points 0,1"),
+        ("_check_remark", "remark fails at p=3, a=0, b=1, k=2"),
+        ("_check_divisibility", "v_3(x_1) = 2 > v_3(x_2) = 1"),
+    ],
+    ids=["triangle", "non-expansion", "remark", "tail-divisibility"],
 )
-def test_failed_certificate_check_exits_5(capsys, monkeypatch, error):
+def test_failed_certificate_check_exits_5(capsys, monkeypatch, name, message):
     # every certificate check that fails is an invariant breach, not a traceback
     def breach(*args):
-        raise error
+        raise CertificateCheckError(message)
 
-    monkeypatch.setattr(orbits, "check_tail_divisibility", breach)
+    monkeypatch.setattr(orbits, name, breach)
     code, out, err = run(capsys, "orbit", "--map", "z^2 - 2", "--point", "0")
     assert (code, out) == (5, "")
-    assert err == f"orbita: error: internal invariant breach: {error}\n"
+    assert err == f"orbita: error: internal invariant breach: {message}\n"

@@ -3,11 +3,9 @@
 hypothesis draws command lines for `orbit`, `bounds`, `sunit`, `delta`,
 `semigroup` and `verify`. It is derandomized, with a fixed number of
 examples per command, so every run checks the same lines. Each line runs
-in-process through `cli.main`. An error exit must leave stdout empty, except
-`semigroup`'s exit 3: it prints the place set it found before it reports the
-orbit budget that ran out. Every exit 3 is a budget refusal and must name
-what it used against what it allowed. One field in eight is drawn malformed
-on purpose.
+in-process through `cli.main`. An error exit must leave stdout empty. Every
+exit 3 is a budget refusal and must name what it used against what it
+allowed. One field in eight is drawn malformed on purpose.
 
 Maps come from the parser's grammar at depth 2 (depth 1 for `semigroup`),
 with exponents up to 3 and one-digit literals. The points of `orbit` and
@@ -107,7 +105,7 @@ def _run(argv: list[str], precision: str | None = None) -> int:
         elapsed = time.perf_counter() - start
     assert code in (0, 2, 3), (argv, err.getvalue())
     assert elapsed <= CAP, (argv, elapsed)
-    if code and not (argv[0] == "semigroup" and code == 3):
+    if code:
         assert out.getvalue() == "", argv
     if code == 3:
         assert BUDGET_EXIT.fullmatch(err.getvalue()), (argv, err.getvalue())

@@ -3,16 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from orbita import projective
+from orbita import bounds, projective
 from orbita.maps import bad_primes, evaluate, make_map, parse_map
 from orbita.numtheory import BudgetError, PlaceSet, factor
 from orbita.orbits import (
     DEFAULT_MAX_BITS,
     DEFAULT_MAX_STEPS,
     CertificateCheckError,
-    NpConditionError,
     OrbitCertificate,
-    TailDivisibilityError,
     _check_non_expansion,
     _check_remark,
     _check_triangle,
@@ -235,26 +233,37 @@ class TestNpConditions:
 
     def test_happy_path(self):
         map2, tail2, S = self._pipeline("z^2 - 2", "0")
-        report = verify_np_conditions(map2, tail2, S)
-        assert report.all_ok
-        assert report.m == 2
-        assert "10^12" in report.tail_bound_display
+        display = verify_np_conditions(map2, tail2, S)
+        assert display == "m = 2 <= e^(10^12 s) - 2 with s=1, ln <= 1000000000000.0"
+        assert "10^12" in display
 
     def test_empty_tail_satisfies_the_bound(self):
-        report = verify_np_conditions(parse_map("z^2"), [ProjectivePoint(0, 1)], PlaceSet.of())
-        assert (report.m, report.s, report.all_ok) == (0, 1, True)
+        display = verify_np_conditions(parse_map("z^2"), [O], PlaceSet.of())
+        assert display.startswith("m = 0 <= ") and "with s=1," in display
 
     def test_condition1_failure(self):
         map2, tail2, S = self._pipeline("z^2 - 2", "0")
-        with pytest.raises(NpConditionError) as info:
+        with pytest.raises(CertificateCheckError) as info:
             verify_np_conditions(map2, tail2[:-1], S)
-        assert info.value.condition == 1
+        assert str(info.value) == "condition (1) failed at (1,): terminal point is not [0:1]"
 
     def test_condition3_failure_on_duplicated_point(self):
         map2, tail2, S = self._pipeline("z^2 - 2", "0")
-        with pytest.raises(NpConditionError) as info:
-            verify_np_conditions(map2, [tail2[0], tail2[0], tail2[-1]], S)
-        assert info.value.condition == 3
+        with pytest.raises(CertificateCheckError) as info:
+            verify_np_conditions(map2, [tail2[0], tail2[-1], tail2[0], tail2[-1]], S)
+        assert str(info.value) == "condition (3) failed at (0, 2): zero cross term (equal points)"
+
+    def test_tail_bound_not_satisfied_raises(self, monkeypatch):
+        # no real tail reaches e^(10^12 s); an inconclusive comparison is not a pass
+        map2, tail2, S = self._pipeline("z^2 - 2", "0")
+        monkeypatch.setattr(bounds, "compare", lambda m, b: bounds.INCONCLUSIVE)
+        with pytest.raises(CertificateCheckError) as info:
+            verify_np_conditions(map2, tail2, S)
+        assert str(info.value) == (
+            "tail bound failed: m = 2 <= e^(10^12 s) - 2 with s=1, ln <= 1000000000000.0"
+        )
+        # m = 0 is never compared
+        assert verify_np_conditions(map2, tail2[-1:], S).startswith("m = 0 <= ")
 
     def test_requires_covering_place_set(self):
         map2, tail2, _ = self._pipeline("z^2 - 29/16", "7/4")
@@ -267,20 +276,26 @@ class TestTailDivisibility:
         cert = detect_orbit(parse_map("z^2 - 2"), parse_point("0"))
         composite, tail = collapse_to_fixed_point(cert)
         map2, tail2, _ = normalize_orbit(composite, tail)
-        report = check_tail_divisibility(map2, tail2)
         # x-coordinates -2, -4, 0: one comparison at p=2 per step
-        assert report.steps == 2
-        assert report.comparisons == 2
+        assert [P.x for P in tail2] == [-2, -4, 0]
+        assert check_tail_divisibility(map2, tail2) == 2
 
     def test_flags_fabricated_decreasing_valuations(self):
         # the identity map has good reduction everywhere and fixes [0:1];
-        # a tail with shrinking 2-valuation is not a real orbit and must fail
+        # a tail with shrinking 2-valuation is not a real orbit and must fail:
+        # the message names the step, the prime and both valuations
         ident = parse_map("z")
         tail = _affine(4, 2) + [O]
-        with pytest.raises(TailDivisibilityError) as info:
+        with pytest.raises(CertificateCheckError) as info:
             check_tail_divisibility(ident, tail)
-        err = info.value
-        assert (err.index, err.prime, err.v_here, err.v_next) == (0, 2, 2, 1)
+        assert str(info.value) == "v_2(x_0) = 2 > v_2(x_1) = 1"
+
+    def test_names_the_failing_step(self):
+        # step 0 holds (v_3 climbs from 1 to 2); step 1 drops it from 2 to 1
+        tail = _affine(3, 9, 3) + [O]
+        with pytest.raises(CertificateCheckError) as info:
+            check_tail_divisibility(parse_map("z"), tail)
+        assert str(info.value) == "v_3(x_1) = 2 > v_3(x_2) = 1"
 
     def test_rejects_tail_leaving_origin(self):
         ident = parse_map("z")
@@ -293,23 +308,22 @@ class TestTailDivisibility:
 
     def test_unit_coordinates_skip_cleanly(self):
         ident = parse_map("z")
-        report = check_tail_divisibility(ident, _affine(1, -1) + [O])
-        assert report.comparisons == 0
+        assert check_tail_divisibility(ident, _affine(1, -1) + [O]) == 0
 
     def test_skips_exactly_the_primes_of_the_resultant(self):
         # v_2 falls from 2 to 1: skipped where 2 divides the resultant (2 z,
         # Res = 2), compared and refused where it does not (3 z, Res = 3)
         tail = _affine(4, 2) + [O]
-        assert check_tail_divisibility(parse_map("2*z"), tail).comparisons == 0
-        with pytest.raises(TailDivisibilityError) as info:
+        assert check_tail_divisibility(parse_map("2*z"), tail) == 0
+        with pytest.raises(CertificateCheckError) as info:
             check_tail_divisibility(parse_map("3*z"), tail)
-        assert (info.value.prime, info.value.v_here, info.value.v_next) == (2, 2, 1)
+        assert str(info.value) == "v_2(x_0) = 2 > v_2(x_1) = 1"
         # 12 = 2^2 * 3 before 6 = 2 * 3: 3 is compared under 2 z, 2 under 3 z
         tail = _affine(12, 6) + [O]
-        assert check_tail_divisibility(parse_map("2*z"), tail).comparisons == 2
-        with pytest.raises(TailDivisibilityError) as info:
+        assert check_tail_divisibility(parse_map("2*z"), tail) == 2
+        with pytest.raises(CertificateCheckError) as info:
             check_tail_divisibility(parse_map("3*z"), tail)
-        assert info.value.prime == 2
+        assert str(info.value) == "v_2(x_0) = 2 > v_2(x_1) = 1"
 
     def test_bad_primes_of_normalized_composite_are_the_certificates(self):
         # Res(f^n) divides a power of Res(f) and det-1 conjugation keeps |Res|
