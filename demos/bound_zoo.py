@@ -32,20 +32,21 @@ PARAMS = {
 
 for name in FORMULAS:
     formula = BoundFormula.of(name, **PARAMS[name])
-    value = evaluate_bound(formula)
+    value = evaluate_bound(formula, 60)
     exact = "" if value.exact is None else f"  = {value.exact}"
     print(f"{formula}")
     print(f"    {value.exact_form}")
     print(f"    magnitude {value.magnitude_str()}{exact}")
 
 # a desk-scale verdict: is an orbit of total length 3 within the s=1 bound?
-value = evaluate_bound(BoundFormula.of("CanciC", s=1))
+value = evaluate_bound(BoundFormula.of("CanciC", s=1), 60)
 print("compare(3, CanciC(1)) ->", compare(3, value))
 assert compare(3, value) == SATISFIED
 
-# raising ORBITA_PRECISION (default 60 digits) narrows every enclosure;
-# the endpoints at 60 and at 200 digits nest
-coarse = evaluate_bound(BoundFormula.of("CanciC", s=1), precision=60)
-fine = evaluate_bound(BoundFormula.of("CanciC", s=1), precision=200)
+# every evaluation names its precision in decimal digits (the command line
+# reads it from ORBITA_PRECISION, 60 by default); a higher precision narrows
+# every enclosure, and the endpoints at 60 and at 200 digits nest
+coarse = evaluate_bound(BoundFormula.of("CanciC", s=1), 60)
+fine = evaluate_bound(BoundFormula.of("CanciC", s=1), 200)
 print("ln upper, 60 digits: ", coarse.ln_upper_str[:40], "...")
 print("ln upper, 200 digits:", fine.ln_upper_str[:40], "...")

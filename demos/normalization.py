@@ -40,7 +40,7 @@ assert abs(map2.res) == abs(composite.res)
 
 S = PlaceSet.of(*bad_primes(map2))
 # conditions (1)-(3) and the tail bound hold, or CertificateCheckError is raised
-print("tail bound:", verify_np_conditions(map2, tail2, S))
+print("tail bound:", verify_np_conditions(map2, tail2, S, 60))
 
 # the normalized tail walks into [0:1] with monotone valuations at every
 # good prime of map2 (the primes of its resultant are skipped); that

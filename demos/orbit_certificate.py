@@ -20,7 +20,7 @@ for start in ("-1/4", "7/4", "3/4"):
 # run_certificate_checks, and certificate_to_json re-runs the checks before
 # serializing. The JSON keeps integers as strings on purpose.
 cert = detect_orbit(m, parse_point("3/4"))
-doc = certificate_to_json(cert)
+doc = certificate_to_json(cert, 60)
 print(json.dumps(doc, indent=2)[:400], "...")
 
 # an orbit that does not close within the budgets (10000 points, 4096-bit

@@ -20,5 +20,5 @@ for m in generators:
 s = 1 + len(union)
 print(f"common S: infinity plus {sorted(union)}, s = {s}")
 
-bound = evaluate_bound(BoundFormula.of("CanciC", s=s))
+bound = evaluate_bound(BoundFormula.of("CanciC", s=s), 60)
 print(f"orbit-length bound for the whole semigroup: {bound.magnitude_str()}")

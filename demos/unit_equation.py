@@ -16,7 +16,7 @@ from orbita import (
 # exponents to |e| <= 20 already finds everything: the full solution set of
 # this classic equation is {-1 + 2, 1/2 + 1/2, 2 - 1}.
 S = PlaceSet.of(2)
-report = solve_unit_equation(S, 20)
+report = solve_unit_equation(S, 20, 60)
 print(f"S = {S}, box radius 20")
 for u, v in report.solutions:
     print(f"  {u} + {v} = 1")
@@ -30,6 +30,6 @@ print("at least two ways:", ways.two_ways)
 
 # three-term variant: count solutions of u1 + u2 - u3 = 1 with nonvanishing
 # subsums, the shape controlled by the exponential rank bound
-three = count_three_term(PlaceSet.of(2), (Fraction(1), Fraction(1), Fraction(-1)), 6)
+three = count_three_term(PlaceSet.of(2), (Fraction(1), Fraction(1), Fraction(-1)), 6, 60)
 print(f"nondegenerate three-term solutions in the radius-6 box: {three.count}")
 print(f"within the bound: {three.bound_ok}")

@@ -19,7 +19,6 @@ from .bounds import (
     decimal_str,
     evaluate_bound,
     ln_interval,
-    working_precision,
 )
 from .maps import (
     MapSyntaxError,
@@ -132,7 +131,6 @@ __all__ = [
     "decimal_str",
     "evaluate_bound",
     "ln_interval",
-    "working_precision",
     # sunit
     "ThreeTermReport",
     "TwoWaysReport",

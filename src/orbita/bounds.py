@@ -28,7 +28,6 @@ __all__ = [
     "compare",
     "ln_interval",
     "decimal_str",
-    "working_precision",
     "SATISFIED",
     "VIOLATED",
     "INCONCLUSIVE",
@@ -36,7 +35,6 @@ __all__ = [
     "PRECISION_ENV",
     "MAX_PRECISION",
     "ESS_MAX_BITS",
-    "PrecisionError",
 ]
 
 SATISFIED = "satisfied"
@@ -88,23 +86,22 @@ def _ln_int(ctx, n: int):
     return ctx.make_mpf((lo, hi))
 
 
-class PrecisionError(ValueError):
-    """ORBITA_PRECISION is not an integer from 10 to MAX_PRECISION: a configuration input error."""
-
-
 def working_precision() -> int:
-    """Decimal digits for bound evaluation; ORBITA_PRECISION overrides the default."""
+    """Decimal digits for bound evaluation; ORBITA_PRECISION overrides the default.
+
+    The package's one read of the environment, made once by the command line.
+    """
     raw = os.environ.get(PRECISION_ENV)
     if raw is None:
         return DEFAULT_PRECISION
     try:
         value = int(raw)
     except ValueError:
-        raise PrecisionError(f"{PRECISION_ENV} must be an integer, got {raw!r}") from None
+        raise ValueError(f"{PRECISION_ENV} must be an integer, got {raw!r}") from None
     if value < 10:
-        raise PrecisionError(f"{PRECISION_ENV} must be at least 10")
+        raise ValueError(f"{PRECISION_ENV} must be at least 10")
     if value > MAX_PRECISION:
-        raise PrecisionError(f"{PRECISION_ENV} must be at most {MAX_PRECISION}")
+        raise ValueError(f"{PRECISION_ENV} must be at most {MAX_PRECISION}")
     return value
 
 
@@ -387,10 +384,8 @@ FORMULAS: dict[str, _FormulaSpec] = {
 }
 
 
-def evaluate_bound(f: BoundFormula, precision: int | None = None) -> BoundValue:
+def evaluate_bound(f: BoundFormula, precision: int) -> BoundValue:
     """ln of the bound as a certified [lower, upper] pair, plus the exact value if it has one."""
-    if precision is None:
-        precision = working_precision()
     spec = FORMULAS[f.name]
     kwargs = dict(f.params)
     exact = None if spec.exact is None else spec.exact(**kwargs)

@@ -2,7 +2,7 @@
 
 Exit status taxonomy:
   0  success
-  2  input could not be parsed (map, point, flags, ORBITA_PRECISION)
+  2  input could not be parsed (map, point, flags, ORBITA_PRECISION, read first)
   3  a budget was exhausted (orbit points or coordinate bits, factorization or
      size refusal, an exact bound too long to print)
   4  a verification suite found a counterexample (printed with its witness)
@@ -21,12 +21,7 @@ from fractions import Fraction
 
 from . import bounds as _bounds
 from .maps import RationalMap, bad_primes, parse_map
-from .numtheory import (
-    BudgetError,
-    PlaceSet,
-    factor,
-    is_prime,
-)
+from .numtheory import BudgetError, PlaceSet, factor
 from .orbits import (
     CertificateCheckError,
     OrbitCertificate,
@@ -86,7 +81,7 @@ def _cmd_orbit(args) -> int:
     m = _parse_map_arg(args.map)
     start = _parse_point_arg(args.point)
     result = detect_orbit(m, start)
-    doc = certificate_to_json(result)
+    doc = certificate_to_json(result, args.precision)
     if args.json:
         doc = {"command": "orbit", **doc}
         _emit(doc)
@@ -113,9 +108,10 @@ def _cmd_orbit(args) -> int:
 def _cmd_delta(args) -> int:
     P = _parse_point_arg(args.a)
     Q = _parse_point_arg(args.b)
-    if args.p < 2 or not is_prime(args.p):
-        raise _InputError(f"{args.p} is not prime")
-    d = log_distance(P, Q, args.p)
+    try:
+        d = log_distance(P, Q, args.p)
+    except ValueError as exc:  # p is not prime
+        raise _InputError(str(exc)) from None
     print("inf" if d == float("inf") else int(d))
     return 0
 
@@ -173,7 +169,7 @@ def _cmd_bounds(args) -> int:
         formula = _bounds.BoundFormula.of(args.formula, **given)
     except ValueError as exc:
         raise _InputError(str(exc)) from None
-    value = _bounds.evaluate_bound(formula)
+    value = _bounds.evaluate_bound(formula, args.precision)
     exact = None if value.exact is None else str(value.exact)
     if args.json:
         _emit(
@@ -241,7 +237,7 @@ def _cmd_sunit(args) -> int:
             raise _InputError(f"bad coefficient list: {exc}") from None
         if 0 in coeffs:
             raise _InputError("need exactly three nonzero coefficients")
-        report = count_three_term(S, coeffs, args.bound)
+        report = count_three_term(S, coeffs, args.bound, args.precision)
         summary = _summary(
             report.count, len(S.finite_primes), report.ln_bound.ln_upper_str, args.bound
         )
@@ -259,7 +255,7 @@ def _cmd_sunit(args) -> int:
         else:
             print(json.dumps(summary))
         return 0
-    report = solve_unit_equation(S, args.bound)
+    report = solve_unit_equation(S, args.bound, args.precision)
     summary = _summary(
         report.count, len(S.finite_primes), report.ln_bound.ln_upper_str, args.bound
     )
@@ -321,9 +317,7 @@ def _cmd_semigroup(args) -> int:
     if not exprs:
         raise _InputError("--maps needs at least one expression")
     maps = [_parse_map_arg(e) for e in exprs]
-    # every input error, the environment's precision included, comes before any work
     start = None if args.point is None else _parse_point_arg(args.point)
-    precision = _bounds.working_precision()
     if start is None:
         orbits: list[OrbitCertificate] = []
         per_map = [tuple(bad_primes(m)) for m in maps]
@@ -333,7 +327,7 @@ def _cmd_semigroup(args) -> int:
         per_map = [cert.bad_primes for cert in orbits]
     union = sorted(set().union(*per_map))
     s = 1 + len(union)
-    c = _bounds.evaluate_bound(_bounds.BoundFormula.of("CanciC", s=s), precision)
+    c = _bounds.evaluate_bound(_bounds.BoundFormula.of("CanciC", s=s), args.precision)
     if args.json:
         doc = {
             "command": "semigroup",
@@ -462,8 +456,14 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors and 0 for --help
         return int(exc.code or 0)
     try:
+        # the one configuration input, read before any command does work
+        args.precision = _bounds.working_precision()
+    except ValueError as exc:
+        _fail(str(exc))
+        return 2
+    try:
         return _DISPATCH[args.command](args)
-    except (_InputError, _bounds.PrecisionError) as exc:
+    except _InputError as exc:
         _fail(str(exc))
         return 2
     except BudgetError as exc:

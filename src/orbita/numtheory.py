@@ -70,10 +70,13 @@ def is_prime(n: int) -> bool:
     """Miller-Rabin with the first 13 prime bases, fewer below psi_7.
 
     A proof of primality below psi_13 = 3 317 044 064 679 887 385 961 981;
-    a strong-probable-prime test above it.
+    a strong-probable-prime test above it. An n over DEFAULT_FACTOR_BITS bits
+    is refused with BudgetError: at 4253 bits the 13 rounds take about 2 s.
     """
     if n < 2:
         return False
+    if n.bit_length() > DEFAULT_FACTOR_BITS:
+        raise BudgetError(n.bit_length(), DEFAULT_FACTOR_BITS, "prime bits")
     for p in _MR_BASES:
         if n % p == 0:
             return n == p

@@ -218,16 +218,16 @@ class CertificateCheckError(Exception):
 
 
 def verify_np_conditions(
-    map2: RationalMap, tail2: list[ProjectivePoint], S: PlaceSet
+    map2: RationalMap, tail2: list[ProjectivePoint], S: PlaceSet, precision: int
 ) -> str:
     """Check the normalized-orbit conditions and the log-space tail bound.
 
     (1) the terminal point is [0:1]; (2) each point's coordinate gcd is an
     S-unit, which holds by construction since ProjectivePoint keeps coprime
-    coordinates; (3) all pairwise coordinate cross terms are nonzero. The
-    tail bound is m <= NpTail(s) = e^(10^12 s) - 2, compared in log space by
-    bounds.compare; m = 0 satisfies it. Returns the bound's display line, and
-    raises CertificateCheckError naming the condition and its indices.
+    coordinates; (3) all pairwise coordinate cross terms are nonzero. The tail
+    bound is m <= NpTail(s) = e^(10^12 s) - 2 at `precision` digits, compared in
+    log space by bounds.compare; m = 0 satisfies it. Returns the bound's display
+    line, and raises CertificateCheckError naming the condition and its indices.
     """
     if not tail2:
         raise ValueError("tail must be nonempty")
@@ -243,7 +243,7 @@ def verify_np_conditions(
                 f"condition (3) failed at ({i}, {j}): zero cross term (equal points)"
             )
     m = len(tail2) - 1
-    b = _bounds.evaluate_bound(_bounds.BoundFormula.of("NpTail", s=S.s))
+    b = _bounds.evaluate_bound(_bounds.BoundFormula.of("NpTail", s=S.s), precision)
     display = f"m = {m} <= {b.exact_form}, ln <= {b.ln_upper_str}"
     if m and _bounds.compare(m, b) != _bounds.SATISFIED:
         raise CertificateCheckError(f"tail bound failed: {display}")
@@ -483,8 +483,7 @@ def run_certificate_checks(cert: OrbitCertificate) -> dict[str, bool]:
 _CERTIFICATE_BOUNDS: dict[tuple[int, int], tuple] = {}
 
 
-def _bounds_block(cert: OrbitCertificate) -> dict:
-    precision = _bounds.working_precision()
+def _bounds_block(cert: OrbitCertificate, precision: int) -> dict:
     key = (cert.s, precision)
     cached = _CERTIFICATE_BOUNDS.get(key)
     if cached is None:
@@ -503,8 +502,8 @@ def _bounds_block(cert: OrbitCertificate) -> dict:
     }
 
 
-def certificate_to_json(cert: OrbitCertificate) -> dict:
-    """Schema "orbita/1" document; every integer is a decimal string."""
+def certificate_to_json(cert: OrbitCertificate, precision: int) -> dict:
+    """Schema "orbita/1" document, its bounds at `precision` digits; every integer is a string."""
     checks = run_certificate_checks(cert)
     return {
         "schema": SCHEMA_TAG,
@@ -519,7 +518,7 @@ def certificate_to_json(cert: OrbitCertificate) -> dict:
         "bad_primes": [str(p) for p in cert.bad_primes],
         "s": str(cert.s),
         "checks": checks,
-        "bounds": _bounds_block(cert),
+        "bounds": _bounds_block(cert, precision),
     }
 
 

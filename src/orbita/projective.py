@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, inf, isinf
 
-from .numtheory import FactorizationBudgetError, Rational, _valuation, factor, vp
+from .numtheory import FactorizationBudgetError, Rational, _valuation, factor, is_prime
 
 __all__ = [
     "ProjectivePoint",
@@ -116,11 +116,12 @@ def log_distance(P: ProjectivePoint, Q: ProjectivePoint, p: int) -> int | float:
 
     In canonical coprime coordinates min(vp(x), vp(y)) vanishes for both
     points, so the distance is vp of the cross term. Always nonnegative.
+    Raises ValueError when p is not prime, also for P = Q.
     """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     c = cross_term(P, Q)
-    if c == 0:
-        return INFINITE_DISTANCE
-    return vp(c, p)
+    return INFINITE_DISTANCE if c == 0 else _valuation(c, p)
 
 
 def distance_table(

@@ -104,7 +104,7 @@ class UnitEquationReport:
         return _bounds.compare(self.count, self.ln_bound) == _bounds.SATISFIED
 
 
-def solve_unit_equation(S: PlaceSet, B: int) -> UnitEquationReport:
+def solve_unit_equation(S: PlaceSet, B: int, precision: int) -> UnitEquationReport:
     """All (u, v) with u + v = 1 and both coordinates S-units in the box.
 
     One-sided scan: enumerate u over the box and test v = 1 - u, which is
@@ -120,10 +120,11 @@ def solve_unit_equation(S: PlaceSet, B: int) -> UnitEquationReport:
             sols.append((Fraction(n, d), Fraction(m, d)))
     sols.sort()
     r = 2 * (S.s - 1)
+    bound = _bounds.BoundFormula.of("BeukersSchlickewei", r=r)
     return UnitEquationReport(
         solutions=tuple(sols),
         gamma_rank=r,
-        ln_bound=_bounds.evaluate_bound(_bounds.BoundFormula.of("BeukersSchlickewei", r=r)),
+        ln_bound=_bounds.evaluate_bound(bound, precision),
     )
 
 
@@ -180,12 +181,12 @@ class ThreeTermReport:
         return _bounds.compare(self.count, self.ln_bound) == _bounds.SATISFIED
 
 
-def count_three_term(S: PlaceSet, a, B: int) -> ThreeTermReport:
+def count_three_term(S: PlaceSet, a, B: int, precision: int) -> ThreeTermReport:
     """Count ordered box S-unit triples solving the three-term unit equation.
 
     A solution is nondegenerate when no proper subsum of a_i x_i vanishes;
     only those are counted, matching the hypothesis of the rank-based bound
-    e^((6n)^(3n) (r+1)) at n = 3, r = 3(s-1).
+    e^((6n)^(3n) (r+1)) at n = 3, r = 3(s-1), evaluated at `precision` digits.
     """
     coeffs = tuple(Fraction(c) for c in a)
     if len(coeffs) != 3 or any(c == 0 for c in coeffs):
@@ -221,5 +222,5 @@ def count_three_term(S: PlaceSet, a, B: int) -> ThreeTermReport:
         coefficients=coeffs,
         count=count,
         gamma_rank=r,
-        ln_bound=_bounds.evaluate_bound(_bounds.BoundFormula.of("ESS", n=3, r=r)),
+        ln_bound=_bounds.evaluate_bound(_bounds.BoundFormula.of("ESS", n=3, r=r), precision),
     )

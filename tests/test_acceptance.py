@@ -121,7 +121,7 @@ def test_criterion_4_certificate_reproduction(capsys):
         and [p[0] for p in doc1["points"]] == ["1", "0", "-1"]
         and doc1["bad_primes"] == []
         and doc1["s"] == "1"
-        and compare(3, evaluate_bound(BoundFormula.of("CanciC", s=1))) == SATISFIED
+        and compare(3, evaluate_bound(BoundFormula.of("CanciC", s=1), 60)) == SATISFIED
         and t1 < 1.0
     )
 
@@ -136,7 +136,8 @@ def test_criterion_4_certificate_reproduction(capsys):
         and doc2["bad_primes"] == ["2"]
         and len(doc2["bad_primes"]) == 1
         and parse_map("z^2-29/16").res == 2**16
-        and compare(3, evaluate_bound(BoundFormula.of("MortonSilverman", t=1, D=1))) == SATISFIED
+        and compare(3, evaluate_bound(BoundFormula.of("MortonSilverman", t=1, D=1), 60))
+        == SATISFIED
         and t2 < 1.0
     )
     ok = first_ok and second_ok
@@ -169,8 +170,8 @@ def test_criterion_5_bound_regression(capsys):
             abs(oracle_c1 - mp.mpf(frozen_c1)) / oracle_c1 < mp.mpf(10) ** -95
             and abs(oracle_ms11 - mp.mpf(frozen_ms11)) / oracle_ms11 < mp.mpf(10) ** -95
         )
-        c1 = evaluate_bound(BoundFormula.of("CanciC", s=1))
-        ms11 = evaluate_bound(BoundFormula.of("MortonSilverman", t=1, D=1))
+        c1 = evaluate_bound(BoundFormula.of("CanciC", s=1), 60)
+        ms11 = evaluate_bound(BoundFormula.of("MortonSilverman", t=1, D=1), 60)
         rel_ok = True
         for value, oracle in ((c1, oracle_c1), (ms11, oracle_ms11)):
             lo, hi = mp.mpf(value.ln_lower), mp.mpf(value.ln_upper)
@@ -178,8 +179,8 @@ def test_criterion_5_bound_regression(capsys):
             rel_ok = rel_ok and abs(lo - oracle) / oracle < mp.mpf(10) ** -6
             rel_ok = rel_ok and abs(hi - oracle) / oracle < mp.mpf(10) ** -6
     exact_ok = (
-        evaluate_bound(BoundFormula.of("Pgl2Order", D=1)).exact == 6
-        and evaluate_bound(BoundFormula.of("BeukersSchlickewei", r=2)).exact == 16777216
+        evaluate_bound(BoundFormula.of("Pgl2Order", D=1), 60).exact == 6
+        and evaluate_bound(BoundFormula.of("BeukersSchlickewei", r=2), 60).exact == 16777216
     )
     ok = pin_ok and rel_ok and exact_ok
     with capsys.disabled():
@@ -204,7 +205,7 @@ def _unit_box(primes: tuple[int, ...], radius: int) -> set[Fraction]:
 
 
 def test_criterion_6_unit_equation_enumeration(capsys):
-    classic = solve_unit_equation(PlaceSet.of(2), 20)
+    classic = solve_unit_equation(PlaceSet.of(2), 20, 60)
     classic_ok = classic.count == 3 and classic.solutions == (
         (Fraction(-1), Fraction(2)),
         (Fraction(1, 2), Fraction(1, 2)),
@@ -218,7 +219,7 @@ def test_criterion_6_unit_equation_enumeration(capsys):
     oracle_ok = True
     for primes in prime_sets:
         for radius in (1, 4, 8):
-            report = solve_unit_equation(PlaceSet.of(*primes), radius)
+            report = solve_unit_equation(PlaceSet.of(*primes), radius, 60)
             units = _unit_box(primes, radius)
             expected = tuple(
                 sorted((u, 1 - u) for u in units if (1 - u) in units)
@@ -262,7 +263,7 @@ def test_criterion_8_normalization_pipeline(capsys):
         composite, tail = collapse_to_fixed_point(cert)
         map2, tail2, _ = normalize_orbit(composite, tail)
         S = PlaceSet.of(*sorted(set(bad_primes(cert.map)) | set(bad_primes(map2))))
-        verify_np_conditions(map2, tail2, S)  # raises CertificateCheckError on a failure
+        verify_np_conditions(map2, tail2, S, 60)  # raises CertificateCheckError on a failure
         ok = ok and len(tail2) - 1 == cert.tail_length // cert.period
         checked += 1
     ok = ok and checked == len(CORPUS)

@@ -46,32 +46,33 @@ def _encloses(value, oracle_str):
 
 
 def test_canci_c_against_oracle():
-    _encloses(evaluate_bound(BoundFormula.of("CanciC", s=1)), ORACLES["c1"])
-    _encloses(evaluate_bound(BoundFormula.of("CanciC", s=2)), ORACLES["c2"])
+    _encloses(evaluate_bound(BoundFormula.of("CanciC", s=1), 60), ORACLES["c1"])
+    _encloses(evaluate_bound(BoundFormula.of("CanciC", s=2), 60), ORACLES["c2"])
 
 
 def test_morton_silverman_against_oracle():
-    _encloses(evaluate_bound(BoundFormula.of("MortonSilverman", t=1, D=1)), ORACLES["ms11"])
-    _encloses(evaluate_bound(BoundFormula.of("MortonSilverman", t=0, D=1)), ORACLES["ms01"])
+    _encloses(evaluate_bound(BoundFormula.of("MortonSilverman", t=1, D=1), 60), ORACLES["ms11"])
+    _encloses(evaluate_bound(BoundFormula.of("MortonSilverman", t=0, D=1), 60), ORACLES["ms01"])
 
 
 def test_pezda_br_against_oracle():
-    _encloses(evaluate_bound(BoundFormula.of("PezdaBR", s=2, D=1)), ORACLES["pbr21"])
+    _encloses(evaluate_bound(BoundFormula.of("PezdaBR", s=2, D=1), 60), ORACLES["pbr21"])
 
 
 def test_narkiewicz_pezda_orbit_against_oracle():
-    _encloses(evaluate_bound(BoundFormula.of("NarkiewiczPezdaOrbit", s=1, D=1)), ORACLES["npo11"])
+    value = evaluate_bound(BoundFormula.of("NarkiewiczPezdaOrbit", s=1, D=1), 60)
+    _encloses(value, ORACLES["npo11"])
 
 
 def test_exact_small_bounds():
-    assert evaluate_bound(BoundFormula.of("Pgl2Order", D=1)).exact == 6
-    assert evaluate_bound(BoundFormula.of("Pgl2Order", D=3)).exact == 38
-    assert evaluate_bound(BoundFormula.of("BeukersSchlickewei", r=2)).exact == 16777216
-    assert evaluate_bound(BoundFormula.of("BeukersSchlickewei", r=0)).exact == 256
+    assert evaluate_bound(BoundFormula.of("Pgl2Order", D=1), 60).exact == 6
+    assert evaluate_bound(BoundFormula.of("Pgl2Order", D=3), 60).exact == 38
+    assert evaluate_bound(BoundFormula.of("BeukersSchlickewei", r=2), 60).exact == 16777216
+    assert evaluate_bound(BoundFormula.of("BeukersSchlickewei", r=0), 60).exact == 256
 
 
 def test_k_run_exact_and_display():
-    v = evaluate_bound(BoundFormula.of("KRun", s=1))
+    v = evaluate_bound(BoundFormula.of("KRun", s=1), 60)
     assert v.exact == 65536
     # the closed form records the discrepancy between statement and proof
     assert "2^(16 s)" in v.exact_form and "2^(16^s)" in v.exact_form
@@ -79,7 +80,7 @@ def test_k_run_exact_and_display():
 
 def test_np_tail_log_value():
     # ln(e^(10^12 s) - 2) is a hair under 10^12 s; the upper rounding may equal it
-    v = evaluate_bound(BoundFormula.of("NpTail", s=3))
+    v = evaluate_bound(BoundFormula.of("NpTail", s=3), 60)
     mp.dps = 80
     target = mp.mpf(3) * mp.mpf(10) ** 12
     assert v.ln_upper <= target
@@ -87,10 +88,10 @@ def test_np_tail_log_value():
 
 
 def test_ess_and_two_ways_are_exact_integers_in_log_space():
-    assert evaluate_bound(BoundFormula.of("ESS", n=3, r=3)).ln_upper == 18**9 * 4
-    assert evaluate_bound(BoundFormula.of("ESS", n=3, r=3)).ln_lower == 18**9 * 4
-    assert evaluate_bound(BoundFormula.of("TwoWaysIdeals", s=1)).ln_upper == 18**9
-    assert evaluate_bound(BoundFormula.of("TwoWaysIdeals", s=2)).ln_upper == 18**9 * 4
+    assert evaluate_bound(BoundFormula.of("ESS", n=3, r=3), 60).ln_upper == 18**9 * 4
+    assert evaluate_bound(BoundFormula.of("ESS", n=3, r=3), 60).ln_lower == 18**9 * 4
+    assert evaluate_bound(BoundFormula.of("TwoWaysIdeals", s=1), 60).ln_upper == 18**9
+    assert evaluate_bound(BoundFormula.of("TwoWaysIdeals", s=2), 60).ln_upper == 18**9 * 4
 
 
 def test_outward_rounding_nests_with_precision():
@@ -111,7 +112,7 @@ def test_outward_rounding_nests_with_precision():
 
 def test_monotone_in_parameters():
     def up(name, **params):
-        return evaluate_bound(BoundFormula.of(name, **params)).ln_upper
+        return evaluate_bound(BoundFormula.of(name, **params), 60).ln_upper
 
     assert up("CanciC", s=1) < up("CanciC", s=2) < up("CanciC", s=5)
     assert up("MortonSilverman", t=0, D=1) < up("MortonSilverman", t=1, D=1)
@@ -121,17 +122,17 @@ def test_monotone_in_parameters():
 
 
 def test_compare_directions():
-    c1 = evaluate_bound(BoundFormula.of("CanciC", s=1))
+    c1 = evaluate_bound(BoundFormula.of("CanciC", s=1), 60)
     assert compare(3, c1) == SATISFIED
-    ms = evaluate_bound(BoundFormula.of("MortonSilverman", t=1, D=1))
+    ms = evaluate_bound(BoundFormula.of("MortonSilverman", t=1, D=1), 60)
     assert compare(3, ms) == SATISFIED
     # e^18.319 < 10^8, so 10^9 certifiably violates
     assert compare(10**9, ms) == VIOLATED
-    assert compare(1, evaluate_bound(BoundFormula.of("NpTail", s=1))) == SATISFIED
+    assert compare(1, evaluate_bound(BoundFormula.of("NpTail", s=1), 60)) == SATISFIED
 
 
 def test_compare_exact_path():
-    pgl = evaluate_bound(BoundFormula.of("Pgl2Order", D=1))
+    pgl = evaluate_bound(BoundFormula.of("Pgl2Order", D=1), 60)
     assert compare(6, pgl) == SATISFIED
     assert compare(7, pgl) == VIOLATED
     with pytest.raises(ValueError):
@@ -191,8 +192,8 @@ def test_ln_interval_encloses():
 
 
 def test_magnitude_strings():
-    assert evaluate_bound(BoundFormula.of("Pgl2Order", D=1)).magnitude_str() == "6"
-    m = evaluate_bound(BoundFormula.of("CanciC", s=1)).magnitude_str()
+    assert evaluate_bound(BoundFormula.of("Pgl2Order", D=1), 60).magnitude_str() == "6"
+    m = evaluate_bound(BoundFormula.of("CanciC", s=1), 60).magnitude_str()
     assert m.startswith("10^434294481903.") or m.startswith("10^434294481908.")
 
 
@@ -206,8 +207,8 @@ def test_formula_validation():
     with pytest.raises(ValueError):
         BoundFormula.of("MortonSilverman", t=-1, D=1)
     # t and r may be zero
-    assert evaluate_bound(BoundFormula.of("MortonSilverman", t=0, D=1)).ln_upper > 0
-    assert evaluate_bound(BoundFormula.of("BeukersSchlickewei", r=0)).exact == 256
+    assert evaluate_bound(BoundFormula.of("MortonSilverman", t=0, D=1), 60).ln_upper > 0
+    assert evaluate_bound(BoundFormula.of("BeukersSchlickewei", r=0), 60).exact == 256
 
 
 @pytest.mark.parametrize("name", sorted(FORMULAS))
@@ -282,8 +283,8 @@ def test_precision_env_override(monkeypatch):
     assert working_precision() == 60
     monkeypatch.setenv(bounds.PRECISION_ENV, "80")
     assert working_precision() == 80
-    v = evaluate_bound(BoundFormula.of("CanciC", s=1))
-    assert v.precision_digits == 80
+    # the environment reaches a bound only through the precision passed to it
+    assert evaluate_bound(BoundFormula.of("CanciC", s=1), 70).precision_digits == 70
     monkeypatch.setenv(bounds.PRECISION_ENV, "abc")
     with pytest.raises(ValueError):
         working_precision()
@@ -293,7 +294,7 @@ def test_precision_env_override(monkeypatch):
 
 
 def test_bound_strings_round_trip_enclosure():
-    v = evaluate_bound(BoundFormula.of("CanciC", s=1))
+    v = evaluate_bound(BoundFormula.of("CanciC", s=1), 60)
     mp.dps = 100
     lo = mp.mpf(v.ln_lower_str)
     hi = mp.mpf(v.ln_upper_str)
@@ -369,7 +370,7 @@ def test_exact_value_refused_before_it_is_formed():
     tracemalloc.start()
     try:
         with pytest.raises(BudgetError) as info:
-            evaluate_bound(BoundFormula.of("BeukersSchlickewei", r=10**7 - 1))
+            evaluate_bound(BoundFormula.of("BeukersSchlickewei", r=10**7 - 1), 60)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -381,10 +382,10 @@ def test_exact_value_refused_before_it_is_formed():
 def test_exact_value_limit_follows_python(no_int_str_limit):
     # a limit of 0 caps the budget at MAX_PRECISION digits: past 2^65536,
     # KRun s=4097 (19734 digits) still has its exact value
-    assert evaluate_bound(BoundFormula.of("KRun", s=4097)).exact == 2 ** (16 * 4097)
+    assert evaluate_bound(BoundFormula.of("KRun", s=4097), 60).exact == 2 ** (16 * 4097)
     sys.set_int_max_str_digits(19733)
     with pytest.raises(BudgetError) as info:
-        evaluate_bound(BoundFormula.of("KRun", s=4097))
+        evaluate_bound(BoundFormula.of("KRun", s=4097), 60)
     assert (info.value.observed, info.value.limit) == (19734, 19733)
 
 
@@ -398,7 +399,7 @@ def test_exact_value_limit_follows_python(no_int_str_limit):
 def test_exact_value_capped_without_python_limit(no_int_str_limit, bound, digits):
     start = time.perf_counter()
     with pytest.raises(BudgetError) as info:
-        evaluate_bound(bound)
+        evaluate_bound(bound, 60)
     assert time.perf_counter() - start < 0.1
     assert (info.value.observed, info.value.limit) == (digits, MAX_PRECISION)
     assert MAX_PRECISION == 20000
@@ -408,5 +409,5 @@ def test_exact_value_capped_above_python_limit(no_int_str_limit):
     # a limit above MAX_PRECISION is capped too: KRun s=5000 has 24083 digits
     sys.set_int_max_str_digits(10**6)
     with pytest.raises(BudgetError) as info:
-        evaluate_bound(BoundFormula.of("KRun", s=5000))
+        evaluate_bound(BoundFormula.of("KRun", s=5000), 60)
     assert (info.value.observed, info.value.limit) == (24083, MAX_PRECISION)

@@ -11,8 +11,8 @@ import mpmath
 import pytest
 
 from orbita import bounds as _bounds
-from orbita import cli, maps, orbits, sunit
-from orbita.numtheory import BudgetError, factor
+from orbita import cli, maps, numtheory, orbits, projective, sunit
+from orbita.numtheory import BudgetError, factor, is_prime
 from orbita.orbits import CertificateCheckError
 from orbita.suites import SuiteReport
 
@@ -156,10 +156,45 @@ class TestDelta:
         code, _, err = run(capsys, "delta", "--p", "4", "--a", "1", "--b", "2")
         assert code == 2
         assert "not prime" in err
+        # equal points are at distance inf for every prime, and for no composite
+        code, out, err = run(capsys, "delta", "--p", "4", "--a", "2", "--b", "2")
+        assert (code, out, err) == (2, "", "orbita: error: 4 is not prime\n")
 
     def test_bad_point_exits_2(self, capsys):
         code, _, _ = run(capsys, "delta", "--p", "2", "--a", "z", "--b", "2")
         assert code == 2
+
+    def test_p_is_tested_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counting(n):
+            calls.append(n)
+            return is_prime(n)
+
+        for module in (numtheory, projective):
+            monkeypatch.setattr(module, "is_prime", counting)
+        assert run(capsys, "delta", "--p", "3", "--a", "1/4", "--b", "7/4")[:2] == (0, "1\n")
+        assert calls == [3]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("delta", "--p", str(2**9689 - 1), "--a", "1", "--b", "2"),
+        ("delta", "--p", str(2**4253 - 1), "--a", "1", "--b", "2"),
+        ("sunit", "--primes", str(2**4253 - 1), "--bound", "1"),
+        ("sunit", "--primes", f"2,{2**4097 - 1}", "--bound", "1", "--json"),
+    ],
+    ids=["delta-9689", "delta-4253", "sunit-4253", "sunit-4097"],
+)
+def test_prime_over_the_input_budget_exits_3(capsys, argv):
+    # 13 Miller-Rabin rounds on a 9689-bit candidate took a minute
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    bits = int(argv[2].split(",")[-1]).bit_length()
+    assert (code, out) == (3, "")
+    assert err == f"orbita: error: budget exhausted: prime bits {bits} exceeds budget 4096\n"
 
 
 class TestBadprimes:
@@ -351,7 +386,7 @@ class TestBounds:
         )
         # the largest n within the budget, refused one step above it
         with pytest.raises(BudgetError):
-            _bounds.evaluate_bound(_bounds.BoundFormula.of("ESS", n=139811, r=0))
+            _bounds.evaluate_bound(_bounds.BoundFormula.of("ESS", n=139811, r=0), 60)
         assert 3 * 139810 * (6 * 139810).bit_length() + 1 <= _bounds.ESS_MAX_BITS
 
     @pytest.mark.parametrize(
@@ -617,7 +652,8 @@ class TestSemigroup:
     def test_bad_point_reported_last(self, capsys, monkeypatch):
         # the point is parsed up front, as under orbit: a point that does not
         # parse exits 2 before any orbit runs or resultant is factored, so a
-        # budget or precision error is reported only after every input parses
+        # budget error is reported only after every input parses. A bad
+        # ORBITA_PRECISION is read before any command, so it is named first
         calls = []
 
         def counting(n):
@@ -630,11 +666,12 @@ class TestSemigroup:
         assert run(capsys, *argv) == bad_point
         assert calls == []
         monkeypatch.setenv("ORBITA_PRECISION", "abc")
-        assert run(capsys, "semigroup", "--maps", "z^2 - 1", "--point", "1/0") == bad_point
-        # ORBITA_PRECISION is read before the orbits, so an orbit that would
-        # exhaust its budget still exits 2 on a bad precision
         bad_precision = run(capsys, "semigroup", "--maps", "z^2 - 1")
-        assert bad_precision[:2] == (2, "")
+        assert bad_precision == (
+            2, "", "orbita: error: ORBITA_PRECISION must be an integer, got 'abc'\n"
+        )
+        assert run(capsys, "semigroup", "--maps", "z^2 - 1", "--point", "1/0") == bad_precision
+        # an orbit that would exhaust its budget still exits 2 on a bad precision
         argv = ("semigroup", "--maps", "z^2 - 1,z^2 - 29/16", "--point", "1")
         assert run(capsys, *argv) == bad_precision
         assert calls == []
@@ -728,6 +765,38 @@ def test_error_exit_leaves_stdout_empty(capsys, monkeypatch, argv, env, status):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (status, "")
     assert err.startswith("orbita: error: ")
+
+
+@pytest.mark.parametrize(
+    ("value", "message"),
+    [
+        ("abc", "must be an integer, got 'abc'"),
+        ("9", "must be at least 10"),
+        ("20001", "must be at most 20000"),
+    ],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # each line would do work, or fail on another input, under a valid precision
+        ("orbit", "--map", "z^2 - 29/16", "--point", "1"),
+        ("delta", "--p", "2", "--a", "1/4", "--b", "7/4"),
+        ("badprimes", "--map", "z^2 - 29/16"),
+        ("bounds", "--formula", "Nope"),
+        ("sunit", "--primes", "2,3,5", "--bound", "60"),
+        ("sunit", "--primes", "2,3", "--bound", "12", "--three-term", "1,1,-1"),
+        ("verify", "--suite", "remark"),
+        ("semigroup", "--maps", "z^2 - 1", "--point", "1/0"),
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_bad_precision_exits_2_before_any_command(capsys, monkeypatch, argv, value, message):
+    # ORBITA_PRECISION is read once, after the flags parse and before any work
+    monkeypatch.setenv("ORBITA_PRECISION", value)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 0.2
+    assert (code, out, err) == (2, "", f"orbita: error: ORBITA_PRECISION {message}\n")
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,13 @@
 """Fuzz gate: drawn command lines end in exit 0, 2 or 3, each within a cap.
 
-hypothesis draws command lines for `orbit`, `bounds`, `sunit`, `delta`,
-`semigroup` and `verify`. It is derandomized, with a fixed number of
+hypothesis draws command lines for `orbit`, `badprimes`, `bounds`, `sunit`,
+`delta`, `semigroup` and `verify`. It is derandomized, with a fixed number of
 examples per command, so every run checks the same lines. Each line runs
 in-process through `cli.main`. An error exit must leave stdout empty. Every
 exit 3 is a budget refusal and must name what it used against what it
-allowed. One field in eight is drawn malformed on purpose.
+allowed. One field in eight is drawn malformed on purpose, and so is
+ORBITA_PRECISION for every command: a malformed value is read before any
+work, so a line whose flags parse must exit 2 within PRECISION_CAP.
 
 Maps come from the parser's grammar at depth 2 (depth 1 for `semigroup`),
 with exponents up to 3 and one-digit literals. The points of `orbit` and
@@ -29,6 +31,8 @@ from orbita import cli
 from orbita.bounds import FORMULAS, PRECISION_ENV
 
 CAP = 3.0  # seconds per call
+PRECISION_CAP = 0.2  # seconds per call under a malformed ORBITA_PRECISION
+MALFORMED_PRECISIONS = ["9", "20001", "x", "", "1.5"]
 BUDGET_EXIT = re.compile(r"orbita: error: budget exhausted: \w[\w ]* \d+ exceeds budget \d+\n")
 
 
@@ -105,6 +109,12 @@ def _run(argv: list[str], precision: str | None = None) -> int:
         elapsed = time.perf_counter() - start
     assert code in (0, 2, 3), (argv, err.getvalue())
     assert elapsed <= CAP, (argv, elapsed)
+    if precision in MALFORMED_PRECISIONS:
+        # argparse's usage error, or else the precision error, before any work
+        assert code == 2, (argv, precision, err.getvalue())
+        assert elapsed <= PRECISION_CAP, (argv, elapsed)
+        expected = ("usage: ", f"orbita: error: {PRECISION_ENV} must be")
+        assert err.getvalue().startswith(expected), argv
     if code:
         assert out.getvalue() == "", argv
     if code == 3:
@@ -122,6 +132,10 @@ def fuzz(examples: int):
     )
 
 
+# the environment's precision: unset, or malformed one time in eight
+PRECISIONS = mostly(st.none(), st.sampled_from(MALFORMED_PRECISIONS))
+
+
 # the orbit budgets are fixed: a budget flag is a usage error
 BUDGET_FLAGS = st.tuples(st.sampled_from(["--max-steps", "--max-bits"]), INTEGERS).map(
     lambda pair: [pair[0], str(pair[1])]
@@ -129,11 +143,18 @@ BUDGET_FLAGS = st.tuples(st.sampled_from(["--max-steps", "--max-bits"]), INTEGER
 
 
 @fuzz(200)
-@given(maps(2), ORBIT_POINTS, st.booleans(), mostly(st.just([]), BUDGET_FLAGS))
-def test_orbit(expr, point, as_json, budget):
-    code = _run(["orbit", "--map", expr, "--point", point] + ["--json"] * as_json + budget)
+@given(maps(2), ORBIT_POINTS, st.booleans(), mostly(st.just([]), BUDGET_FLAGS), PRECISIONS)
+def test_orbit(expr, point, as_json, budget, precision):
+    argv = ["orbit", "--map", expr, "--point", point] + ["--json"] * as_json + budget
+    code = _run(argv, precision)
     if budget:
         assert code == 2
+
+
+@fuzz(100)
+@given(maps(2), st.booleans(), PRECISIONS)
+def test_badprimes(expr, as_json, precision):
+    _run(["badprimes", "--map", expr] + ["--json"] * as_json, precision)
 
 
 @st.composite
@@ -156,7 +177,7 @@ def bounds_lines(draw):
 @fuzz(300)
 @given(
     bounds_lines(),
-    mostly(st.sampled_from([None, "10", "60", "200"]), st.sampled_from(["9", "20001", "x"])),
+    mostly(st.sampled_from([None, "10", "60", "200"]), st.sampled_from(MALFORMED_PRECISIONS)),
     st.booleans(),
 )
 def test_bounds(argv, precision, as_json):
@@ -185,15 +206,16 @@ NONZERO = st.tuples(st.sampled_from(["", "-"]), st.integers(1, 9), st.integers(1
         ),
     ),
     st.booleans(),
+    PRECISIONS,
 )
-def test_sunit(primes, small, stratum, large, three_term, as_json):
+def test_sunit(primes, small, stratum, large, three_term, as_json, precision):
     # one radius in eight has 7 to 4300 digits: its box work can outgrow
     # the digits Python prints, and the refusal must still print it
     B = large if stratum == 7 else small
     argv = ["sunit", "--primes", ",".join(primes), "--bound", str(B)]
     if three_term is not None:
         argv += ["--three-term", three_term]
-    _run(argv + ["--json"] * as_json)
+    _run(argv + ["--json"] * as_json, precision)
 
 
 @fuzz(200)
@@ -201,9 +223,10 @@ def test_sunit(primes, small, stratum, large, three_term, as_json):
     mostly(st.sampled_from([2, 3, 5, 7, 10**9 + 7, 2**61 - 1]), INTEGERS),
     points(INTEGERS),
     points(INTEGERS),
+    PRECISIONS,
 )
-def test_delta(p, a, b):
-    _run(["delta", "--p", str(p), "--a", a, "--b", b])
+def test_delta(p, a, b, precision):
+    _run(["delta", "--p", str(p), "--a", a, "--b", b], precision)
 
 
 @fuzz(100)
@@ -211,12 +234,13 @@ def test_delta(p, a, b):
     mostly(st.lists(maps(1), min_size=1, max_size=3).map(",".join), st.just("")),
     st.one_of(st.none(), ORBIT_POINTS),
     st.booleans(),
+    PRECISIONS,
 )
-def test_semigroup(exprs, point, as_json):
+def test_semigroup(exprs, point, as_json, precision):
     argv = ["semigroup", "--maps", exprs]
     if point is not None:
         argv += ["--point", point]
-    _run(argv + ["--json"] * as_json)
+    _run(argv + ["--json"] * as_json, precision)
 
 
 # an explicit count of 1 to 10 cases, or one over the 10000 ceiling
@@ -235,9 +259,10 @@ ITERATIONS = mostly(
     ITERATIONS,
     mostly(INTEGERS.map(str), st.sampled_from(["", "x", "1.5"])),
     st.booleans(),
+    PRECISIONS,
 )
-def test_verify(suite, iterations, seed, as_json):
+def test_verify(suite, iterations, seed, as_json, precision):
     argv = ["verify", "--suite", suite, "--iterations", iterations, "--seed", seed]
-    code = _run(argv + ["--json"] * as_json)
+    code = _run(argv + ["--json"] * as_json, precision)
     if code == 0 and int(iterations) > 10000:
         assert suite == "remark"  # the corpus suite ignores the count

@@ -54,10 +54,22 @@ PSI_12 = 318665857834031151167461
         (341550071728321, False),
         (3825123056546413051, False),
         (PSI_12, False),
+        # at the 4096-bit input budget, and a negative number past it
+        (2**4096 - 1, False),
+        (-(2**5000), False),
     ],
 )
 def test_is_prime(n, expected):
     assert is_prime(n) == expected
+
+
+def test_is_prime_refuses_a_candidate_over_the_input_budget():
+    # 13 rounds on a 4253-bit candidate take about 2 s, on 9689 bits a minute
+    start = time.perf_counter()
+    with pytest.raises(BudgetError) as info:
+        is_prime(2**4097 - 1)
+    assert time.perf_counter() - start < 0.1
+    assert str(info.value) == "prime bits 4097 exceeds budget 4096"
 
 
 def test_is_prime_matches_sieve_below_a_million():

@@ -233,24 +233,24 @@ class TestNpConditions:
 
     def test_happy_path(self):
         map2, tail2, S = self._pipeline("z^2 - 2", "0")
-        display = verify_np_conditions(map2, tail2, S)
+        display = verify_np_conditions(map2, tail2, S, 60)
         assert display == "m = 2 <= e^(10^12 s) - 2 with s=1, ln <= 1000000000000.0"
         assert "10^12" in display
 
     def test_empty_tail_satisfies_the_bound(self):
-        display = verify_np_conditions(parse_map("z^2"), [O], PlaceSet.of())
+        display = verify_np_conditions(parse_map("z^2"), [O], PlaceSet.of(), 60)
         assert display.startswith("m = 0 <= ") and "with s=1," in display
 
     def test_condition1_failure(self):
         map2, tail2, S = self._pipeline("z^2 - 2", "0")
         with pytest.raises(CertificateCheckError) as info:
-            verify_np_conditions(map2, tail2[:-1], S)
+            verify_np_conditions(map2, tail2[:-1], S, 60)
         assert str(info.value) == "condition (1) failed at (1,): terminal point is not [0:1]"
 
     def test_condition3_failure_on_duplicated_point(self):
         map2, tail2, S = self._pipeline("z^2 - 2", "0")
         with pytest.raises(CertificateCheckError) as info:
-            verify_np_conditions(map2, [tail2[0], tail2[-1], tail2[0], tail2[-1]], S)
+            verify_np_conditions(map2, [tail2[0], tail2[-1], tail2[0], tail2[-1]], S, 60)
         assert str(info.value) == "condition (3) failed at (0, 2): zero cross term (equal points)"
 
     def test_tail_bound_not_satisfied_raises(self, monkeypatch):
@@ -258,17 +258,17 @@ class TestNpConditions:
         map2, tail2, S = self._pipeline("z^2 - 2", "0")
         monkeypatch.setattr(bounds, "compare", lambda m, b: bounds.INCONCLUSIVE)
         with pytest.raises(CertificateCheckError) as info:
-            verify_np_conditions(map2, tail2, S)
+            verify_np_conditions(map2, tail2, S, 60)
         assert str(info.value) == (
             "tail bound failed: m = 2 <= e^(10^12 s) - 2 with s=1, ln <= 1000000000000.0"
         )
         # m = 0 is never compared
-        assert verify_np_conditions(map2, tail2[-1:], S).startswith("m = 0 <= ")
+        assert verify_np_conditions(map2, tail2[-1:], S, 60).startswith("m = 0 <= ")
 
     def test_requires_covering_place_set(self):
         map2, tail2, _ = self._pipeline("z^2 - 29/16", "7/4")
         with pytest.raises(ValueError):
-            verify_np_conditions(map2, tail2, PlaceSet.of())
+            verify_np_conditions(map2, tail2, PlaceSet.of(), 60)
 
 
 class TestTailDivisibility:
@@ -456,7 +456,7 @@ class TestForgedDistances:
 class TestJson:
     def test_roundtrip(self):
         cert = detect_orbit(parse_map("z^2 - 29/16"), parse_point("7/4"))
-        doc = certificate_to_json(cert)
+        doc = certificate_to_json(cert, 60)
         assert doc["schema"] == "orbita/1"
         assert doc["tail_length"] == "1"
         assert doc["period"] == "3"
@@ -465,26 +465,26 @@ class TestJson:
         assert certificate_from_json(doc) == cert
 
     def test_all_integers_are_strings(self):
-        doc = certificate_to_json(detect_orbit(parse_map("z^2 - 1"), parse_point("1")))
+        doc = certificate_to_json(detect_orbit(parse_map("z^2 - 1"), parse_point("1")), 60)
         assert all(isinstance(c, str) for c in doc["map"]["F"] + doc["map"]["G"])
         assert all(isinstance(x, str) for pt in doc["points"] for x in pt)
         assert isinstance(doc["s"], str)
 
     def test_rejects_wrong_schema(self):
-        doc = certificate_to_json(detect_orbit(parse_map("z^2 - 1"), parse_point("1")))
+        doc = certificate_to_json(detect_orbit(parse_map("z^2 - 1"), parse_point("1")), 60)
         doc["schema"] = "orbita/2"
         with pytest.raises(ValueError):
             certificate_from_json(doc)
 
     def test_rejects_noncanonical_coordinates(self):
-        doc = certificate_to_json(detect_orbit(parse_map("z^2 - 1"), parse_point("1")))
+        doc = certificate_to_json(detect_orbit(parse_map("z^2 - 1"), parse_point("1")), 60)
         doc["points"][0] = ["2", "2"]
         with pytest.raises(ValueError):
             certificate_from_json(doc)
 
     def test_roundtrip_on_every_corpus_certificate(self):
         for cert in corpus_certificates():
-            assert certificate_from_json(certificate_to_json(cert)) == cert, str(cert.map)
+            assert certificate_from_json(certificate_to_json(cert, 60)) == cert, str(cert.map)
 
     @pytest.mark.parametrize(
         "key,value",
@@ -499,13 +499,13 @@ class TestJson:
         ],
     )
     def test_rejects_a_field_that_disagrees_with_its_derivation(self, key, value):
-        doc = certificate_to_json(detect_orbit(parse_map("z^2 - 1"), parse_point("1")))
+        doc = certificate_to_json(detect_orbit(parse_map("z^2 - 1"), parse_point("1")), 60)
         doc[key] = value
         with pytest.raises(ValueError):
             certificate_from_json(doc)
 
     def test_rejects_tampered_orbit(self):
-        doc = certificate_to_json(detect_orbit(parse_map("z^2 - 1"), parse_point("1")))
+        doc = certificate_to_json(detect_orbit(parse_map("z^2 - 1"), parse_point("1")), 60)
         doc["period"] = "1"
         doc["tail_length"] = "2"
         with pytest.raises(ValueError):
@@ -517,18 +517,16 @@ class TestJson:
         calls = []
         evaluate = bounds.evaluate_bound
 
-        def counting(f, precision=None):
+        def counting(f, precision):
             calls.append((f.name, f.params, precision))
             return evaluate(f, precision)
 
         monkeypatch.setattr(orbits, "_CERTIFICATE_BOUNDS", {})
         monkeypatch.setattr(bounds, "evaluate_bound", counting)
-        monkeypatch.delenv(bounds.PRECISION_ENV, raising=False)
         two = detect_orbit(parse_map("z^2 - 29/16"), parse_point("7/4"))  # s = 2
-        docs = [certificate_to_json(two) for _ in range(3)]
+        docs = [certificate_to_json(two, 60) for _ in range(3)]
         assert docs[0] == docs[2]
         assert calls == [("CanciC", (("s", 2),), 60), ("MortonSilverman", (("t", 1), ("D", 1)), 60)]
-        certificate_to_json(detect_orbit(parse_map("z^2 - 1"), parse_point("1")))  # s = 1
-        monkeypatch.setenv(bounds.PRECISION_ENV, "80")
-        certificate_to_json(two)
+        certificate_to_json(detect_orbit(parse_map("z^2 - 1"), parse_point("1")), 60)  # s = 1
+        certificate_to_json(two, 80)
         assert [c[2] for c in calls] == [60, 60, 60, 60, 80, 80]

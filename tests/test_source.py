@@ -94,3 +94,36 @@ def test_public_surface_is_what_exists():
         for alias in node.names
     ]
     assert sorted(orbita.__all__) == sorted(imported + ["__version__"])
+
+
+def _names_by_function(tree: ast.Module):
+    """Each name and attribute in the tree, with the name of the innermost function around it."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, ast.FunctionDef) else function
+            if isinstance(child, ast.Name):
+                found.append((child.id, inner))
+            elif isinstance(child, ast.Attribute):
+                found.append((child.attr, inner))
+            visit(child, inner)
+
+    visit(tree, None)
+    return found
+
+
+def test_environment_is_read_in_one_place():
+    # the library is a function of its arguments: bounds.working_precision is
+    # the one reader of the environment, and only the command line calls it,
+    # once, before any command runs
+    sources = sorted(Path(orbita.__file__).parent.glob("*.py"))
+    readers, callers = set(), set()
+    for path in sources:
+        for name, function in _names_by_function(ast.parse(path.read_text(encoding="utf-8"))):
+            if name in ("environ", "environb", "getenv", "getenvb"):
+                readers.add(f"{path.stem}.{function}")
+            if name == "working_precision":
+                callers.add(f"{path.stem}.{function}")
+    assert readers == {"bounds.working_precision"}
+    assert callers == {"cli.main"}

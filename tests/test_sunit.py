@@ -92,7 +92,7 @@ class TestMembership:
 
 class TestUnitEquation:
     def test_classic_example(self):
-        report = solve_unit_equation(PlaceSet.of(2), 20)
+        report = solve_unit_equation(PlaceSet.of(2), 20, 60)
         assert report.solutions == (
             (F(-1), F(2)),
             (F(1, 2), F(1, 2)),
@@ -103,7 +103,7 @@ class TestUnitEquation:
         assert report.bound_ok
 
     def test_no_solutions_without_finite_primes(self):
-        report = solve_unit_equation(PlaceSet.of(), 3)
+        report = solve_unit_equation(PlaceSet.of(), 3, 60)
         assert report.count == 0
         assert report.bound_ok  # an empty count satisfies any bound
 
@@ -112,18 +112,18 @@ class TestUnitEquation:
             S = PlaceSet.of(*primes)
             box = _oracle_box(primes, 5)
             expected = sorted((u, 1 - u) for u in box if u != 1 and (1 - u) in box)
-            got = solve_unit_equation(S, 5)
+            got = solve_unit_equation(S, 5, 60)
             assert list(got.solutions) == expected
 
     def test_monotone_in_box_radius(self):
         S = PlaceSet.of(2, 3)
-        small = set(solve_unit_equation(S, 2).solutions)
-        large = set(solve_unit_equation(S, 3).solutions)
+        small = set(solve_unit_equation(S, 2, 60).solutions)
+        large = set(solve_unit_equation(S, 3, 60).solutions)
         assert small <= large
 
     def test_count_within_rank_bound(self):
         for primes in [(2,), (2, 3)]:
-            report = solve_unit_equation(PlaceSet.of(*primes), 6)
+            report = solve_unit_equation(PlaceSet.of(*primes), 6, 60)
             assert report.count <= report.ln_bound.exact
             if report.count:
                 assert compare(report.count, report.ln_bound) == SATISFIED
@@ -132,12 +132,12 @@ class TestUnitEquation:
         # 2 * 21^5 = 8 168 202 candidates of 112 bits, refused before any scan
         monkeypatch.setattr(sunit, "_box_pairs", None)
         with pytest.raises(BudgetError) as info:
-            solve_unit_equation(PlaceSet.of(2, 3, 5, 7, 11), 10)
+            solve_unit_equation(PlaceSet.of(2, 3, 5, 7, 11), 10, 60)
         assert (info.value.observed, info.value.limit) == (8_168_202 * 112, WORK_CAP)
 
     def test_bound_validation(self):
         with pytest.raises(ValueError):
-            solve_unit_equation(PlaceSet.of(2), 0)
+            solve_unit_equation(PlaceSet.of(2), 0, 60)
 
     @pytest.mark.parametrize(
         ("primes", "B", "work"),
@@ -151,7 +151,11 @@ class TestUnitEquation:
     def test_work_refusal(self, monkeypatch, primes, B, work):
         monkeypatch.setattr(sunit, "_box_pairs", None)
         monkeypatch.setattr(sunit, "_smooth_set", None)
-        for scan in (solve_unit_equation, lambda S, B: two_way_representations(5, S, B)):
+        scans = (
+            lambda S, B: solve_unit_equation(S, B, 60),
+            lambda S, B: two_way_representations(5, S, B),
+        )
+        for scan in scans:
             with pytest.raises(BudgetError) as info:
                 scan(PlaceSet.of(*primes), B)
             assert (info.value.observed, info.value.limit) == (work, WORK_CAP)
@@ -159,7 +163,7 @@ class TestUnitEquation:
 
     def test_deterministic(self):
         S = PlaceSet.of(2, 3)
-        assert solve_unit_equation(S, 4) == solve_unit_equation(S, 4)
+        assert solve_unit_equation(S, 4, 60) == solve_unit_equation(S, 4, 60)
 
 
 class TestTwoWays:
@@ -204,22 +208,22 @@ class TestThreeTerm:
                     if t1 + t2 == 0 or t1 + t3 == 0 or t2 + t3 == 0:
                         continue
                     expected += 1
-        report = count_three_term(S, (1, 1, -1), B)
+        report = count_three_term(S, (1, 1, -1), B, 60)
         assert report.count == expected
         assert report.gamma_rank == 3
         assert report.bound_ok
 
     def test_coefficient_validation(self):
         with pytest.raises(ValueError):
-            count_three_term(PlaceSet.of(2), (1, 0, 1), 3)
+            count_three_term(PlaceSet.of(2), (1, 0, 1), 3, 60)
         with pytest.raises(ValueError):
-            count_three_term(PlaceSet.of(2), (1, 1), 3)
+            count_three_term(PlaceSet.of(2), (1, 1), 3, 60)
 
     def test_cap_refusal(self, monkeypatch):
         # (2 * 81^2)^2 = 172 186 884 candidate pairs of 104 bits, refused before any scan
         monkeypatch.setattr(sunit, "_box_pairs", None)
         with pytest.raises(BudgetError) as info:
-            count_three_term(PlaceSet.of(2, 3), (1, 1, -1), 40)
+            count_three_term(PlaceSet.of(2, 3), (1, 1, -1), 40, 60)
         assert (info.value.observed, info.value.limit) == (172_186_884 * 104, WORK_CAP)
 
     def test_work_refusal(self, monkeypatch):
@@ -227,14 +231,14 @@ class TestThreeTerm:
         monkeypatch.setattr(sunit, "_box_pairs", None)
         monkeypatch.setattr(sunit, "_smooth_set", None)
         with pytest.raises(BudgetError) as info:
-            count_three_term(PlaceSet.of(13), (1, 1, 1), 499)
+            count_three_term(PlaceSet.of(13), (1, 1, 1), 499, 60)
         assert (info.value.observed, info.value.limit) == (3_992_004 * 1847, WORK_CAP)
 
     def test_degenerate_subsums_excluded(self):
         # x + y + z = 1 with x = -y leaves z = 1; all such triples are skipped,
         # so every reported solution has pairwise nonvanishing subsums
         S = PlaceSet.of(3)
-        report = count_three_term(S, (1, 1, 1), 3)
+        report = count_three_term(S, (1, 1, 1), 3, 60)
         box = _oracle_box((3,), 3)
         naive = sum(
             1
@@ -279,7 +283,7 @@ def test_unit_equation_matches_fraction_scan(case):
     primes, B = case
     box = _oracle_box(primes, B)
     expected = sorted((u, 1 - u) for u in box if u != 1 and 1 - u in box)
-    assert list(solve_unit_equation(PlaceSet.of(*primes), B).solutions) == expected
+    assert list(solve_unit_equation(PlaceSet.of(*primes), B, 60).solutions) == expected
 
 
 @pytest.mark.parametrize("case", SCAN_CASES, ids=_case_id)
@@ -310,15 +314,15 @@ def test_three_term_matches_fraction_scan(case):
                 if t1 + t2 == 0 or t1 + t3 == 0 or t2 + t3 == 0:
                     continue
                 expected += 1
-        assert count_three_term(S, a, B).count == expected, a
+        assert count_three_term(S, a, B, 60).count == expected, a
 
 
 @pytest.mark.parametrize(
     "scan",
     [
-        lambda S, B: solve_unit_equation(S, B),
+        lambda S, B: solve_unit_equation(S, B, 60),
         lambda S, B: two_way_representations(5, S, B),
-        lambda S, B: count_three_term(S, (1, 1, -1), B),
+        lambda S, B: count_three_term(S, (1, 1, -1), B, 60),
     ],
     ids=["unit-equation", "two-ways", "three-term"],
 )
@@ -345,7 +349,7 @@ def test_candidate_heavy_box_refused_by_work():
     # units (486^2 pairs), so one of over 4e6 candidates has at least 13 bits
     # each and is over WORK_CAP, without a cap on the count
     with pytest.raises(BudgetError) as info:
-        solve_unit_equation(PlaceSet.of(2, 3, 5, 7, 11), 10)
+        solve_unit_equation(PlaceSet.of(2, 3, 5, 7, 11), 10, 60)
     assert str(info.value) == f"box candidate bits {8_168_202 * 112} exceeds budget {WORK_CAP}"
 
 
