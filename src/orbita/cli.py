@@ -8,6 +8,10 @@ Exit status taxonomy:
   4  a verification suite found a counterexample (printed with its witness)
   5  an internal invariant was breached
 
+Every command reads all of its inputs, cheapest first, before any other
+work; a map (its parse computes the resultant) and a prime (Miller-Rabin)
+come last.
+
 JSON documents are built with fixed key order and stringified integers, so
 identical inputs produce byte-identical output.
 """
@@ -78,8 +82,8 @@ def _primes_str(primes) -> str:
 
 
 def _cmd_orbit(args) -> int:
-    m = _parse_map_arg(args.map)
     start = _parse_point_arg(args.point)
+    m = _parse_map_arg(args.map)
     result = detect_orbit(m, start)
     doc = certificate_to_json(result, args.precision)
     if args.json:
@@ -219,65 +223,58 @@ def _parse_places(text: str) -> PlaceSet:
         raise _InputError(str(exc)) from None
 
 
-def _summary(count: int, rank: int, ln_bound: str, box: int) -> dict:
-    return {"count": count, "rank": rank, "ln_bound": ln_bound, "box": box}
+def _parse_coefficients(text: str) -> tuple[Fraction, ...]:
+    pieces = text.split(",")
+    if len(pieces) != 3:
+        raise _InputError("--three-term needs three comma-separated coefficients")
+    try:
+        coeffs = tuple(Fraction(piece.strip()) for piece in pieces)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise _InputError(f"bad coefficient list: {exc}") from None
+    if 0 in coeffs:
+        raise _InputError("need exactly three nonzero coefficients")
+    return coeffs
 
 
 def _cmd_sunit(args) -> int:
-    S = _parse_places(args.primes)
     if args.bound < 1:
         raise _InputError("--bound must be a positive integer")
-    if args.three_term is not None:
-        pieces = args.three_term.split(",")
-        if len(pieces) != 3:
-            raise _InputError("--three-term needs three comma-separated coefficients")
-        try:
-            coeffs = tuple(Fraction(piece.strip()) for piece in pieces)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise _InputError(f"bad coefficient list: {exc}") from None
-        if 0 in coeffs:
-            raise _InputError("need exactly three nonzero coefficients")
+    coeffs = None if args.three_term is None else _parse_coefficients(args.three_term)
+    S = _parse_places(args.primes)
+    if coeffs is None:
+        report = solve_unit_equation(S, args.bound, args.precision)
+        found = {
+            "solutions": [
+                [str(u.numerator), str(u.denominator), str(v.numerator), str(v.denominator)]
+                for u, v in report.solutions
+            ]
+        }
+    else:
         report = count_three_term(S, coeffs, args.bound, args.precision)
-        summary = _summary(
-            report.count, len(S.finite_primes), report.ln_bound.ln_upper_str, args.bound
-        )
-        if args.json:
-            _emit(
-                {
-                    "command": "sunit",
-                    "S": str(S),
-                    "coefficients": [str(c) for c in report.coefficients],
-                    **{k: str(v) for k, v in summary.items()},
-                    "gamma_rank": str(report.gamma_rank),
-                    "bound_ok": report.bound_ok,
-                }
-            )
-        else:
-            print(json.dumps(summary))
-        return 0
-    report = solve_unit_equation(S, args.bound, args.precision)
-    summary = _summary(
-        report.count, len(S.finite_primes), report.ln_bound.ln_upper_str, args.bound
-    )
+        found = {"coefficients": [str(c) for c in report.coefficients]}
+    summary = {
+        "count": report.count,
+        "rank": len(S.finite_primes),
+        "ln_bound": report.ln_bound.ln_upper_str,
+        "box": args.bound,
+    }
     if args.json:
         _emit(
             {
                 "command": "sunit",
                 "S": str(S),
-                "solutions": [
-                    [str(u.numerator), str(u.denominator), str(v.numerator), str(v.denominator)]
-                    for u, v in report.solutions
-                ],
+                **found,
                 **{k: str(v) for k, v in summary.items()},
                 "gamma_rank": str(report.gamma_rank),
                 "bound_ok": report.bound_ok,
             }
         )
-        return 0
-    print("u_num,u_den,v_num,v_den")
-    for u, v in report.solutions:
-        print(f"{u.numerator},{u.denominator},{v.numerator},{v.denominator}")
-    print(json.dumps(summary), file=sys.stderr)
+    elif coeffs is None:
+        rows = [",".join(row) for row in found["solutions"]]
+        print("\n".join(["u_num,u_den,v_num,v_den", *rows]))
+        print(json.dumps(summary), file=sys.stderr)
+    else:
+        print(json.dumps(summary))
     return 0
 
 
@@ -316,8 +313,8 @@ def _cmd_semigroup(args) -> int:
     exprs = [piece.strip() for piece in args.maps.split(",") if piece.strip()]
     if not exprs:
         raise _InputError("--maps needs at least one expression")
-    maps = [_parse_map_arg(e) for e in exprs]
     start = None if args.point is None else _parse_point_arg(args.point)
+    maps = [_parse_map_arg(e) for e in exprs]
     if start is None:
         orbits: list[OrbitCertificate] = []
         per_map = [tuple(bad_primes(m)) for m in maps]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import count
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 Rational = Fraction
 
@@ -61,17 +61,21 @@ _TABLE_SQUARE = _TABLE_LIMIT * _TABLE_LIMIT
 # prime bases are known (Jaeschke, Math. Comp. 1993; Sorenson & Webster,
 # Math. Comp. 2017): the first 4 bases decide n < psi_4 = 3215031751, the
 # first 7 decide n < psi_7 = 341550071728321, and all 13 decide
-# n < psi_13 = 3317044064679887385961981. Beyond psi_13 the 13-base test is
-# a strong-probable-prime test.
+# n < psi_13 = 3317044064679887385961981. From psi_13 on, a strong Lucas
+# test follows the 13 rounds, and the two together are the BPSW test.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin with the first 13 prime bases, fewer below psi_7.
+    """Miller-Rabin with the first 13 prime bases (fewer below psi_7), then strong Lucas.
 
-    A proof of primality below psi_13 = 3 317 044 064 679 887 385 961 981;
-    a strong-probable-prime test above it. An n over DEFAULT_FACTOR_BITS bits
-    is refused with BudgetError: at 4253 bits the 13 rounds take about 2 s.
+    A proof of primality below psi_13 = 3 317 044 064 679 887 385 961 981.
+    From psi_13 on, an n that passes the 13 rounds must also pass a strong
+    Lucas test: together they are the Baillie-PSW probable-prime test, which
+    no composite is known to pass and psi_13 fails. An n over
+    DEFAULT_FACTOR_BITS bits is refused with BudgetError: at 4253 bits the
+    13 rounds take about 2 s.
     """
     if n < 2:
         return False
@@ -101,7 +105,63 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _PSI_13 or _strong_lucas(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for an odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test of an odd n > 1 (Baillie & Wagstaff, Math. Comp. 1980).
+
+    Selfridge's parameters: D is the first of 5, -7, 9, -11, ... with
+    Jacobi (D/n) = -1, P = 1 and Q = (1 - D)/4; a perfect square, for which
+    no such D exists, is composite. With n + 1 = d 2^s, n passes when
+    U_d = 0 or V_(d 2^r) = 0 (mod n) for some 0 <= r < s.
+    """
+    if isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:  # D shares a factor with n
+            return abs(D) == n
+        D = 2 - D if D < 0 else -D - 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    # U_k, V_k and Q^k mod n for k = 1, then for the binary prefixes of d:
+    # U_2k = U_k V_k, V_2k = V_k^2 - 2 Q^k, and with P = 1
+    # U_(k+1) = (U_k + V_k)/2, V_(k+1) = (D U_k + V_k)/2
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V = U + V, D * U + V
+            U = (U + n if U % 2 else U) // 2 % n
+            V = (V + n if V % 2 else V) // 2 % n
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 class BudgetError(Exception):

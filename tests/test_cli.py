@@ -799,6 +799,34 @@ def test_bad_precision_exits_2_before_any_command(capsys, monkeypatch, argv, val
     assert (code, out, err) == (2, "", f"orbita: error: ORBITA_PRECISION {message}\n")
 
 
+_BAD_X = "bad point syntax 'x': Invalid literal for Fraction: 'x'"
+_BAD_1_0 = "bad point syntax '1/0': Fraction(1, 0)"
+_BAD_BOUND = "--bound must be a positive integer"
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (("orbit", "--map", "(z", "--point", "x"), _BAD_X),
+        (("orbit", "--map", "z^200/z^199", "--point", "1/0"), _BAD_1_0),
+        (("semigroup", "--maps", "(z", "--point", "x"), _BAD_X),
+        (("semigroup", "--maps", "z^200/z^199", "--point", "1/0"), _BAD_1_0),
+        (("sunit", "--primes", "4", "--bound", "0"), _BAD_BOUND),
+        (("sunit", "--primes", str(2**4097 - 1), "--bound", "0"), _BAD_BOUND),
+        (
+            ("sunit", "--primes", "2,x", "--bound", "1", "--three-term", "1,0,-1"),
+            "need exactly three nonzero coefficients",
+        ),
+    ],
+    ids=["orbit-syntax", "orbit-budget", "semigroup-syntax", "semigroup-budget",
+         "sunit-composite", "sunit-4097", "sunit-coefficients"],
+)
+def test_input_with_two_faults_names_the_cheaper_one(capsys, argv, message):
+    # every command reads its inputs cheapest first, before its first
+    # expensive step: a map's resultant, a Miller-Rabin test, a scan
+    assert run(capsys, *argv) == (2, "", f"orbita: error: {message}\n")
+
+
 @pytest.mark.parametrize(
     ("module", "name", "argv"),
     [

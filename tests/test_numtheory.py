@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from orbita import numtheory
+from orbita.maps import parse_map
 from orbita.numtheory import (
     DEFAULT_FACTOR_BITS,
     NOT_S_INTEGER,
@@ -23,9 +24,15 @@ from orbita.numtheory import (
     s_membership,
     vp,
 )
+from orbita.orbits import OrbitCertificate
+from orbita.projective import ProjectivePoint
 
 # psi_12: the smallest strong pseudoprime to all prime bases up to 37
 PSI_12 = 318665857834031151167461
+# psi_13: the smallest strong pseudoprime to all 13 bases, where the
+# Miller-Rabin tiers stop being a proof and the strong Lucas step begins
+PSI_13 = 3317044064679887385961981
+PSI_13_FACTORS = (1287836182261, 2575672364521)
 
 
 @pytest.mark.parametrize(
@@ -54,6 +61,13 @@ PSI_12 = 318665857834031151167461
         (341550071728321, False),
         (3825123056546413051, False),
         (PSI_12, False),
+        # psi_13 and its factors, and Mersenne primes above it
+        (PSI_13, False),
+        (PSI_13_FACTORS[0], True),
+        (PSI_13_FACTORS[1], True),
+        (2**89 - 1, True),
+        (2**107 - 1, True),
+        (2**127 - 1, True),
         # at the 4096-bit input budget, and a negative number past it
         (2**4096 - 1, False),
         (-(2**5000), False),
@@ -79,6 +93,52 @@ def test_is_prime_matches_sieve_below_a_million():
 
 def test_factor_splits_psi_12():
     assert factor(PSI_12) == {399165290221: 1, 798330580441: 1}
+
+
+def test_strong_lucas_disagrees_with_a_sieve_only_on_its_pseudoprimes():
+    # the strong Lucas pseudoprimes below 10^5 for Selfridge's parameters
+    # (Baillie & Wagstaff, Math. Comp. 1980); none is a strong pseudoprime
+    # to base 2, so the tests together tell them apart
+    primes = set(_sieve(10**5))
+    wrong = [n for n in range(3, 10**5, 2) if numtheory._strong_lucas(n) != (n in primes)]
+    assert wrong == [
+        5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439
+    ]
+
+
+def test_strong_lucas_calls_a_perfect_square_composite():
+    # no D has Jacobi (D/n) = -1 for a square n, so the D search must not run
+    assert numtheory._strong_lucas((2**61 - 1) ** 2) is False
+    assert numtheory._strong_lucas(PSI_13**2) is False
+
+
+def test_is_prime_takes_no_lucas_step_below_psi_13(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"strong Lucas test on {n}")
+
+    monkeypatch.setattr(numtheory, "_strong_lucas", refuse)
+    # the largest prime below psi_13 passes all 13 rounds and stops there
+    assert is_prime(PSI_13 - 168) is True
+    assert is_prime(PSI_13 - 2) is False
+    assert is_prime(PSI_12) is False
+    with pytest.raises(AssertionError, match="strong Lucas test"):
+        is_prime(PSI_13)
+
+
+def test_factor_refuses_psi_13_within_its_rho_budget():
+    assert numtheory._PSI_13 == PSI_13 == PSI_13_FACTORS[0] * PSI_13_FACTORS[1]
+    with pytest.raises(FactorizationBudgetError) as info:
+        factor(PSI_13)
+    assert str(info.value) == "factorization work 4194300 exceeds budget 2097152"
+    assert (info.value.cofactor, info.value.partial) == (PSI_13, {})
+
+
+def test_certificate_refuses_psi_13_as_a_bad_prime():
+    m = parse_map(f"{PSI_13}/z")
+    points = (ProjectivePoint(1, 1), ProjectivePoint(PSI_13, 1))
+    with pytest.raises(ValueError, match=f"bad prime {PSI_13} is not prime"):
+        OrbitCertificate(m, 0, points, (PSI_13,))
+    assert OrbitCertificate(m, 0, points, PSI_13_FACTORS).s == 3
 
 
 def test_factor_small_values():

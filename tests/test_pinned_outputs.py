@@ -1,4 +1,4 @@
-"""Pinned bytes of `orbit`, `bounds`, `verify` and their `--json` forms, and bound rendering across precisions.
+"""Pinned bytes of `orbit`, `bounds`, `verify`, `sunit` and their `--json` forms, and bound rendering across precisions.
 
 tests/data/orbit_sample.txt lists the 16 suites.CORPUS entries and 224
 conjugates of them, written as unnormalized expressions, with the exit
@@ -8,7 +8,9 @@ of those outputs fails here, with the offending line named.
 tests/data/bounds_sample.txt does the same for `bounds`: 10 formulas at 4
 precisions with 3 parameter sets each. `verify --suite all --seed 7` is
 pinned by one digest per mode: its suite comparison counts (282945 / 1793
-/ 8 / 312) and every other byte of both reports.
+/ 8 / 312) and every other byte of both reports. tests/data/sunit_sample.json
+holds the whole stdout, stderr and exit status of four `sunit` runs: the
+two-term scan and the three-term count, each in both output modes.
 """
 
 import hashlib
@@ -28,6 +30,7 @@ from orbita.suites import CORPUS
 
 SAMPLE = Path(__file__).parent / "data" / "orbit_sample.txt"
 BOUNDS_SAMPLE = Path(__file__).parent / "data" / "bounds_sample.txt"
+SUNIT_SAMPLE = Path(__file__).parent / "data" / "sunit_sample.json"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -92,6 +95,16 @@ def test_verify_all_output_bytes_pinned(mode, digest):
     extra = ["--json"] if mode == "json" else []
     rc, out, err = _run(["verify", "--suite", "all", "--seed", "7", *extra])
     assert (rc, _digest(out, err)) == (0, digest), out
+
+
+@pytest.mark.parametrize(
+    "row",
+    json.loads(SUNIT_SAMPLE.read_text(encoding="utf-8")),
+    ids=lambda row: " ".join(row["argv"]),
+)
+def test_sunit_output_bytes_pinned(row, monkeypatch):
+    monkeypatch.delenv(PRECISION_ENV, raising=False)
+    assert _run(row["argv"]) == (row["status"], row["stdout"], row["stderr"])
 
 
 def _fresh_process(argv, precision):
