@@ -9,8 +9,8 @@ Exit status taxonomy:
   5  an internal invariant was breached
 
 Every command reads all of its inputs, cheapest first, before any other
-work; a map (its parse computes the resultant) and a prime (Miller-Rabin)
-come last.
+work. The costly ones come last: the texts of its maps, each read into
+forms before any map's resultant is computed, and primes (Miller-Rabin).
 
 JSON documents are built with fixed key order and stringified integers, so
 identical inputs produce byte-identical output.
@@ -24,7 +24,7 @@ import sys
 from fractions import Fraction
 
 from . import bounds as _bounds
-from .maps import RationalMap, bad_primes, parse_map
+from .maps import bad_primes, make_map, read_map
 from .numtheory import BudgetError, PlaceSet, factor
 from .orbits import (
     CertificateCheckError,
@@ -47,9 +47,9 @@ def _fail(message: str) -> None:
     print(f"orbita: error: {message}", file=sys.stderr)
 
 
-def _parse_map_arg(text: str) -> RationalMap:
+def _read_map_arg(text: str) -> tuple[list[int], list[int]]:
     try:
-        return parse_map(text)
+        return read_map(text)
     except ValueError as exc:
         raise _InputError(f"bad map {text!r}: {exc}") from None
 
@@ -83,7 +83,7 @@ def _primes_str(primes) -> str:
 
 def _cmd_orbit(args) -> int:
     start = _parse_point_arg(args.point)
-    m = _parse_map_arg(args.map)
+    m = make_map(*_read_map_arg(args.map))
     result = detect_orbit(m, start)
     doc = certificate_to_json(result, args.precision)
     if args.json:
@@ -124,7 +124,7 @@ def _cmd_delta(args) -> int:
 
 
 def _cmd_badprimes(args) -> int:
-    m = _parse_map_arg(args.map)
+    m = make_map(*_read_map_arg(args.map))
     f = factor(m.res)
     if args.json:
         _emit(
@@ -314,7 +314,8 @@ def _cmd_semigroup(args) -> int:
     if not exprs:
         raise _InputError("--maps needs at least one expression")
     start = None if args.point is None else _parse_point_arg(args.point)
-    maps = [_parse_map_arg(e) for e in exprs]
+    forms = [_read_map_arg(e) for e in exprs]  # every text before any resultant
+    maps = [make_map(F, G) for F, G in forms]
     if start is None:
         orbits: list[OrbitCertificate] = []
         per_map = [tuple(bad_primes(m)) for m in maps]

@@ -8,6 +8,7 @@ The expression parser accepts rational functions of z and homogenizes them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, groupby
 from math import gcd
 
 from .forms import (
@@ -26,6 +27,7 @@ __all__ = [
     "RationalMap",
     "MapSyntaxError",
     "make_map",
+    "read_map",
     "parse_map",
     "map_to_expr",
     "evaluate",
@@ -51,6 +53,10 @@ class MapSyntaxError(ValueError):
 # degree budget of the parser's products and of compose_maps' composites:
 # a larger model is refused before it is formed
 MAX_DEGREE = 128
+
+# the parser's descent takes four frames per level of parentheses, so a
+# deeper expression is refused before it could exhaust Python's recursion limit
+MAX_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -242,141 +248,130 @@ def _exact_div(a: list[int], b: list[int]) -> list[int]:
 #   base   := 'z' | rational | '(' expr ')'
 #   rational := uint ('/' uint)?
 # The optional leading sign is a superset of the published grammar. Rational
-# literals bind greedily, so "1/2^3" is (1/2)^3 by the factor rule.
+# literals bind greedily, also across spaces: "1/2^3" is (1/2)^3 by the
+# factor rule, "3 / 4" is a literal and "3/ z" divides 3 by z.
 #
 # A value is a pair (num, den) of integer polynomials, and the literal p/q is
 # ([p], [q]). A literal 0 keeps its one coefficient: dividing by it is not a
-# division by the zero function, but it leaves den zero, which parse_map
+# division by the zero function, but it leaves den zero, which read_map
 # reports as a zero denominator.
 
 
+def _tokens(text: str) -> list[tuple[str, int, int]]:
+    """The tokens of text with their spans [start, end), closed by ("", n, n).
+
+    A token is a run of digits (str.isdigit) or any other single character;
+    spacing (str.isspace) only separates tokens, and U+2212 reads as '-'.
+    """
+    out, pos = [], 0
+    for digits, run in groupby(text, str.isdigit):
+        run = "".join(run)
+        if digits:
+            out.append((run, pos, pos + len(run)))
+        else:
+            out += [("-" if ch == "−" else ch, pos + k, pos + k + 1)
+                    for k, ch in enumerate(run) if not ch.isspace()]
+        pos += len(run)
+    out.append(("", pos, pos))
+    return out
+
+
 class _Parser:
+    """The descent over a token list; self.i indexes the next token."""
+
     def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+        self.tokens = _tokens(text)
+        self.i = 0
+        depth = max(accumulate(((t == "(") - (t == ")") for t, _, _ in self.tokens), initial=0))
+        if depth > MAX_DEPTH:
+            raise BudgetError(depth, MAX_DEPTH, "parenthesis depth")
 
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    def accept(self, ops: str) -> str | None:
+        """Take the next token if it is one of the characters in ops."""
+        tok = self.tokens[self.i][0]
+        if tok and tok in ops:
+            self.i += 1
+            return tok
+        return None
 
-    def peek(self) -> str | None:
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            return None
-        ch = self.text[self.pos]
-        return "-" if ch == "−" else ch  # typographic minus alias
-
-    def take(self) -> str:
-        ch = self.peek()
-        if ch is None:
-            raise MapSyntaxError("unexpected end of expression", self.pos)
-        self.pos += 1
-        return ch
-
-    def expect(self, ch: str):
-        got = self.peek()
-        if got != ch:
-            raise MapSyntaxError(f"expected {ch!r}", self.pos)
-        self.pos += 1
-
-    def _uint(self) -> int:
-        self._skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
+    def uint(self) -> int:
+        tok, start, _ = self.tokens[self.i]
+        if not tok.isdigit():
             raise MapSyntaxError("expected an unsigned integer", start)
-        return int(self.text[start : self.pos])
+        self.i += 1
+        return int(tok)
 
     def expr(self):
-        ch = self.peek()
-        neg = False
-        if ch in ("+", "-"):
-            self.take()
-            neg = ch == "-"
+        neg = self.accept("+-") == "-"
         value = self.term()
         if neg:
             value = (_neg(value[0]), value[1])
-        while True:
-            ch = self.peek()
-            if ch not in ("+", "-"):
-                return value
-            self.take()
-            rhs = self.term()
+        while op := self.accept("+-"):
             n1, d1 = value
-            n2, d2 = rhs
-            if ch == "-":
+            n2, d2 = self.term()
+            if op == "-":
                 n2 = _neg(n2)
             value = (_add(_mul(n1, d2), _mul(n2, d1)), _mul(d1, d2))
+        return value
 
     def term(self):
         value = self.factor()
-        while True:
-            ch = self.peek()
-            if ch not in ("*", "/"):
-                return value
-            at = self.pos
-            self.take()
-            rhs = self.factor()
+        while op := self.accept("*/"):
+            at = self.tokens[self.i - 1][1]
             n1, d1 = value
-            n2, d2 = rhs
-            if ch == "*":
+            n2, d2 = self.factor()
+            if op == "*":
                 value = (_mul(n1, n2), _mul(d1, d2))
             else:
                 if not n2:
                     raise MapSyntaxError("division by the zero function", at)
                 value = (_mul(n1, d2), _mul(d1, n2))
+        return value
 
     def factor(self):
         value = self.base()
-        if self.peek() == "^":
-            self.take()
-            k = self._uint()
+        if self.accept("^"):
+            k = self.uint()
             value = (_pow(value[0], k), _pow(value[1], k))
         return value
 
     def base(self):
-        ch = self.peek()
-        if ch is None:
-            raise MapSyntaxError("unexpected end of expression", self.pos)
-        if ch == "z":
-            self.take()
+        tok, start, end = self.tokens[self.i]
+        self.i += 1
+        if tok == "z":
             return ([0, 1], [1])
-        if ch == "(":
-            self.take()
+        if tok == "(":
             value = self.expr()
-            self.expect(")")
+            if not self.accept(")"):
+                raise MapSyntaxError("expected ')'", self.tokens[self.i][1])
             return value
-        if ch.isdigit():
-            num = self._uint()
-            den = 1
-            # greedy rational literal: consume '/' only when a uint follows
-            save = self.pos
-            if self.peek() == "/":
-                self.take()
-                nxt = self.peek()
-                if nxt is not None and nxt.isdigit():
-                    den = self._uint()
-                    if den == 0:
-                        raise MapSyntaxError("zero denominator in rational literal", save)
-                else:
-                    self.pos = save
+        if tok.isdigit():
+            num, den = int(tok), 1
+            # greedy rational literal: a '/' is its bar when a uint follows
+            if self.tokens[self.i][0] == "/" and self.tokens[self.i + 1][0].isdigit():
+                self.i += 1
+                den = self.uint()
+                if den == 0:
+                    raise MapSyntaxError("zero denominator in rational literal", end)
             return ([num], [den])
-        raise MapSyntaxError(f"unexpected character {ch!r}", self.pos)
+        if not tok:
+            raise MapSyntaxError("unexpected end of expression", start)
+        raise MapSyntaxError(f"unexpected character {tok!r}", start)
 
 
-def parse_map(text: str) -> RationalMap:
-    """Parse a rational function of z into a canonical model.
+def read_map(text: str) -> tuple[list[int], list[int]]:
+    """Read a rational function of z into homogenized forms (F, G), no resultant yet.
 
     Common polynomial factors are removed before homogenization, so the
-    resulting model always has nonzero resultant. Every intermediate product
-    is held to MAX_DEGREE and DEFAULT_COEFF_BITS (BudgetError), including
-    those a common factor later cancels.
+    forms always have nonzero resultant. Every intermediate product is held
+    to MAX_DEGREE and DEFAULT_COEFF_BITS (BudgetError), including those a
+    common factor later cancels.
     """
     parser = _Parser(text)
     num, den = parser.expr()
-    if parser.peek() is not None:
-        raise MapSyntaxError("trailing input", parser.pos)
+    tok, start, _ = parser.tokens[parser.i]
+    if tok:
+        raise MapSyntaxError("trailing input", start)
     if not den:
         raise MapSyntaxError("zero denominator", 0)
     num = _trim(num)  # a bare literal 0 is the zero function
@@ -387,13 +382,15 @@ def parse_map(text: str) -> RationalMap:
     d = max(len(num), len(den)) - 1
     if not num or d < 1:
         raise MapSyntaxError("constant maps are rejected", 0)
-    # descending X powers: coefficient of X^(d-i) Y^i
-    F, G = [0] * (d + 1), [0] * (d + 1)
-    for i, c in enumerate(num):
-        F[d - i] = c
-    for i, c in enumerate(den):
-        G[d - i] = c
-    return make_map(F, G)
+    # descending X powers (the coefficient of X^(d-i) Y^i is num[i]), padded to degree d
+    F = [0] * (d + 1 - len(num)) + num[::-1]
+    G = [0] * (d + 1 - len(den)) + den[::-1]
+    return F, G
+
+
+def parse_map(text: str) -> RationalMap:
+    """Parse a rational function of z into a canonical model: read_map, then make_map."""
+    return make_map(*read_map(text))
 
 
 def _poly_str(coeffs_desc: list[int]) -> str:

@@ -11,7 +11,7 @@ import mpmath
 import pytest
 
 from orbita import bounds as _bounds
-from orbita import cli, maps, numtheory, orbits, projective, sunit
+from orbita import cli, forms, maps, numtheory, orbits, projective, sunit
 from orbita.numtheory import BudgetError, factor, is_prime
 from orbita.orbits import CertificateCheckError
 from orbita.suites import SuiteReport
@@ -675,6 +675,21 @@ class TestSemigroup:
         argv = ("semigroup", "--maps", "z^2 - 1,z^2 - 29/16", "--point", "1")
         assert run(capsys, *argv) == bad_precision
         assert calls == []
+
+    def test_every_map_read_before_any_resultant(self, capsys, monkeypatch):
+        # a later map's syntax error is reported before an earlier map's resultant
+        calls = []
+
+        def counting(F, G):
+            calls.append(len(F) - 1)
+            return forms.resultant(F, G)
+
+        monkeypatch.setattr(maps, "resultant", counting)
+        code, out, err = run(capsys, "semigroup", "--maps", "(2*z+1)^128,(z")
+        assert (code, out, calls) == (2, "", [])
+        assert err == "orbita: error: bad map '(z': expected ')' (at index 2)\n"
+        assert run(capsys, "semigroup", "--maps", "z^2 - 1,1/z^3")[0] == 0
+        assert calls == [2, 3]
 
     def test_empty_maps_exits_2(self, capsys):
         code, _, _ = run(capsys, "semigroup", "--maps", "")

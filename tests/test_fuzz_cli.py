@@ -10,7 +10,9 @@ ORBITA_PRECISION for every command: a malformed value is read before any
 work, so a line whose flags parse must exit 2 within PRECISION_CAP.
 
 Maps come from the parser's grammar at depth 2 (depth 1 for `semigroup`),
-with exponents up to 3 and one-digit literals. The points of `orbit` and
+with exponents up to 3 and one-digit literals. One map in eight is wrapped
+in 1 to 2 * MAX_DEPTH parentheses, so both sides of the parser's depth
+budget are drawn. The points of `orbit` and
 `semigroup` have coordinates up to 10^6, and one point in eight has
 coordinates up to 10^60. `semigroup` factors every resultant, and a closed
 orbit factors its resultant and the cross term of each pair of its points.
@@ -29,6 +31,7 @@ from hypothesis import strategies as st
 
 from orbita import cli
 from orbita.bounds import FORMULAS, PRECISION_ENV
+from orbita.maps import MAX_DEPTH
 
 CAP = 3.0  # seconds per call
 PRECISION_CAP = 0.2  # seconds per call under a malformed ORBITA_PRECISION
@@ -73,6 +76,12 @@ def maps(depth: int):
     """Expressions with z kept in one term, so that few are constant."""
     e = expressions(depth)
     return mostly(st.tuples(e, st.sampled_from("+-*/")).map("({0[0]}) {0[1]} z".format), GARBAGE)
+
+
+def nested(exprs):
+    """exprs, one in eight wrapped in 1 to 2 * MAX_DEPTH parentheses."""
+    depths = st.integers(1, 2 * MAX_DEPTH)
+    return mostly(exprs, st.tuples(exprs, depths).map(lambda d: "(" * d[1] + d[0] + ")" * d[1]))
 
 
 def points(integers):
@@ -143,7 +152,7 @@ BUDGET_FLAGS = st.tuples(st.sampled_from(["--max-steps", "--max-bits"]), INTEGER
 
 
 @fuzz(200)
-@given(maps(2), ORBIT_POINTS, st.booleans(), mostly(st.just([]), BUDGET_FLAGS), PRECISIONS)
+@given(nested(maps(2)), ORBIT_POINTS, st.booleans(), mostly(st.just([]), BUDGET_FLAGS), PRECISIONS)
 def test_orbit(expr, point, as_json, budget, precision):
     argv = ["orbit", "--map", expr, "--point", point] + ["--json"] * as_json + budget
     code = _run(argv, precision)
@@ -152,7 +161,7 @@ def test_orbit(expr, point, as_json, budget, precision):
 
 
 @fuzz(100)
-@given(maps(2), st.booleans(), PRECISIONS)
+@given(nested(maps(2)), st.booleans(), PRECISIONS)
 def test_badprimes(expr, as_json, precision):
     _run(["badprimes", "--map", expr] + ["--json"] * as_json, precision)
 
@@ -231,7 +240,7 @@ def test_delta(p, a, b, precision):
 
 @fuzz(100)
 @given(
-    mostly(st.lists(maps(1), min_size=1, max_size=3).map(",".join), st.just("")),
+    mostly(st.lists(nested(maps(1)), min_size=1, max_size=3).map(",".join), st.just("")),
     st.one_of(st.none(), ORBIT_POINTS),
     st.booleans(),
     PRECISIONS,

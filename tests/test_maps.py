@@ -8,6 +8,7 @@ from orbita import forms, maps
 from orbita.maps import (
     DEFAULT_COEFF_BITS,
     MAX_DEGREE,
+    MAX_DEPTH,
     MapSyntaxError,
     RationalMap,
     bad_primes,
@@ -20,6 +21,7 @@ from orbita.maps import (
     map_to_expr,
     moebius_order,
     parse_map,
+    read_map,
 )
 from orbita.numtheory import BudgetError
 from orbita.projective import ProjectivePoint, canonical_point, from_pair
@@ -109,6 +111,20 @@ class TestParsing:
         assert parse_map(f"z + 2^{DEFAULT_COEFF_BITS - 1}").F[1] == 2 ** (DEFAULT_COEFF_BITS - 1)
         with pytest.raises(BudgetError):
             parse_map(f"z + 2^{DEFAULT_COEFF_BITS}")
+
+    def test_depth_budget(self):
+        assert parse_map("(" * MAX_DEPTH + "z" + ")" * MAX_DEPTH) == parse_map("z")
+        with pytest.raises(BudgetError, match=f"parenthesis depth {MAX_DEPTH + 1} exceeds"):
+            parse_map("(" * (MAX_DEPTH + 1) + "z" + ")" * (MAX_DEPTH + 1))
+        # refused before the descent, so an ill-formed, unbalanced text too
+        with pytest.raises(BudgetError) as info:
+            parse_map("@" + "(" * 250)
+        assert str(info.value) == f"parenthesis depth 250 exceeds budget {MAX_DEPTH}"
+
+    def test_read_map_computes_no_resultant(self, monkeypatch):
+        monkeypatch.setattr(maps, "resultant", None)
+        assert read_map("z^2 - 29/16") == ([16, 0, -29], [0, 0, 16])
+        assert read_map("(z^2 - 1)/(2*z - 2)") == ([1, 1], [0, 2])
 
     def test_common_factor_removed_over_the_integers(self):
         # content and a shared quadratic factor cancel; the model has content 1

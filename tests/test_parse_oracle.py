@@ -296,11 +296,19 @@ def _special(rng):
         f"({q})/0",
         f"z + {rng.randint(1, 9)}/0",
         f"({q})/(0)^1",
+        # spacing is any str.isspace character, a digit any str.isdigit one,
+        # and a rational literal's bar may stand between spaces
+        f"{p}\t+\n({q})/\u00a0({r})",
+        f"\u0663*z^\u0663 - ({q})",
+        f"({q})^² + z",
+        f"3 / 4*z + ({q})",
+        f"3/ z + {q}",
+        f"({q})/(z −7/{rng.randint(1, 9)})",
     ))
 
 
 def _corrupt(rng, text):
-    alphabet = "z()+-*/^0123456789 @−²"
+    alphabet = "z()+-*/^0123456789 @−²\t\n\u00a0\u0663"
     i = rng.randrange(len(text) + 1)
     op = rng.random()
     if op < 0.4 and text:
@@ -353,5 +361,7 @@ def test_parse_map_agrees_with_reference_parser():
 
 def test_sample_covers_the_grammar():
     texts = random_texts(2400, "parse-oracle")
-    for needle in ("((", "^", "−", "0*z", "0/z", "/0", ")/((", "- ", "-("):
+    needles = ("((", "^", "−", "0*z", "0/z", "/0", ")/((", "- ", "-(", "\t", "\n", "\u00a0",
+               "\u0663*", "^\u0663", "^²", "3 / 4", "3/ z", "−7/")
+    for needle in needles:
         assert any(needle in t for t in texts), needle
