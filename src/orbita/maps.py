@@ -260,11 +260,12 @@ def _exact_div(a: list[int], b: list[int]) -> list[int]:
 def _tokens(text: str) -> list[tuple[str, int, int]]:
     """The tokens of text with their spans [start, end), closed by ("", n, n).
 
-    A token is a run of digits (str.isdigit) or any other single character;
-    spacing (str.isspace) only separates tokens, and U+2212 reads as '-'.
+    A token is a run of decimal digits (str.isdecimal, as int reads them) or any
+    other single character; spacing (str.isspace) only separates tokens, and
+    U+2212 reads as '-'.
     """
     out, pos = [], 0
-    for digits, run in groupby(text, str.isdigit):
+    for digits, run in groupby(text, str.isdecimal):
         run = "".join(run)
         if digits:
             out.append((run, pos, pos + len(run)))
@@ -296,7 +297,7 @@ class _Parser:
 
     def uint(self) -> int:
         tok, start, _ = self.tokens[self.i]
-        if not tok.isdigit():
+        if not tok.isdecimal():
             raise MapSyntaxError("expected an unsigned integer", start)
         self.i += 1
         return int(tok)
@@ -345,10 +346,10 @@ class _Parser:
             if not self.accept(")"):
                 raise MapSyntaxError("expected ')'", self.tokens[self.i][1])
             return value
-        if tok.isdigit():
+        if tok.isdecimal():
             num, den = int(tok), 1
             # greedy rational literal: a '/' is its bar when a uint follows
-            if self.tokens[self.i][0] == "/" and self.tokens[self.i + 1][0].isdigit():
+            if self.tokens[self.i][0] == "/" and self.tokens[self.i + 1][0].isdecimal():
                 self.i += 1
                 den = self.uint()
                 if den == 0:

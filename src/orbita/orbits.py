@@ -3,12 +3,15 @@
 detect_orbit iterates a map with exact arithmetic until the orbit closes, or
 raises BudgetError when a budget runs out. A closed orbit becomes an
 OrbitCertificate whose invariants are re-verified at every construction
-(including deserialization). The pipeline collapse_to_fixed_point ->
-normalize_orbit -> verify_np_conditions / check_tail_divisibility reduces a
-certificate to a fixed-point orbit at [0:1] and checks the structural
-conditions that make tail lengths bounded. run_certificate_checks re-verifies
-the distance propositions (triangle, non-expansion, repeated differences) on
-the certificate's own points, all read from one distance_table of the orbit.
+(including deserialization). collapse_to_fixed_point reduces a certificate to
+a tail into a fixed point Q_0 of the period-fold composite, and
+check_tail_divisibility checks on it, in place, that the distance to Q_0
+never shrinks at a good prime. normalize_orbit conjugates such a tail so that
+Q_0 becomes [0:1], where verify_np_conditions checks the normalized-orbit
+conditions and the tail bound. run_certificate_checks re-verifies the
+distance propositions (triangle, non-expansion, repeated differences) on the
+certificate's own points, all read from one distance_table of the orbit, and
+the tail check on its collapsed tail, without normalizing it.
 A failed check raises CertificateCheckError, whose message names the check
 and its witnesses; check_tail_divisibility returns its comparison count, and
 verify_np_conditions the tail bound's display line.
@@ -250,32 +253,29 @@ def verify_np_conditions(
     return display
 
 
-def check_tail_divisibility(map2: RationalMap, tail2: list[ProjectivePoint]) -> int:
-    """Along a normalized tail, v_p(x_i) is nondecreasing for every good prime p of map2.
+def check_tail_divisibility(m: RationalMap, tail: list[ProjectivePoint]) -> int:
+    """Along a tail into a fixed point Q of m, v_p(x_i) is nondecreasing for every good prime p.
 
-    Equivalently the distance to the fixed point [0:1] never shrinks, which
-    is exactly non-expansion at good-reduction primes. The primes of x_i
-    that divide map2's resultant are skipped. Returns the comparison count;
-    a violation raises CertificateCheckError naming the step, the prime and
-    both valuations.
+    x_i is the cross term of tail[i] with Q, so v_p(x_i) = d_p(tail[i], Q)
+    in canonical coordinates (when Q = [0:1], x_i is the x-coordinate): the
+    distance to Q never shrinks, which is exactly non-expansion at
+    good-reduction primes. The primes of x_i that divide m's resultant are
+    skipped. Returns the comparison count; a violation raises
+    CertificateCheckError naming the step, the prime and both valuations.
+    Raises ValueError when the last point is not fixed by m, or an earlier
+    point is that fixed point.
     """
-    if not tail2 or tail2[-1] != ProjectivePoint(0, 1):
-        raise ValueError("tail must end at [0:1]")
+    if not tail or evaluate(m, tail[-1]) != tail[-1]:
+        raise ValueError("last tail point must be fixed by the map")
+    x = [cross_term(P, tail[-1]) for P in tail]
+    if 0 in x[:-1]:
+        raise ValueError(f"tail reaches its fixed point at step {x.index(0)}, before its end")
     comparisons = 0
-    for i in range(len(tail2) - 1):
-        x_here = tail2[i].x
-        x_next = tail2[i + 1].x
-        if x_here == 0:
-            # [0:1] is the terminal fixed point; it cannot be left again
-            if x_next != 0:
-                raise ValueError(f"tail passes through [0:1] at step {i} and leaves it")
-            continue
-        if abs(x_here) == 1:
-            continue
-        # d_p(Q, [0:1]) = v_p(x) in canonical coordinates; x_next = 0 is [0:1] itself
-        here = factor(x_here)
-        after = None if x_next == 0 else {p: _valuation(x_next, p) for p in here}
-        bad = {p for p in here if map2.res % p == 0}
+    for i in range(len(tail) - 1):
+        here = factor(x[i])
+        # x_(i+1) = 0 is Q itself, at infinite distance
+        after = None if x[i + 1] == 0 else {p: _valuation(x[i + 1], p) for p in here}
+        bad = {p for p in here if m.res % p == 0}
         count, failure = _non_expansion_witness(here, after, bad)
         comparisons += count
         if failure:
@@ -459,9 +459,7 @@ def _check_remark(cert: OrbitCertificate, table: dict) -> int:
 
 
 def _check_divisibility(cert: OrbitCertificate) -> int:
-    composite, tail = collapse_to_fixed_point(cert)
-    map2, tail2, _ = normalize_orbit(composite, tail)
-    return check_tail_divisibility(map2, tail2)
+    return check_tail_divisibility(*collapse_to_fixed_point(cert))
 
 
 def run_certificate_checks(cert: OrbitCertificate) -> dict[str, bool]:

@@ -223,6 +223,19 @@ class TestBadprimes:
         assert doc["factorization"] == [["2", "16"]]
         assert doc["bad_primes"] == ["2"]
 
+    @pytest.mark.parametrize(
+        ("text", "message"),
+        [
+            ("z^²", "expected an unsigned integer (at index 2)"),
+            ("z^2²", "trailing input (at index 3)"),
+        ],
+    )
+    def test_non_decimal_digit_is_a_syntax_error(self, capsys, text, message):
+        # int reads only decimal digits; a superscript is a character of its own
+        code, out, err = run(capsys, "badprimes", "--map", text)
+        assert (code, out) == (2, "")
+        assert err == f"orbita: error: bad map {text!r}: {message}\n"
+
     @pytest.mark.parametrize("json_flag", [(), ("--json",)])
     def test_resultant_factored_once(self, capsys, monkeypatch, json_flag):
         calls = []

@@ -81,7 +81,8 @@ class TestParsing:
             parse_map("(z + 1)/(z + 1)")
 
     @pytest.mark.parametrize(
-        "text", ["", "z +", "z^", "(z", "z)", "z^-2", "w + 1", "z**2", "1/2/", "z^2^3", "^2"]
+        "text",
+        ["", "z +", "z^", "(z", "z)", "z^-2", "w + 1", "z**2", "1/2/", "z^2^3", "^2", "z^²", "z^2²"],
     )
     def test_syntax_errors(self, text):
         with pytest.raises(MapSyntaxError):

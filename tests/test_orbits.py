@@ -1,10 +1,13 @@
 import dataclasses
+import random
 from fractions import Fraction
+from itertools import product
+from math import gcd
 
 import pytest
 
-from orbita import bounds, projective
-from orbita.maps import bad_primes, evaluate, make_map, parse_map
+from orbita import bounds, maps, orbits, projective
+from orbita.maps import bad_primes, conjugate, evaluate, make_map, parse_map
 from orbita.numtheory import BudgetError, PlaceSet, factor
 from orbita.orbits import (
     DEFAULT_MAX_BITS,
@@ -32,7 +35,7 @@ from orbita.projective import (
     log_distance,
     parse_point,
 )
-from orbita.suites import corpus_certificates
+from orbita.suites import CORPUS, corpus_certificates
 
 O = ProjectivePoint(0, 1)
 
@@ -302,9 +305,29 @@ class TestTailDivisibility:
         with pytest.raises(ValueError):
             check_tail_divisibility(ident, [O, canonical_point(1), O])
 
-    def test_requires_terminal_origin(self):
+    def test_requires_fixed_terminal_point(self):
+        # z^2 sends 2 to 4: the tail does not end at a fixed point
         with pytest.raises(ValueError):
-            check_tail_divisibility(parse_map("z"), _affine(1, 2))
+            check_tail_divisibility(parse_map("z^2"), _affine(1, 2))
+        with pytest.raises(ValueError):
+            check_tail_divisibility(parse_map("z"), [])
+
+    def test_tail_into_infinity_reads_y_valuations(self):
+        # the cross term of [x:y] with [1:0] is -y: d_p(P, inf) = v_p(y)
+        inf = ProjectivePoint(1, 0)
+        growing = [ProjectivePoint(1, 2), ProjectivePoint(1, 12), inf]
+        assert check_tail_divisibility(parse_map("z"), growing) == 3
+        shrinking = [ProjectivePoint(1, 4), ProjectivePoint(3, 2), inf]
+        with pytest.raises(CertificateCheckError) as info:
+            check_tail_divisibility(parse_map("z"), shrinking)
+        assert str(info.value) == "v_2(x_0) = 2 > v_2(x_1) = 1"
+
+    def test_collapsed_tail_checked_in_place(self):
+        # z^2 - 2 from 0: tail 0, -2 into the fixed point 2, cross terms -2, -4
+        cert = detect_orbit(parse_map("z^2 - 2"), parse_point("0"))
+        composite, tail = collapse_to_fixed_point(cert)
+        assert tail[-1] == canonical_point(2)
+        assert check_tail_divisibility(composite, tail) == 2
 
     def test_unit_coordinates_skip_cleanly(self):
         ident = parse_map("z")
@@ -324,6 +347,30 @@ class TestTailDivisibility:
         with pytest.raises(CertificateCheckError) as info:
             check_tail_divisibility(parse_map("3*z"), tail)
         assert str(info.value) == "v_2(x_0) = 2 > v_2(x_1) = 1"
+
+    def test_same_count_as_after_normalization(self):
+        # every corpus certificate and 200 seeded conjugates A o f o A^-1 of
+        # corpus maps, A a small integer matrix with 1 <= |det A| <= 3
+        rng = random.Random("tail-in-place")
+        pool = [
+            (a, b, c, d)
+            for a, b, c, d in product(range(-2, 3), repeat=4)
+            if 1 <= abs(a * d - b * c) <= 3 and gcd(gcd(a, b), gcd(c, d)) == 1
+        ]
+        certs = corpus_certificates()
+        for _ in range(200):
+            expr, start = rng.choice(CORPUS)
+            a, b, c, d = rng.choice(pool)
+            A = make_map((a, b), (c, d))
+            m = conjugate(parse_map(expr), A)
+            certs.append(detect_orbit(m, evaluate(A, parse_point(start))))
+        total = 0
+        for cert in certs:
+            composite, tail = collapse_to_fixed_point(cert)
+            count = check_tail_divisibility(composite, tail)
+            assert count == check_tail_divisibility(*normalize_orbit(composite, tail)[:2])
+            total += count
+        assert total > 0
 
     def test_bad_primes_of_normalized_composite_are_the_certificates(self):
         # Res(f^n) divides a power of Res(f) and det-1 conjugation keeps |Res|
@@ -390,6 +437,17 @@ class TestCertificateChecks:
                 "remark": True,
                 "divisibility": True,
             }
+
+    def test_tail_never_normalized(self, monkeypatch):
+        # the tail check reads the collapsed tail in place: no conjugation
+        def refuse(*args):
+            raise AssertionError("run_certificate_checks normalized a tail")
+
+        monkeypatch.setattr(orbits, "normalize_orbit", refuse)
+        monkeypatch.setattr(orbits, "conjugate", refuse)
+        monkeypatch.setattr(maps, "conjugate", refuse)
+        for cert in corpus_certificates():
+            assert all(run_certificate_checks(cert).values()), str(cert.map)
 
     def test_each_cross_term_factored_at_most_once(self, monkeypatch):
         certs = corpus_certificates()

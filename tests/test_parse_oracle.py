@@ -104,7 +104,7 @@ class _ReferenceParser:
     def _uint(self):
         self._skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             raise MapSyntaxError("expected an unsigned integer", start)
@@ -171,14 +171,14 @@ class _ReferenceParser:
             value = self.expr()
             self.expect(")")
             return value
-        if ch.isdigit():
+        if ch.isdecimal():
             num = self._uint()
             den = 1
             save = self.pos
             if self.peek() == "/":
                 self.take()
                 nxt = self.peek()
-                if nxt is not None and nxt.isdigit():
+                if nxt is not None and nxt.isdecimal():
                     den = self._uint()
                     if den == 0:
                         raise MapSyntaxError("zero denominator in rational literal", save)
@@ -296,7 +296,7 @@ def _special(rng):
         f"({q})/0",
         f"z + {rng.randint(1, 9)}/0",
         f"({q})/(0)^1",
-        # spacing is any str.isspace character, a digit any str.isdigit one,
+        # spacing is any str.isspace character, a digit any str.isdecimal one,
         # and a rational literal's bar may stand between spaces
         f"{p}\t+\n({q})/\u00a0({r})",
         f"\u0663*z^\u0663 - ({q})",
@@ -343,7 +343,8 @@ def _outcome(parse, text):
 
 
 def test_parse_map_agrees_with_reference_parser():
-    texts = random_texts(2400, "parse-oracle")
+    # a superscript digit is no integer to int: a syntax error at its index
+    texts = random_texts(2400, "parse-oracle") + ["z^²", "z^2²"]
     budget_hits = 0
     kinds = {"map": 0, "error": 0}
     for text in texts:
