@@ -7,8 +7,6 @@ the tuple length fixes the formal degree.
 
 from __future__ import annotations
 
-from math import gcd
-
 Form = tuple[int, ...]
 
 __all__ = [
@@ -17,7 +15,6 @@ __all__ = [
     "evaluate_form",
     "multiply_forms",
     "substitute_forms",
-    "content",
     "resultant",
 ]
 
@@ -62,13 +59,6 @@ def substitute_forms(f: Form, u: Form, v: Form) -> Form:
             for j, t in enumerate(multiply_forms(upow[d - i], vpow[i])):
                 out[j] += c * t
     return tuple(out)
-
-
-def content(f: Form) -> int:
-    g = 0
-    for c in f:
-        g = gcd(g, abs(c))
-    return g
 
 
 def _bareiss_det(m: list[list[int]]) -> int:

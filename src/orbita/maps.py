@@ -13,7 +13,6 @@ from math import gcd
 
 from .forms import (
     Form,
-    content,
     evaluate_form,
     form_degree,
     multiply_forms,
@@ -76,13 +75,9 @@ class RationalMap:
         d = form_degree(self.F)
         if d < 1:
             raise ValueError("degree-0 constant maps are rejected")
-        joint = gcd(content(self.F), content(self.G))
-        if joint != 1:
+        if gcd(*self.F, *self.G) != 1:
             raise ValueError("coefficients must have joint content 1")
-        lead = next((c for c in self.G if c), None)
-        if lead is None:
-            lead = next(c for c in self.F if c)
-        if lead < 0:
+        if _lead(self.F, self.G) < 0:
             raise ValueError("leading sign must be canonical")
         if res is None:
             res = resultant(self.F, self.G)
@@ -103,20 +98,22 @@ class RationalMap:
         return map_to_expr(self)
 
 
+def _lead(F, G) -> int:
+    """The coefficient whose sign is canonical: the first nonzero one of G, else of F."""
+    return next(c for c in (*G, *F) if c)
+
+
 def _canonical(F, G) -> tuple[Form, Form, int]:
     """F and G divided by their joint content c, sign-canonical; also returns c."""
     F = tuple(int(c) for c in F)
     G = tuple(int(c) for c in G)
-    joint = gcd(content(F), content(G))
+    joint = gcd(*F, *G)
     if joint == 0:
         raise ValueError("zero map")
     if joint > 1:
         F = tuple(c // joint for c in F)
         G = tuple(c // joint for c in G)
-    lead = next((c for c in G if c), None)
-    if lead is None:
-        lead = next((c for c in F if c), None)
-    if lead is not None and lead < 0:
+    if _lead(F, G) < 0:
         F = tuple(-c for c in F)
         G = tuple(-c for c in G)
     return F, G, joint
@@ -193,7 +190,7 @@ def _pow(a: list[int], k: int) -> list[int]:
 
 def _primitive(a: list[int]) -> list[int]:
     """a divided by its content, leading coefficient positive."""
-    g = content(a)
+    g = gcd(*a)
     if a[-1] < 0:
         g = -g
     return [c // g for c in a]
@@ -444,6 +441,14 @@ def good_reduction_at(m: RationalMap, p: int) -> bool:
     return vp(m.res, p) == 0
 
 
+def _moebius_entries(A: RationalMap) -> tuple[int, int, int, int]:
+    """The entries (a, b, c, d) of a degree-1 map A = ((a, b), (c, d)); ValueError otherwise."""
+    if A.degree != 1:
+        raise ValueError(f"a Moebius transformation has degree 1, not {A.degree}")
+    (a, b), (c, d) = A.F, A.G
+    return a, b, c, d
+
+
 def moebius_order(A: RationalMap) -> int | None:
     """Order of a degree-1 map A = ((a, b), (c, d)) in PGL2(Q), or None when it is infinite.
 
@@ -451,9 +456,7 @@ def moebius_order(A: RationalMap) -> int | None:
     when tr^2/det is 0, 1, 2 or 3, for k = 2, 3, 4 or 6: the ratio of A's
     eigenvalues is then a primitive k-th root of unity.
     """
-    if A.degree != 1:
-        raise ValueError(f"a Moebius transformation has degree 1, not {A.degree}")
-    (a, b), (c, d) = A.F, A.G
+    a, b, c, d = _moebius_entries(A)
     if (a, b, c, d) == (1, 0, 0, 1):
         return 1
     det = a * d - b * c
@@ -471,9 +474,7 @@ def conjugate(m: RationalMap, A: RationalMap) -> RationalMap:
     (Silverman, GTM 241, ch. 2). For Res A = +-1, c = 1 and the resultant,
     hence the bad-prime set, is preserved exactly.
     """
-    if A.degree != 1:
-        raise ValueError(f"a Moebius transformation has degree 1, not {A.degree}")
-    (a, b), (c, d) = A.F, A.G
+    a, b, c, d = _moebius_entries(A)
     # substitute the unnormalized inverse (adjugate) into both forms
     u: Form = (d, -b)
     v: Form = (-c, a)

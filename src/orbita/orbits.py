@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, permutations
-from math import gcd
+from math import lcm
 
 from . import bounds as _bounds
 from .forms import Form
@@ -123,12 +123,6 @@ class OrbitCertificate:
     @property
     def length(self) -> int:
         return len(self.points)
-
-    def point_at(self, i: int) -> ProjectivePoint:
-        """Orbit point Q_i for -m <= i <= n-1 (Q_0 is the first cycle point)."""
-        if not -self.tail_length <= i < self.period:
-            raise IndexError(f"orbit index {i} out of range")
-        return self.points[self.tail_length + i]
 
 
 def _coord_bits(P: ProjectivePoint) -> int:
@@ -348,9 +342,7 @@ def synthesize_map(
     for vec in candidates:
         if all(v == 0 for v in vec):
             continue
-        scale = 1
-        for v in vec:
-            scale = scale * v.denominator // gcd(scale, v.denominator)
+        scale = lcm(*(v.denominator for v in vec))
         ints = [int(v * scale) for v in vec]
         F: Form = tuple(ints[: d + 1])
         G: Form = tuple(ints[d + 1 :])

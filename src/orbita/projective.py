@@ -44,16 +44,6 @@ class ProjectivePoint:
         if self.y < 0 or (self.y == 0 and self.x != 1):
             raise ValueError("coordinates must be sign-canonical")
 
-    @property
-    def is_infinity(self) -> bool:
-        return self.y == 0
-
-    def affine(self) -> Fraction | float:
-        """The affine value x/y, or inf for [1:0]."""
-        if self.y == 0:
-            return inf
-        return Fraction(self.x, self.y)
-
     def __str__(self) -> str:
         return f"[{self.x}:{self.y}]"
 

@@ -249,7 +249,7 @@ def divisibility_cases(rng: random.Random, n: int) -> Iterator[tuple[int, str | 
     while successes < n:
         attempts += 1
         if attempts > 60 * n:
-            raise RuntimeError("map synthesis success rate collapsed")
+            raise CertificateCheckError("map synthesis success rate collapsed")
         p = rng.choice(_DIVISIBILITY_PRIMES)
         depth = 3 if attempts % 4 == 0 else 2
         # v_p of the x-coordinate climbs 1, 2, ... toward the fixed point,

@@ -85,8 +85,18 @@ def _sized_box(S: PlaceSet, B: int, power: int = 1) -> set[int]:
     return _smooth_set(S.finite_primes, B)
 
 
+class _BoundedCount:
+    """A report whose solution count is held against its log-space bound ln_bound."""
+
+    @property
+    def bound_ok(self) -> bool:
+        if self.count == 0:
+            return True
+        return _bounds.compare(self.count, self.ln_bound) == _bounds.SATISFIED
+
+
 @dataclass(frozen=True)
-class UnitEquationReport:
+class UnitEquationReport(_BoundedCount):
     """Solutions of u + v = 1 found within the box, with the rank-based bound."""
 
     solutions: tuple[tuple[Fraction, Fraction], ...]
@@ -96,12 +106,6 @@ class UnitEquationReport:
     @property
     def count(self) -> int:
         return len(self.solutions)
-
-    @property
-    def bound_ok(self) -> bool:
-        if self.count == 0:
-            return True
-        return _bounds.compare(self.count, self.ln_bound) == _bounds.SATISFIED
 
 
 def solve_unit_equation(S: PlaceSet, B: int, precision: int) -> UnitEquationReport:
@@ -166,19 +170,13 @@ def two_way_representations(T: Rational, S: PlaceSet, B: int) -> TwoWaysReport:
 
 
 @dataclass(frozen=True)
-class ThreeTermReport:
+class ThreeTermReport(_BoundedCount):
     """Nondegenerate solution count of a1 x1 + a2 x2 + a3 x3 = 1 in the box."""
 
     coefficients: tuple[Fraction, Fraction, Fraction]
     count: int
     gamma_rank: int
     ln_bound: _bounds.BoundValue
-
-    @property
-    def bound_ok(self) -> bool:
-        if self.count == 0:
-            return True
-        return _bounds.compare(self.count, self.ln_bound) == _bounds.SATISFIED
 
 
 def count_three_term(S: PlaceSet, a, B: int, precision: int) -> ThreeTermReport:

@@ -11,7 +11,7 @@ import mpmath
 import pytest
 
 from orbita import bounds as _bounds
-from orbita import cli, forms, maps, numtheory, orbits, projective, sunit
+from orbita import cli, forms, maps, numtheory, orbits, projective, suites, sunit
 from orbita.numtheory import BudgetError, factor, is_prime
 from orbita.orbits import CertificateCheckError
 from orbita.suites import SuiteReport
@@ -564,6 +564,16 @@ class TestVerify:
         assert code == 4
         assert "FAILED" in out
         assert "counterexample: p=2 P=[1:1] Q=[3:1] R=[5:1]" in out
+
+    @pytest.mark.parametrize("suite", ["divisibility", "all"])
+    def test_generator_failure_exits_5(self, capsys, monkeypatch, suite):
+        # a case generator that cannot build its cases is a breached invariant
+        monkeypatch.setattr(suites, "synthesize_map", lambda pairs, d: None)
+        code, out, err = run(capsys, "verify", "--suite", suite, "--iterations", "2")
+        assert (code, out) == (5, "")
+        assert err == (
+            "orbita: error: internal invariant breach: map synthesis success rate collapsed\n"
+        )
 
     def test_bad_iterations_exits_2(self, capsys):
         code, _, _ = run(capsys, "verify", "--suite", "all", "--iterations", "0")

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from orbita.forms import (
-    content,
     evaluate_form,
     form_degree,
     multiply_forms,
@@ -77,12 +76,6 @@ def test_substitute_matches_quadratic_oracle():
 def test_substitute_requires_equal_degree():
     with pytest.raises(ValueError):
         substitute_forms((1, 1), (1, 0), (1, 0, 0))
-
-
-def test_content():
-    assert content((6, -4, 10)) == 2
-    assert content((0, 0, 7)) == 7
-    assert content((0,) * 3) == 0
 
 
 def test_resultant_direct_2x2():

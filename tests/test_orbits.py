@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import random
 from fractions import Fraction
 from itertools import product
@@ -42,6 +43,26 @@ O = ProjectivePoint(0, 1)
 
 def _affine(*values):
     return [canonical_point(Fraction(v)) for v in values]
+
+
+@functools.cache
+def _corpus_and_conjugates() -> tuple[OrbitCertificate, ...]:
+    """Every corpus certificate and 200 seeded conjugates A o f o A^-1 of corpus
+    maps, A a small integer matrix with 1 <= |det A| <= 3."""
+    rng = random.Random("tail-in-place")
+    pool = [
+        (a, b, c, d)
+        for a, b, c, d in product(range(-2, 3), repeat=4)
+        if 1 <= abs(a * d - b * c) <= 3 and gcd(gcd(a, b), gcd(c, d)) == 1
+    ]
+    certs = corpus_certificates()
+    for _ in range(200):
+        expr, start = rng.choice(CORPUS)
+        a, b, c, d = rng.choice(pool)
+        A = make_map((a, b), (c, d))
+        m = conjugate(parse_map(expr), A)
+        certs.append(detect_orbit(m, evaluate(A, parse_point(start))))
+    return tuple(certs)
 
 
 class TestDetect:
@@ -94,15 +115,13 @@ class TestDetect:
         assert info.value.observed > DEFAULT_MAX_BITS == info.value.limit == 4096
         assert str(info.value).startswith("orbit coordinate bits ")
 
-    def test_point_at_indexing(self):
+    def test_orbit_indexing(self):
+        # Q_i, -m <= i <= n-1, is points[m + i]; Q_0 is the first cycle point
         cert = detect_orbit(parse_map("z^2 - 29/16"), parse_point("7/4"))
-        assert cert.point_at(-1) == canonical_point(Fraction(7, 4))
-        assert cert.point_at(0) == canonical_point(Fraction(5, 4))
-        assert cert.point_at(2) == canonical_point(Fraction(-7, 4))
-        with pytest.raises(IndexError):
-            cert.point_at(3)
-        with pytest.raises(IndexError):
-            cert.point_at(-2)
+        assert (cert.tail_length, cert.period) == (1, 3)
+        assert cert.points[cert.tail_length - 1] == canonical_point(Fraction(7, 4))
+        assert cert.points[cert.tail_length] == canonical_point(Fraction(5, 4))
+        assert cert.points[cert.tail_length + 2] == canonical_point(Fraction(-7, 4))
 
     def test_conjugation_equivariance(self):
         m = parse_map("z^2 - 29/16")
@@ -349,27 +368,35 @@ class TestTailDivisibility:
         assert str(info.value) == "v_2(x_0) = 2 > v_2(x_1) = 1"
 
     def test_same_count_as_after_normalization(self):
-        # every corpus certificate and 200 seeded conjugates A o f o A^-1 of
-        # corpus maps, A a small integer matrix with 1 <= |det A| <= 3
-        rng = random.Random("tail-in-place")
-        pool = [
-            (a, b, c, d)
-            for a, b, c, d in product(range(-2, 3), repeat=4)
-            if 1 <= abs(a * d - b * c) <= 3 and gcd(gcd(a, b), gcd(c, d)) == 1
-        ]
-        certs = corpus_certificates()
-        for _ in range(200):
-            expr, start = rng.choice(CORPUS)
-            a, b, c, d = rng.choice(pool)
-            A = make_map((a, b), (c, d))
-            m = conjugate(parse_map(expr), A)
-            certs.append(detect_orbit(m, evaluate(A, parse_point(start))))
         total = 0
-        for cert in certs:
+        for cert in _corpus_and_conjugates():
             composite, tail = collapse_to_fixed_point(cert)
             count = check_tail_divisibility(composite, tail)
             assert count == check_tail_divisibility(*normalize_orbit(composite, tail)[:2])
             total += count
+        assert total > 0
+
+    def test_tail_factors_are_distance_table_entries(self, monkeypatch):
+        # the tail check factors x_j = cross(Q_(-jn), Q_0) for j = k, ..., 1,
+        # each the orbit's distance_table entry for that pair; the collapsed
+        # tail is [Q_0] alone, with nothing to factor, exactly when m < n
+        calls = []
+
+        def recording_factor(n):
+            calls.append(factor(n))
+            return calls[-1]
+
+        monkeypatch.setattr(orbits, "factor", recording_factor)
+        total = 0
+        for cert in _corpus_and_conjugates():
+            m, n = cert.tail_length, cert.period
+            composite, tail = collapse_to_fixed_point(cert)
+            assert (tail == [cert.points[m]]) == (m < n), str(cert.map)
+            calls.clear()
+            check_tail_divisibility(composite, tail)
+            table = distance_table(cert.points)
+            assert calls == [table[m - j * n, m] for j in range(len(tail) - 1, 0, -1)]
+            total += len(calls)
         assert total > 0
 
     def test_bad_primes_of_normalized_composite_are_the_certificates(self):
