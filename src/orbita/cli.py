@@ -3,6 +3,7 @@
 Exit status taxonomy:
   0  success
   2  input could not be parsed (map, point, flags, ORBITA_PRECISION, read first)
+     or stdout was closed before the output was written
   3  a budget was exhausted (orbit points or coordinate bits, factorization or
      size refusal, an exact bound too long to print)
   4  a verification suite found a counterexample (printed with its witness)
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -460,7 +462,17 @@ def main(argv: list[str] | None = None) -> int:
         _fail(str(exc))
         return 2
     try:
-        return _DISPATCH[args.command](args)
+        status = _DISPATCH[args.command](args)
+        # a closed stdout fails here, not at interpreter shutdown
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader is gone: point fd 1 at devnull so the flush at exit succeeds
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        _fail("stdout was closed before the output was written")
+        return 2
     except _InputError as exc:
         _fail(str(exc))
         return 2

@@ -62,26 +62,51 @@ def substitute_forms(f: Form, u: Form, v: Form) -> Form:
 
 
 def _bareiss_det(m: list[list[int]]) -> int:
-    """Fraction-free determinant; exact over the integers."""
+    """Fraction-free determinant; exact over the integers.
+
+    Every entry it computes is the textbook Bareiss value, with the same
+    pivots, swaps and sign. A row that no step has updated yet ("fresh") is
+    zero left of the pivot column, so by Sylvester's identity it stands for
+    prev times its original entries: it is left alone while its pivot-column
+    entry is 0, and scaled by prev once when that entry turns nonzero. A
+    fresh pivot row's factor prev cancels the step's division, and the next
+    prev is prev * pivot.
+    """
     n = len(m)
     sign = 1
     prev = 1
+    fresh = [True] * n
     for k in range(n - 1):
         if m[k][k] == 0:
             for i in range(k + 1, n):
                 if m[i][k] != 0:
                     m[k], m[i] = m[i], m[k]
+                    fresh[k], fresh[i] = fresh[i], fresh[k]
                     sign = -sign
                     break
             else:
                 return 0
+        row_k = m[k]
+        pivot = row_k[k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # exact division is the Bareiss invariant
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+            row = m[i]
+            if fresh[i]:
+                if row[k] == 0:
+                    continue
+                fresh[i] = False
+                for j in range(k, n):
+                    row[j] *= prev
+            f = row[k]
+            if fresh[k]:
+                for j in range(k + 1, n):
+                    row[j] = row[j] * pivot - f * row_k[j]
+            else:
+                for j in range(k + 1, n):
+                    # exact division is the Bareiss invariant
+                    row[j] = (row[j] * pivot - f * row_k[j]) // prev
+        prev = prev * pivot if fresh[k] else pivot
+    last = m[n - 1][n - 1]
+    return sign * (last * prev if fresh[n - 1] else last)
 
 
 def resultant(F: Form, G: Form) -> int:

@@ -1,11 +1,14 @@
 """End-to-end command-line behavior, including the exit status taxonomy."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -16,6 +19,7 @@ from orbita.numtheory import BudgetError, factor, is_prime
 from orbita.orbits import CertificateCheckError
 from orbita.suites import SuiteReport
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 KNOWN = (
     "BeukersSchlickewei, CanciC, ESS, KRun, MortonSilverman, NarkiewiczPezdaOrbit, "
@@ -883,6 +887,42 @@ def test_internal_value_error_exits_5(capsys, monkeypatch, module, name, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (5, "")
     assert err == "orbita: error: internal invariant breach: forced for the exit-status test\n"
+
+
+def test_assertion_error_exits_5(capsys, monkeypatch):
+    # bounds.decimal_str and maps.conjugate raise AssertionError explicitly
+    def breach(*args, **kwargs):
+        raise AssertionError("directed decimal rendering failed to converge")
+
+    monkeypatch.setattr(_bounds, "decimal_str", breach)
+    code, out, err = run(capsys, "bounds", "--formula", "CanciC", "--params", "s=1")
+    assert (code, out) == (5, "")
+    assert err == (
+        "orbita: error: internal invariant breach: directed decimal rendering failed to converge\n"
+    )
+
+
+def test_closed_stdout_exits_2_without_traceback():
+    # the reader is closed before the command writes, as in `... | head -c 10`
+    # once head has exited
+    reader, writer = os.pipe()
+    os.close(reader)
+    env = {k: v for k, v in os.environ.items() if k != _bounds.PRECISION_ENV}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "orbita.cli", "verify", "--suite", "remark", "--seed", "7"],
+            stdout=writer,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(writer)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "orbita: error: stdout was closed before the output was written\n"
 
 
 @pytest.mark.parametrize(

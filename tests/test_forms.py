@@ -10,6 +10,8 @@ from orbita.forms import (
     resultant,
     substitute_forms,
 )
+from orbita.maps import iterate_map, parse_map
+from orbita.suites import CORPUS
 
 
 def test_degree_and_evaluation():
@@ -128,3 +130,93 @@ def test_resultant_sl2_invariance():
 def test_resultant_requires_equal_degree():
     with pytest.raises(ValueError):
         resultant((1, 0), (1, 0, 0))
+
+
+def _textbook_bareiss(m):
+    """The textbook fraction-free determinant: every row below the pivot updated at every step."""
+    n = len(m)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                # exact division is the Bareiss invariant
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def _sylvester(F, G):
+    d = form_degree(F)
+    return [[0] * s + list(H) + [0] * (d - 1 - s) for H in (F, G) for s in range(d)]
+
+
+def _oracle_pair(rng, kind):
+    """Two forms of one degree in 1..16 with coefficients of 1..64 bits, shaped by kind."""
+    d = 1 + int(16 * rng.random() ** 4)  # low degrees often, every degree up to 16
+    bits = rng.randint(1, 64)
+
+    def coefficient():
+        return rng.choice((0, rng.randint(-(2**bits), 2**bits), rng.randint(1, 2**bits)))
+
+    def draw(degree):
+        return [coefficient() for _ in range(degree + 1)]
+
+    F, G = draw(d), draw(d)
+    if kind == "zero ends":
+        # leading zeros make the pivot search swap a fresh row up
+        for H in (F, G):
+            lead = rng.randint(0, d)
+            H[:lead] = [0] * lead
+            if rng.random() < 0.5:
+                H[-1] = 0
+    elif kind == "content":
+        c = rng.randint(2, 2**bits + 1)
+        F, G = [c * a for a in F], [c * a for a in G]
+    elif kind == "negative leads":
+        F[0], G[0] = -abs(F[0]) - 1, -abs(G[0]) - 1
+    elif kind == "multiple":
+        c = rng.choice((-1, 1)) * rng.randint(1, 2**bits)
+        G = [c * a for a in F]
+    elif kind == "shared factor":
+        root = (rng.randint(-(2**bits), 2**bits), rng.randint(-(2**bits), 2**bits))
+        F, G = (multiply_forms(root, H[1:]) for H in (F, G))
+    return tuple(F), tuple(G)
+
+
+def test_resultant_matches_textbook_bareiss_on_seeded_pairs():
+    rng = random.Random(20261020)
+    kinds = ("plain", "zero ends", "content", "negative leads", "multiple", "shared factor")
+    vanishing = swaps = 0
+    for case in range(2004):
+        kind = kinds[case % len(kinds)]
+        F, G = _oracle_pair(rng, kind)
+        expected = _textbook_bareiss(_sylvester(F, G))
+        assert resultant(F, G) == expected, (kind, F, G)
+        if kind in ("multiple", "shared factor"):
+            assert expected == 0, (kind, F, G)
+        vanishing += expected == 0
+        swaps += F[0] == 0 != G[0]
+    assert vanishing >= 800 and swaps >= 250, (vanishing, swaps)
+
+
+def test_resultant_matches_textbook_bareiss_on_corpus_composites():
+    degrees = set()
+    for expr, _ in CORPUS:
+        m = parse_map(expr)
+        for k in range(1, 5):
+            mk = iterate_map(m, k)
+            if mk.degree > 16:
+                break
+            assert mk.res == _textbook_bareiss(_sylvester(mk.F, mk.G)), (expr, k)
+            degrees.add(mk.degree)
+    assert degrees == {1, 2, 3, 4, 8, 9, 16}
