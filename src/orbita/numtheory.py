@@ -18,7 +18,6 @@ from math import gcd, isqrt, prod
 Rational = Fraction
 
 __all__ = [
-    "Rational",
     "BudgetError",
     "FactorizationBudgetError",
     "PlaceSet",

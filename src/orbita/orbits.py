@@ -266,11 +266,7 @@ def check_tail_divisibility(m: RationalMap, tail: list[ProjectivePoint]) -> int:
         raise ValueError(f"tail reaches its fixed point at step {x.index(0)}, before its end")
     comparisons = 0
     for i in range(len(tail) - 1):
-        here = factor(x[i])
-        # x_(i+1) = 0 is Q itself, at infinite distance
-        after = None if x[i + 1] == 0 else {p: _valuation(x[i + 1], p) for p in here}
-        bad = {p for p in here if m.res % p == 0}
-        count, failure = _non_expansion_witness(here, after, bad)
+        count, failure = _non_expansion_step(m.res, x[i], x[i + 1])
         comparisons += count
         if failure:
             p, v_here, v_next = failure
@@ -400,6 +396,19 @@ def _non_expansion_witness(
         if w < v:
             return comparisons, (p, v, w)
     return comparisons, None
+
+
+def _non_expansion_step(res: int, c: int, image: int) -> tuple[int, tuple[int, int, int] | None]:
+    """Non-expansion from a pair to its image pair, read from their cross terms.
+
+    Factors the pair's cross term c, reads the image cross term's valuations
+    at those primes (none when the image cross term is 0: the images
+    coincide), skips the primes that divide the resultant res, and returns
+    what _non_expansion_witness returns.
+    """
+    before = factor(c)
+    after = None if image == 0 else {p: _valuation(image, p) for p in before}
+    return _non_expansion_witness(before, after, {p for p in before if res % p == 0})
 
 
 def _check_triangle(points: tuple[ProjectivePoint, ...], table: dict) -> None:

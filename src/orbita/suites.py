@@ -6,10 +6,11 @@ None) per case; run_suite, the one runner, folds the cases into a
 deterministic SuiteReport: same name, same seed, same report, with no timing
 or environment noise. The generators are engineered so that every cross term
 that must be factored splits into tractable pieces even when the point
-coordinates themselves are large. The triangle, non-expansion and
-remark suites read their distances from projective.distance_table and run
-the same checks as the certificate (orbits._triangle_witness,
-orbits._non_expansion_witness, orbits._check_remark).
+coordinates themselves are large. The triangle and remark suites read
+their distances from projective.distance_table, and the non-expansion suite
+takes the tail check's pair step; each runs the same check as the
+certificate (orbits._triangle_witness, orbits._check_remark,
+orbits._non_expansion_step).
 """
 
 from __future__ import annotations
@@ -19,12 +20,12 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .maps import RationalMap, evaluate, make_map, parse_map
-from .numtheory import BudgetError, _valuation
+from .numtheory import BudgetError
 from .orbits import (
     CertificateCheckError,
     OrbitCertificate,
     _check_remark,
-    _non_expansion_witness,
+    _non_expansion_step,
     _triangle_witness,
     check_tail_divisibility,
     detect_orbit,
@@ -194,7 +195,7 @@ def prop52_cases(rng: random.Random, n: int) -> Iterator[tuple[int, str | None]]
     Only primes dividing the cross term of (P, Q) matter (elsewhere the right
     side is zero), so the one factored integer stays small by construction.
     The images' distances are valuations of their cross term at those primes;
-    the comparison is the certificate's (orbits._non_expansion_witness).
+    the step is the tail check's (orbits._non_expansion_step).
     """
     for _ in range(n):
         m = _random_map(rng)
@@ -203,11 +204,8 @@ def prop52_cases(rng: random.Random, n: int) -> Iterator[tuple[int, str | None]]
             Q = _random_point(rng, 8)
             if P != Q:
                 break
-        before = distance_table((P, Q))[0, 1]
-        bad = {p for p in before if m.res % p == 0}  # the only bad primes compared
-        c = cross_term(evaluate(m, P), evaluate(m, Q))
-        after = None if c == 0 else {p: _valuation(c, p) for p in before}
-        count, failure = _non_expansion_witness(before, after, bad)
+        image = cross_term(evaluate(m, P), evaluate(m, Q))
+        count, failure = _non_expansion_step(m.res, cross_term(P, Q), image)
         yield count, f"map {m}, p={failure[0]}, points {P},{Q}" if failure else None
 
 

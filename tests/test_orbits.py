@@ -7,9 +7,9 @@ from math import gcd
 
 import pytest
 
-from orbita import bounds, maps, orbits, projective
+from orbita import bounds, maps, numtheory, orbits, projective
 from orbita.maps import bad_primes, conjugate, evaluate, make_map, parse_map
-from orbita.numtheory import BudgetError, PlaceSet, factor
+from orbita.numtheory import BudgetError, FactorizationBudgetError, PlaceSet, factor
 from orbita.orbits import (
     DEFAULT_MAX_BITS,
     DEFAULT_MAX_STEPS,
@@ -18,6 +18,7 @@ from orbita.orbits import (
     _check_non_expansion,
     _check_remark,
     _check_triangle,
+    _non_expansion_step,
     _non_expansion_witness,
     certificate_from_json,
     certificate_to_json,
@@ -32,6 +33,7 @@ from orbita.orbits import (
 from orbita.projective import (
     ProjectivePoint,
     canonical_point,
+    cross_term,
     distance_table,
     log_distance,
     parse_point,
@@ -417,6 +419,23 @@ class TestNonExpansionWitness:
 
     def test_coinciding_images_never_fail(self):
         assert _non_expansion_witness({2: 9, 3: 1}, None, {3}) == (1, None)
+
+    def test_step_refuses_as_the_two_point_table(self, monkeypatch):
+        # the pair step factors the cross term itself: a refusal carries the
+        # n, cofactor and partial that distance_table((P, Q)) gives
+        monkeypatch.setattr(numtheory, "RHO_WORK", 1 << 10)
+        P, Q = canonical_point(-(2**3 * 3 * 1000000007 * 2147483647)), canonical_point(0)
+
+        def refusal(step, *args):
+            with pytest.raises(FactorizationBudgetError) as info:
+                step(*args)
+            exc = info.value
+            return str(exc), exc.n, exc.cofactor, list(exc.partial.items())
+
+        c = cross_term(P, Q)
+        refused = refusal(_non_expansion_step, 1, c, 1)
+        assert refused == refusal(distance_table, (P, Q))
+        assert refused[1:] == (c, 1000000007 * 2147483647, [(2, 3), (3, 1)])
 
 
 class TestSynthesize:

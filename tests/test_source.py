@@ -79,6 +79,16 @@ def test_import_graph_is_pinned():
     assert graph == IMPORT_GRAPH
 
 
+def _reexported_layers() -> list[str]:
+    """The layers whose names __init__.py star-imports, in its order."""
+    init = ast.parse(Path(orbita.__file__).read_text(encoding="utf-8"))
+    return [
+        node.module
+        for node in init.body
+        if isinstance(node, ast.ImportFrom) and [a.name for a in node.names] == ["*"]
+    ]
+
+
 def test_public_surface_is_what_exists():
     # removing a name cannot leave a stale export behind
     sources = sorted(Path(orbita.__file__).parent.glob("*.py"))
@@ -88,14 +98,48 @@ def test_public_surface_is_what_exists():
         module = importlib.import_module(name)
         missing += [f"{name}.{entry}" for entry in module.__all__ if not hasattr(module, entry)]
     assert missing == []
+    # the package's surface is derived: __version__, then each re-exported
+    # layer's __all__, every name the layer's own object
+    layers = [importlib.import_module(f"orbita.{layer}") for layer in _reexported_layers()]
+    assert orbita.__all__ == ["__version__", *(e for layer in layers for e in layer.__all__)]
+    assert [
+        f"{layer.__name__}.{entry}"
+        for layer in layers
+        for entry in layer.__all__
+        if getattr(orbita, entry) is not getattr(layer, entry)
+    ] == []
+    # and __init__.py itself writes no public name but __version__: it is its
+    # docstring, the star imports, __version__ and __all__
     init = ast.parse(Path(orbita.__file__).read_text(encoding="utf-8"))
-    imported = [
-        alias.asname or alias.name
-        for node in init.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
+    assert [type(node) for node in init.body] == [
+        ast.Expr, *[ast.ImportFrom] * len(layers), ast.Assign, ast.Assign
     ]
-    assert sorted(orbita.__all__) == sorted(imported + ["__version__"])
+    assert [node.targets[0].id for node in init.body[-2:]] == ["__version__", "__all__"]
+
+
+def _top_level_definitions(tree: ast.Module) -> set[str]:
+    """Names a module binds at its top level by def, class or assignment."""
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return bound
+
+
+def test_every_export_is_defined_in_its_layer():
+    # a layer exports what it defines, never what it imports, so each public
+    # name is declared once, where it lives, and the package lists it once
+    found = []
+    for layer in _reexported_layers():
+        path = Path(orbita.__file__).with_name(f"{layer}.py")
+        defined = _top_level_definitions(ast.parse(path.read_text(encoding="utf-8")))
+        module = importlib.import_module(f"orbita.{layer}")
+        found += [f"{layer}.{entry}" for entry in module.__all__ if entry not in defined]
+    assert found == []
+    assert len(orbita.__all__) == len(set(orbita.__all__))
 
 
 def _names_by_function(tree: ast.Module):
