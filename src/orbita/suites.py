@@ -6,9 +6,11 @@ None) per case; run_suite, the one runner, folds the cases into a
 deterministic SuiteReport: same name, same seed, same report, with no timing
 or environment noise. The generators are engineered so that every cross term
 that must be factored splits into tractable pieces even when the point
-coordinates themselves are large. The triangle and remark suites read
-their distances from projective.distance_table, and the non-expansion suite
-takes the tail check's pair step; each runs the same check as the
+coordinates themselves are large. The remark suite reads its distances
+from projective.distance_table. The triangle suite factors only the primes
+that two cross terms share, where an inequality can fail, and counts the
+others without splitting them (numtheory._omega). The non-expansion suite
+takes the tail check's pair step. Each runs the same check as the
 certificate (orbits._triangle_witness, orbits._check_remark,
 orbits._non_expansion_step).
 """
@@ -18,9 +20,10 @@ from __future__ import annotations
 import random
 from collections.abc import Iterator
 from dataclasses import dataclass
+from math import gcd, lcm, prod
 
 from .maps import RationalMap, evaluate, make_map, parse_map
-from .numtheory import BudgetError
+from .numtheory import BudgetError, _omega, _valuation, factor
 from .orbits import (
     CertificateCheckError,
     OrbitCertificate,
@@ -67,8 +70,8 @@ CORPUS: tuple[tuple[str, str], ...] = (
 )
 
 # an explicit iteration count asks at most prop51's default size of a suite:
-# `verify --suite all --iterations 10000` takes 9-13 s in-process on a 2-core
-# x86-64 box (prop51 3.1-4.4 s, prop52 0.5-0.8 s, divisibility 5.7-7.6 s)
+# `verify --suite all --iterations 10000` takes 4-5 s in-process on a 2-core
+# x86-64 box (prop51 1.2 s, prop52 0.4 s, divisibility 2.7-3.0 s)
 MAX_ITERATIONS = 10000
 
 SUITE_DEFAULTS = {
@@ -155,21 +158,41 @@ def _triangle_triple(
             return P, Q, R
 
 
+def _triangle_case(
+    pq: int, qr: int, pr: int
+) -> tuple[int, tuple[int, tuple[int, int, int]] | None]:
+    """_triangle_witness on the cross terms of (P, Q), (Q, R) and (P, R), splitting what can fail.
+
+    A prime of one cross term alone has two distances 0, and its three
+    comparisons hold. So only the shared primes, those of the lcm of the
+    pairwise gcds, are factored and compared (for three points they divide
+    all three cross terms, which the check does not assume); every other
+    prime adds 3, counted by numtheory._omega. A failing triple is compared
+    again on its whole factored cross terms, so the count up to the failure
+    is exact.
+    """
+    terms = (pq, qr, pr)
+    shared = factor(lcm(gcd(pq, qr), gcd(qr, pr), gcd(pq, pr)))
+    distances = [{p: v for p in shared if (v := _valuation(c, p))} for c in terms]
+    count, failure = _triangle_witness(*distances)
+    if failure:
+        return _triangle_witness(*(factor(c) for c in terms))
+    for c, found in zip(terms, distances):
+        count += 3 * _omega(c // prod(p**v for p, v in found.items()))
+    return count, None
+
+
 def prop51_cases(rng: random.Random, n: int) -> Iterator[tuple[int, str | None]]:
     """Ultrametric triangle inequality on n random point triples.
 
     For each triple and every prime dividing any pairwise cross term, checks
     d(P, R) >= min(d(P, Q), d(Q, R)) for all three choices of middle point
-    (orbits._triangle_witness). The distances come from distance_table, one
-    factorization per cross term in the order (P, Q), (Q, R), (P, R), each
-    after dividing out the primes already found; by the wide-family
-    identities in _triangle_triple, what is left of cross(Q, R) and
-    cross(P, R) divides a and b, so only the multipliers reach rho.
+    (orbits._triangle_witness). Only the primes shared by two cross terms can
+    fail, and only they are split; the others are counted (_triangle_case).
     """
     for i in range(n):
-        triple = _triangle_triple(rng, i)
-        table = distance_table(triple)
-        count, failure = _triangle_witness(table[0, 1], table[1, 2], table[0, 2])
+        P, Q, R = triple = _triangle_triple(rng, i)
+        count, failure = _triangle_case(cross_term(P, Q), cross_term(Q, R), cross_term(P, R))
         if failure:
             p, order = failure
             P1, P2, P3 = (triple[t] for t in order)

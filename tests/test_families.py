@@ -166,7 +166,9 @@ def test_period2_certifies(bits):
 # factorization. Each count is an upper bound; it may only fall.
 REFUSALS = {
     28: {"res": 0, "cross term": 0},
-    32: {"res": 1, "cross term": 0},
+    32: {"res": 0, "cross term": 0},
+    40: {"res": 0, "cross term": 2},
+    48: {"res": 0, "cross term": 1},
 }
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import random
 import time
 from fractions import Fraction
 from math import prod
@@ -20,6 +21,8 @@ from orbita.numtheory import (
     PlaceSet,
     factor,
     is_prime,
+    _omega,
+    _perfect_power,
     _sieve,
     s_membership,
     vp,
@@ -283,6 +286,109 @@ def test_factor_pinned_on_recorded_suite_inputs():
     assert sum(" E " in line for line in lines) == 1532
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "5ab4bcea0c44d1277532b79db95230ae2fb7d9134d7466eb7b7e6a1589e7d219"
+
+
+def _next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+def _prev_prime(n):
+    while not is_prime(n):
+        n -= 1
+    return n
+
+
+def test_perfect_power_finds_a_prime_exponent():
+    p, q = 1000003, 1000033
+    assert _perfect_power((p * q) ** 2) == (p * q, 2)
+    assert _perfect_power(p**3) == (p, 3)
+    # a sixth power is a square first; its root is then a cube
+    assert _perfect_power(p**6) == (p**3, 2)
+    assert _perfect_power(3001**11) == (3001, 11)
+    for m in (p * q, p**2 * q, (p * q) ** 2 + 2, p**3 - 2):
+        assert _perfect_power(m) == (m, 1)
+
+
+def test_perfect_power_root_is_factored_once(monkeypatch):
+    # rho splits the root p*q once, whatever the exponent
+    calls = []
+    real = numtheory._brent_rho
+
+    def spy(n, c, max_iter):
+        calls.append(n)
+        return real(n, c, max_iter)
+
+    monkeypatch.setattr(numtheory, "_brent_rho", spy)
+    p, q = 1000003, 1000033
+    for k in (1, 2, 3, 5, 6, 7):
+        calls.clear()
+        assert factor(12 * (p * q) ** k) == {2: 2, 3: 1, p: k, q: k}
+        assert calls and set(calls) == {p * q}
+
+
+def _omega_cases():
+    """Integers where _omega's cube-root argument is close to failing."""
+    cases = [1, 2, 12, 3001, 3001**2, 2999 * 3001, 8999999, 9000011]
+    for k in range(8, 18):
+        edge = 1 << 3 * k
+        cases += [edge + j for j in (-3, -1, 1, 3)]
+        # a prime at 2^k is in the gcd; the next one up must be left over
+        below, above = _prev_prime(1 << k), _next_prime((1 << k) + 1)
+        cases += [below**2, above**2, below * above, below**3, below**2 * above]
+        cases += [above * _next_prime((1 << 3 * k) // above // 2)]
+        cases += [below * _next_prime(below + 2) * _next_prime(below + 100)]
+        if k >= 12:
+            # p^2 and pq left by the gcd, both primes just above the cube root of the whole
+            q = _next_prime(above + 2)
+            cases += [_prev_prime(edge // above**2) * above**2]
+            cases += [_prev_prime(edge // (above * q)) * above * q]
+    # p^2 and pq alone and behind table primes or a prime the gcd finds
+    for bits in (36, 42, 48, 51):
+        p = _next_prime(1 << bits // 3)
+        q = _next_prime(p + 2)
+        cases += [p * p, p * q, 6 * p * q, 3001 * p * q, 5 * p * p, 3001 * p * p]
+    # p*q*r with all three near the cube root, the largest such rest at 2^51
+    r = _prev_prime(1 << 17)
+    cases += [r * _prev_prime(r - 2) * _prev_prime(r - 200), 3 * _prev_prime(1 << 48)]
+    # above 2^51: factor decides
+    cases += [(1 << 52) + 1, _next_prime(1 << 30) * _next_prime(1 << 31), _next_prime(1 << 60)]
+    # the pseudoprimes where is_prime takes more bases, and the primes next to them
+    for psi in (3215031751, 341550071728321):
+        cases += [psi, 7 * psi, 3001 * psi, 3001**2 * psi]
+    for psi in (3215031751, 341550071728321, PSI_12, PSI_13):
+        cases += [_prev_prime(psi), _next_prime(psi), 7 * _next_prime(psi)]
+    return cases
+
+
+def test_omega_counts_the_distinct_primes_of_built_cases():
+    for n in _omega_cases():
+        assert _omega(n) == _omega(-n) == len(factor(n)), n
+
+
+def test_omega_counts_the_distinct_primes_of_random_integers():
+    rng = random.Random("omega")
+    for _ in range(20000):
+        n = rng.getrandbits(rng.randint(1, 64)) or 1
+        assert _omega(n) == len(factor(n)), n
+
+
+def test_omega_builds_each_prime_product_once():
+    numtheory._PRIME_PRODUCTS.pop(17, None)
+    n = _next_prime(1 << 24) * _next_prime(1 << 26)  # 51 bits: k = 17
+    assert _omega(n) == 2
+    built = numtheory._PRIME_PRODUCTS[17]
+    assert built == prod(p for p in _sieve(1 << 17) if p > 3000)
+    assert _omega(n + 2) == len(factor(n + 2))
+    assert numtheory._PRIME_PRODUCTS[17] is built
+
+
+def test_omega_refusal_propagates():
+    # a rest above 2^51 is factored, and a refusal is factor's
+    with pytest.raises(FactorizationBudgetError) as info:
+        _omega(12 * HARD)
+    assert str(info.value).startswith("factorization work ")
 
 
 @pytest.mark.parametrize(

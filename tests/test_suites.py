@@ -1,13 +1,14 @@
 """Randomized verification suites: determinism, pass status, sizing."""
 
 import random
+from math import prod
 
 import pytest
 
-from orbita import projective, suites
+from orbita import numtheory, projective, suites
 from orbita.maps import parse_map
 from orbita.numtheory import FactorizationBudgetError, factor
-from orbita.orbits import CertificateCheckError, check_tail_divisibility
+from orbita.orbits import CertificateCheckError, _triangle_witness, check_tail_divisibility
 from orbita.projective import (
     ProjectivePoint,
     cross_term,
@@ -21,6 +22,7 @@ from orbita.suites import (
     SUITE_DEFAULTS,
     SUITE_NAMES,
     SuiteReport,
+    _triangle_case,
     _triangle_triple,
     corpus_certificates,
     run_suite,
@@ -91,10 +93,11 @@ class TestTriangleSuite:
         )
 
     def test_forced_failure_names_prime_and_points(self, monkeypatch):
-        # d(P, R) dropped to 0: a prime of both d(P, Q) and d(Q, R) breaks the
-        # inequality with Q in the middle; the failing case's comparisons count
+        # d(P, R) dropped to 0 (cross(P, R) = 1): a prime of both d(P, Q) and
+        # d(Q, R) breaks the inequality with Q in the middle; the failing
+        # case's comparisons count
         monkeypatch.setattr(
-            suites, "distance_table", lambda pts: {**distance_table(pts), (0, 2): {}}
+            suites, "_triangle_case", lambda pq, qr, pr: _triangle_case(pq, qr, 1)
         )
         assert run_suite("prop51", 200, seed=7)[0] == SuiteReport(
             suite="prop51",
@@ -104,6 +107,49 @@ class TestTriangleSuite:
             counterexample="p=23: d([23421:17210],[100545230944842763:71816551862449883]) "
             "< min over middle [-155:18231]",
         )
+
+    def test_count_is_three_per_prime_of_the_distance_table(self):
+        # the primes that are counted, not factored, still count 3 each
+        rng = random.Random("triangle-count")
+        for i in range(2000):  # even i: narrow family, odd i: wide family
+            P, Q, R = triple = _triangle_triple(rng, i)
+            primes = set().union(*distance_table(triple).values())
+            crosses = (cross_term(P, Q), cross_term(Q, R), cross_term(P, R))
+            assert _triangle_case(*crosses) == (3 * len(primes), None)
+
+    def test_case_matches_the_witness_on_any_three_integers(self):
+        # the cross terms of three points share no prime pairwise only, but
+        # the check does not rely on that: on any three integers, failing
+        # ones included, it agrees with the witness on the factored terms
+        rng = random.Random("triangle-case")
+        primes = (2, 3, 7, 3001, 65537)
+        outcomes = set()
+        for _ in range(1000):
+            terms = [
+                rng.choice((1, -1))
+                * rng.randint(1, 1 << 24)
+                * prod(p ** rng.randint(0, 2) for p in rng.sample(primes, 2))
+                for _ in range(3)
+            ]
+            expected = _triangle_witness(*(factor(c) for c in terms))
+            assert _triangle_case(*terms) == expected, terms
+            outcomes.add(expected[1] is None)
+        assert outcomes == {True, False}
+
+    def test_rho_work_stays_pinned(self, monkeypatch):
+        # a work count that timing noise cannot blur: splitting every cross
+        # term took 177 rho runs and 81982 iterations here
+        runs = []
+        real = numtheory._brent_rho
+
+        def counting(n, c, max_iter):
+            g, spent = real(n, c, max_iter)
+            runs.append(spent)
+            return g, spent
+
+        monkeypatch.setattr(numtheory, "_brent_rho", counting)
+        run_suite("prop51", 200, seed=7)
+        assert len(runs) <= 20 and sum(runs) <= 4344, (len(runs), sum(runs))
 
     def test_shared_valuations_match_log_distance(self):
         rng = random.Random("shared-valuations")
