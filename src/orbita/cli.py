@@ -7,7 +7,10 @@ Exit status taxonomy:
   3  a budget was exhausted (orbit points or coordinate bits, factorization or
      size refusal, an exact bound too long to print)
   4  a verification suite found a counterexample (printed with its witness)
-  5  an internal invariant was breached
+  5  an internal invariant was breached: a failed certificate check, or any
+     other Exception a command raises (a bug), decided in main alone and
+     reported on one line without a traceback; KeyboardInterrupt still stops
+     the command
 
 Every command reads all of its inputs, cheapest first, before any other
 work. The costly ones come last: the texts of its maps, each read into
@@ -28,13 +31,8 @@ from fractions import Fraction
 from . import bounds as _bounds
 from .maps import bad_primes, make_map, read_map
 from .numtheory import BudgetError, PlaceSet, factor
-from .orbits import (
-    CertificateCheckError,
-    OrbitCertificate,
-    certificate_to_json,
-    detect_orbit,
-)
-from .projective import ProjectivePoint, log_distance, parse_point
+from .orbits import OrbitCertificate, certificate_to_json, detect_orbit
+from .projective import ProjectivePoint, _read_rational, log_distance, parse_point
 from .sunit import count_three_term, solve_unit_equation
 from .suites import SUITE_NAMES, run_suite
 
@@ -230,7 +228,7 @@ def _parse_coefficients(text: str) -> tuple[Fraction, ...]:
     if len(pieces) != 3:
         raise _InputError("--three-term needs three comma-separated coefficients")
     try:
-        coeffs = tuple(Fraction(piece.strip()) for piece in pieces)
+        coeffs = tuple(_read_rational(piece.strip()) for piece in pieces)
     except (ValueError, ZeroDivisionError) as exc:
         raise _InputError(f"bad coefficient list: {exc}") from None
     if 0 in coeffs:
@@ -479,8 +477,8 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetError as exc:
         _fail(f"budget exhausted: {exc}")
         return 3
-    except (CertificateCheckError, AssertionError, ValueError) as exc:
-        # input errors were caught above, so a ValueError here is a bug
+    except Exception as exc:
+        # input errors and budgets were caught above, so anything else is a bug
         _fail(f"internal invariant breach: {exc}")
         return 5
 

@@ -409,8 +409,6 @@ def _poly_str(coeffs_desc: list[int]) -> str:
             parts.append(body if c > 0 else f"-{body}")
         else:
             parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    if not parts:
-        return "0"
     return " ".join(parts)
 
 

@@ -9,6 +9,8 @@ factorization per cross term.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, inf, isinf
@@ -77,6 +79,30 @@ def canonical_point(a) -> ProjectivePoint:
     return ProjectivePoint(af.numerator, af.denominator)
 
 
+# the parts of a decimal literal with an exponent, underscores removed: the
+# digits before and after the point, and the exponent
+_EXPONENT_LITERAL = re.compile(r"\s*[-+]?(\d*)(?:\.(\d*))?[eE]([-+]?\d+)\s*")
+
+
+def _read_rational(text: str) -> Fraction:
+    """Fraction(text), refused before any integer is formed when it stands for too many digits.
+
+    A literal w.f e k written out has len(w) + k digits before the point and
+    len(f) - k after it. Either count past Python's int-string limit raises
+    ValueError, as the written-out literal does; with the limit off, its
+    default of 4300 digits still holds, so the literal's cost stays bounded.
+    """
+    match = _EXPONENT_LITERAL.fullmatch(text.replace("_", ""))
+    if match:
+        whole, fraction, exponent = match.groups("")
+        k = int(exponent)
+        digits = max(len(whole) + k, len(fraction) - k)
+        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        if digits > limit:
+            raise ValueError(f"the literal stands for {digits} digits, over the limit of {limit}")
+    return Fraction(text)
+
+
 def parse_point(text: str) -> ProjectivePoint:
     """Point syntax: "a/b", an integer, "inf", or "[x:y]"."""
     t = text.strip()
@@ -92,7 +118,7 @@ def parse_point(text: str) -> ProjectivePoint:
         except ValueError as exc:
             raise ValueError(f"bad projective point {text!r}: {exc}") from None
     try:
-        return canonical_point(Fraction(t))
+        return canonical_point(_read_rational(t))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad point syntax {text!r}: {exc}") from None
 

@@ -10,9 +10,10 @@ coordinates themselves are large. The remark suite reads its distances
 from projective.distance_table. The triangle suite factors only the primes
 that two cross terms share, where an inequality can fail, and counts the
 others without splitting them (numtheory._omega). The non-expansion suite
-takes the tail check's pair step. Each runs the same check as the
-certificate (orbits._triangle_witness, orbits._check_remark,
-orbits._non_expansion_step).
+takes the tail check's pair step. The triangle and non-expansion suites run
+the same checks as the certificate (orbits._triangle_witness,
+orbits._non_expansion_step); the remark suite runs orbits._check_remark,
+which the certificate derives from those two instead of running.
 """
 
 from __future__ import annotations

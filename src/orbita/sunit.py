@@ -67,22 +67,29 @@ def _smooth_set(primes: tuple[int, ...], B: int) -> set[int]:
     return out
 
 
-def _sized_box(S: PlaceSet, B: int, power: int = 1) -> set[int]:
+def _sized_box(S: PlaceSet, B: int, power: int = 1, operand_bits: int = 0) -> set[int]:
     """The smooth set of the box |a_i| <= B, once its scan is sized within WORK_CAP.
 
     The box holds 2 (2B+1)^r S-units, r = len(S.finite_primes) the rank; a
     scan over pairs of them (power 2) has that count squared as candidates.
     Their work is the count times the bit length of prod p^B, taken from
-    logs without forming the product.
+    logs without forming the product, or times operand_bits, the bits of
+    the rationals the scan multiplies in, when those are longer: a
+    candidate's operands are about as long as both together.
     """
     if B < 1:
         raise ValueError("exponent bound must be positive")
     candidates = (2 * (2 * B + 1) ** len(S.finite_primes)) ** power
     # exact in B: a float product overflows for a B beyond float range
-    work = candidates * (int(B * Fraction(sum(log2(p) for p in S.finite_primes))) + 1)
+    box_bits = int(B * Fraction(sum(log2(p) for p in S.finite_primes))) + 1
+    work = candidates * max(box_bits, operand_bits)
     if work > WORK_CAP:
         raise BudgetError(work, WORK_CAP, "box candidate bits")
     return _smooth_set(S.finite_primes, B)
+
+
+def _bits(x: Fraction) -> int:
+    return x.numerator.bit_length() + x.denominator.bit_length()
 
 
 class _BoundedCount:
@@ -152,7 +159,7 @@ def two_way_representations(T: Rational, S: PlaceSet, B: int) -> TwoWaysReport:
     "two essentially different ways" predicate is simply >= 2 pairs.
     """
     T = Fraction(T)
-    smooth = _sized_box(S, B)
+    smooth = _sized_box(S, B, 1, _bits(T))
     tn, td = T.numerator, T.denominator
     seen: set[tuple[Fraction, Fraction]] = set()
     for n, d in _box_pairs(S.finite_primes, B):
@@ -189,7 +196,7 @@ def count_three_term(S: PlaceSet, a, B: int, precision: int) -> ThreeTermReport:
     coeffs = tuple(Fraction(c) for c in a)
     if len(coeffs) != 3 or any(c == 0 for c in coeffs):
         raise ValueError("need exactly three nonzero coefficients")
-    smooth = _sized_box(S, B, 2)
+    smooth = _sized_box(S, B, 2, sum(map(_bits, coeffs)))
     units = list(_box_pairs(S.finite_primes, B))
     (p1, q1), (p2, q2), (p3, q3) = ((c.numerator, c.denominator) for c in coeffs)
     # t2 = a2 x2 = e/c with c > 0. t2 = 1 makes t1 + t3 = 1 - t2 vanish, so

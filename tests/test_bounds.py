@@ -365,6 +365,19 @@ def test_power_of_two_digit_count(no_int_str_limit):
         assert bounds._pow2_digits(k) == len(str(2**k)), k
 
 
+def test_power_of_two_digit_count_doubles_its_precision():
+    # 16 * 10^300 log10 2 needs more than 32 digits to tell its floor: the
+    # refusal names the count mpmath gives at 400 digits
+    mp.dps, dps = 400, mp.dps
+    try:
+        digits = int(mp.floor(16 * 10**300 * mp.log10(2))) + 1
+    finally:
+        mp.dps = dps
+    with pytest.raises(BudgetError) as info:
+        evaluate_bound(BoundFormula.of("KRun", s=10**300), 60)
+    assert (info.value.observed, info.value.limit) == (digits, 4300)
+
+
 def test_exact_value_refused_before_it_is_formed():
     # 2^(8 * 10^7) would take 10 MB; the refusal allocates next to nothing
     tracemalloc.start()

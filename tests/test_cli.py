@@ -281,6 +281,13 @@ class TestBounds:
         assert doc["exact"] == "16777216"
         assert doc["precision"] == "60"
 
+    def test_empty_param_pieces_skipped(self, capsys):
+        # a trailing or doubled comma leaves an empty piece, which is skipped
+        expected = run(capsys, "bounds", "--formula", "CanciC", "--params", "s=1")
+        assert expected[0] == 0
+        assert run(capsys, "bounds", "--formula", "CanciC", "--params", "s=1,") == expected
+        assert run(capsys, "bounds", "--formula", "CanciC", "--params", ",s=1,,") == expected
+
     def test_comma_separated_params(self, capsys):
         code, out, _ = run(
             capsys, "bounds", "--formula", "MortonSilverman", "--params", "t=1,D=1"
@@ -514,6 +521,16 @@ class TestSunit:
     def test_bad_input_exits_2(self, capsys, argv):
         code, _, _ = run(capsys, *argv)
         assert code == 2
+
+    def test_bad_coefficient_pinned(self, capsys):
+        result = run(capsys, "sunit", "--primes", "2", "--bound", "2", "--three-term", "1,x,1")
+        assert result == (2, "", "orbita: error: bad coefficient list: "
+                          "Invalid literal for Fraction: 'x'\n")
+
+    def test_exponent_coefficients_read_as_written_out(self, capsys):
+        argv = ("sunit", "--primes", "2", "--bound", "6", "--json", "--three-term")
+        _, plain, _ = run(capsys, *argv, "1000,1000,-1000")
+        assert run(capsys, *argv, "1e3,1.0e3,-10e2") == (0, plain, "")
 
     def test_oversized_box_exits_3(self, capsys):
         code, _, err = run(
@@ -870,14 +887,16 @@ def test_input_with_two_faults_names_the_cheaper_one(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"orbita: error: {message}\n")
 
 
-@pytest.mark.parametrize(
-    ("module", "name", "argv"),
-    [
-        (orbits, "distance_table", ("orbit", "--map", "z^2 - 1", "--point", "1")),
-        (_bounds, "evaluate_bound", ("bounds", "--formula", "CanciC", "--params", "s=1")),
-        (sunit, "_smooth_set", ("sunit", "--primes", "2", "--bound", "2", "--three-term", "1,1,-1")),
-    ],
-)
+# a function on the path of each of four commands, for a patch to raise from
+_BREACH_PATHS = [
+    (orbits, "distance_table", ("orbit", "--map", "z^2 - 1", "--point", "1")),
+    (_bounds, "evaluate_bound", ("bounds", "--formula", "CanciC", "--params", "s=1")),
+    (sunit, "_smooth_set", ("sunit", "--primes", "2", "--bound", "2", "--three-term", "1,1,-1")),
+    (suites, "_triangle_case", ("verify", "--suite", "prop51", "--iterations", "2")),
+]
+
+
+@pytest.mark.parametrize(("module", "name", "argv"), _BREACH_PATHS)
 def test_internal_value_error_exits_5(capsys, monkeypatch, module, name, argv):
     # input errors are caught where the input is parsed; a ValueError from
     # deeper down is a bug, not bad input
@@ -931,10 +950,9 @@ def test_closed_stdout_exits_2_without_traceback():
     [
         ("_check_triangle", "triangle inequality fails at p=3 for [0:1],[3:1],[9:1]"),
         ("_check_non_expansion", "non-expansion fails at p=3 for points 0,1"),
-        ("_check_remark", "remark fails at p=3, a=0, b=1, k=2"),
         ("_check_divisibility", "v_3(x_1) = 2 > v_3(x_2) = 1"),
     ],
-    ids=["triangle", "non-expansion", "remark", "tail-divisibility"],
+    ids=["triangle", "non-expansion", "tail-divisibility"],
 )
 def test_failed_certificate_check_exits_5(capsys, monkeypatch, name, message):
     # every certificate check that fails is an invariant breach, not a traceback
@@ -945,3 +963,92 @@ def test_failed_certificate_check_exits_5(capsys, monkeypatch, name, message):
     code, out, err = run(capsys, "orbit", "--map", "z^2 - 2", "--point", "0")
     assert (code, out) == (5, "")
     assert err == f"orbita: error: internal invariant breach: {message}\n"
+
+
+@pytest.mark.parametrize(("module", "name", "argv"), _BREACH_PATHS)
+@pytest.mark.parametrize(
+    "error",
+    [
+        ZeroDivisionError("forced division"),
+        KeyError("forced key"),
+        TypeError("forced type"),
+        RecursionError("maximum recursion depth exceeded"),
+    ],
+    ids=lambda error: type(error).__name__,
+)
+def test_any_internal_exception_exits_5(capsys, monkeypatch, module, name, argv, error):
+    # cli.main decides exit 5 alone: whatever a layer raises beyond the
+    # input, budget and closed-stdout clauses is one error line, no traceback
+    def breach(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(module, name, breach)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (5, "")
+    assert err == f"orbita: error: internal invariant breach: {error}\n"
+
+
+def test_keyboard_interrupt_passes_through(monkeypatch):
+    # only Exception maps to exit 5: an interrupt (and the benchmark's
+    # BaseException deadline) still unwinds the command
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(orbits, "distance_table", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["orbit", "--map", "z^2 - 1", "--point", "1"])
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_orbit_never_runs_the_remark_check(capsys, monkeypatch, as_json):
+    # the remark follows from the triangle and non-expansion checks on the
+    # same table, so the certificate reports it without deciding it again
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return 0
+
+    monkeypatch.setattr(orbits, "_check_remark", counting)
+    for expr, start in [("z^2 - 29/16", "7/4"), ("z^2 - 2", "0"), ("-1/(z + 1)", "0")]:
+        code, out, _ = run(capsys, "orbit", "--map", expr, "--point", start, *["--json"] * as_json)
+        assert code == 0
+        if as_json:
+            assert json.loads(out)["checks"]["remark"] is True
+        else:
+            assert "remark=ok" in out
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    ("argv", "literal", "digits"),
+    [
+        (("orbit", "--map", "z", "--point", "1e10000000"), "1e10000000", 10000001),
+        (("orbit", "--map", "z", "--point", "1e100000000"), "1e100000000", 100000001),
+        (("orbit", "--map", "z", "--point", "1e-5000"), "1e-5000", 5000),
+        (("delta", "--p", "2", "--a", "1e100000000", "--b", "1"), "1e100000000", 100000001),
+        (("delta", "--p", "2", "--a", "1", "--b", "-1e100000000"), "-1e100000000", 100000001),
+        (("semigroup", "--maps", "z", "--point", "1e100000000"), "1e100000000", 100000001),
+    ],
+    ids=["orbit-1e7", "orbit-1e8", "orbit-negative", "delta-a", "delta-b", "semigroup"],
+)
+def test_exponent_point_refused_before_its_integer(capsys, argv, literal, digits):
+    # the digits a literal stands for meet the limit its written-out form
+    # does; tests/data/slow_inputs.txt holds these lines to 1 s
+    assert run(capsys, *argv) == (
+        2,
+        "",
+        f"orbita: error: bad point syntax {literal!r}: the literal stands for {digits} "
+        "digits, over the limit of 4300\n",
+    )
+
+
+def test_exponent_coefficient_refused_before_its_integer(capsys):
+    argv = ("sunit", "--primes", "2", "--bound", "2", "--three-term", "1,1e100000000,1")
+    assert run(capsys, *argv) == (
+        2,
+        "",
+        "orbita: error: bad coefficient list: the literal stands for 100000001 digits, "
+        "over the limit of 4300\n",
+    )
+

@@ -14,7 +14,9 @@ with exponents up to 3 and one-digit literals. One map in eight is wrapped
 in 1 to 2 * MAX_DEPTH parentheses, so both sides of the parser's depth
 budget are drawn. The points of `orbit` and
 `semigroup` have coordinates up to 10^6, and one point in eight has
-coordinates up to 10^60. `semigroup` factors every resultant, and a closed
+coordinates up to 10^60. Points and `sunit` coefficients also come as
+exponent literals (EXPONENTS), up to one whose written-out form has 10^8 + 1
+digits. `semigroup` factors every resultant, and a closed
 orbit factors its resultant and the cross term of each pair of its points.
 Each factor call spends at most one rho work budget, so a large point ends
 within the cap too, certified or refused.
@@ -84,6 +86,11 @@ def nested(exprs):
     return mostly(exprs, st.tuples(exprs, depths).map(lambda d: "(" * d[1] + d[0] + ")" * d[1]))
 
 
+# exponent literals: small ones, one that stands for 4000 digits after the
+# point, and one that stands for 10^8 + 1 digits, over Python's limit of 4300
+EXPONENTS = st.sampled_from(["1e3", "-2.5e-3", "1e-4000", "1e100000000"])
+
+
 def points(integers):
     return mostly(
         st.one_of(
@@ -91,6 +98,7 @@ def points(integers):
             st.tuples(integers, integers).map("{0[0]}/{0[1]}".format),
             st.tuples(integers, integers).map("[{0[0]}:{0[1]}]".format),
             st.just("inf"),
+            EXPONENTS,
         ),
         GARBAGE,
     )
@@ -210,7 +218,7 @@ NONZERO = st.tuples(st.sampled_from(["", "-"]), st.integers(1, 9), st.integers(1
     st.one_of(
         st.none(),
         mostly(
-            st.lists(NONZERO, min_size=3, max_size=3).map(",".join),
+            st.lists(mostly(NONZERO, EXPONENTS), min_size=3, max_size=3).map(",".join),
             st.sampled_from(["1,1", "1,1,1,1", "1,x,1", "1,0,1"]),
         ),
     ),

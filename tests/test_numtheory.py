@@ -424,6 +424,13 @@ class TestPlaceSet:
         with pytest.raises(ValueError):
             PlaceSet.of(6)
 
+    def test_rejects_unsorted_primes(self):
+        # PlaceSet.of sorts; the constructor takes the primes as given
+        with pytest.raises(ValueError, match="sorted and duplicate-free"):
+            PlaceSet((3, 2))
+        with pytest.raises(ValueError, match="sorted and duplicate-free"):
+            PlaceSet((2, 2))
+
     def test_contains(self):
         S = PlaceSet.of(2, 3)
         assert 2 in S and 3 in S and 5 not in S

@@ -556,6 +556,44 @@ class TestForgedDistances:
         with pytest.raises(CertificateCheckError, match="p=7"):
             _check_remark(cert, self.forged(cert, (0, 1), {7: 2}))
 
+    def test_remark_follows_from_triangle_and_non_expansion(self):
+        # why run_certificate_checks derives the remark: on any table, right
+        # or forged, that passes the triangle and non-expansion checks, the
+        # remark check passes too. Each forged table changes 1 to 4 entries
+        # of a corpus certificate's true table to a distance 0 to 3.
+        def passes(check, *args):
+            try:
+                check(*args)
+            except CertificateCheckError:
+                return False
+            return True
+
+        rng = random.Random("remark-forged")
+        certs = [(c, distance_table(c.points)) for c in corpus_certificates() if c.length >= 3]
+        passed = compared = refused = 0
+        while passed < 2000:
+            cert, true = rng.choice(certs)
+            primes = sorted(set().union(*true.values(), cert.bad_primes, (2, 3)))
+            table = {pair: dict(d) for pair, d in true.items()}
+            for _ in range(rng.randint(1, 4)):
+                entry, p, v = table[rng.choice(list(table))], rng.choice(primes), rng.randrange(4)
+                entry.pop(p, None)
+                if v:
+                    entry[p] = v
+            if table == true:
+                continue
+            if passes(_check_triangle, cert.points, table) and passes(
+                _check_non_expansion, cert, table
+            ):
+                passed += 1
+                compared += _check_remark(cert, table) > 0
+            else:
+                refused += not passes(_check_remark, cert, table)
+        # the forged tables reach the remark's comparisons, and the remark
+        # check does refuse some of the tables the other two refuse
+        assert compared > 1000
+        assert refused > 100
+
 
 class TestJson:
     def test_roundtrip(self):
@@ -606,6 +644,32 @@ class TestJson:
         doc = certificate_to_json(detect_orbit(parse_map("z^2 - 1"), parse_point("1")), 60)
         doc[key] = value
         with pytest.raises(ValueError):
+            certificate_from_json(doc)
+
+    @pytest.mark.parametrize(
+        ("tamper", "message"),
+        [
+            (lambda doc: doc["map"].update(F=["2"], G=["1"]), "degree-0"),
+            (
+                lambda doc: doc["map"].update(
+                    F=[str(-int(c)) for c in doc["map"]["F"]],
+                    G=[str(-int(c)) for c in doc["map"]["G"]],
+                ),
+                "leading sign",
+            ),
+            (lambda doc: doc.update(tail_length="-1"), "tail_length >= 0"),
+            (lambda doc: doc.update(tail_length="3"), "period >= 1"),
+            (lambda doc: doc.update(bad_primes=["3", "2"]), "sorted"),
+        ],
+        ids=["degree-0-map", "negated-map", "negative-tail", "tail-without-cycle",
+             "bad-primes-out-of-order"],
+    )
+    def test_rejects_a_tampered_document(self, tamper, message):
+        # 3/2 z^2 - 2/3 from 2/3: m = 1, n = 2 over 3 points, bad primes 2, 3
+        doc = certificate_to_json(detect_orbit(parse_map("3/2*z^2 - 2/3"), parse_point("2/3")), 60)
+        assert (doc["tail_length"], len(doc["points"]), doc["bad_primes"]) == ("1", 3, ["2", "3"])
+        tamper(doc)
+        with pytest.raises(ValueError, match=message):
             certificate_from_json(doc)
 
     def test_rejects_tampered_orbit(self):

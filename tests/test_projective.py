@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from math import inf
 
@@ -10,6 +11,7 @@ from orbita.projective import (
     ProjectivePoint,
     canonical_point,
     cross_term,
+    _read_rational,
     distance_table,
     from_pair,
     log_distance,
@@ -78,6 +80,9 @@ def test_canonical_point_and_affine_roundtrip():
         ("[-3 : 6]", ProjectivePoint(-1, 2)),
         (" 7/2 ", ProjectivePoint(7, 2)),
         ("2.5", ProjectivePoint(5, 2)),  # decimal strings are exact rationals
+        ("1e3", ProjectivePoint(1000, 1)),
+        ("-2.5e-3", ProjectivePoint(-1, 400)),
+        ("1_0e1", ProjectivePoint(100, 1)),
     ],
 )
 def test_parse_point(text, point):
@@ -88,6 +93,44 @@ def test_parse_point(text, point):
 def test_parse_point_rejects(text):
     with pytest.raises(ValueError):
         parse_point(text)
+
+
+@pytest.mark.parametrize(
+    ("text", "digits"),
+    [
+        # written out: an integer part of len(w) + k digits, a fraction of len(f) - k
+        ("1e4299", None),
+        ("1e4300", 4301),
+        ("0e4300", 4301),
+        ("1e-4300", None),
+        ("1e-4301", 4301),
+        ("12.5e4299", 4301),
+        ("1.25e-4299", 4301),
+        ("-.5e-4300", 4301),
+        ("1_0e4_299", 4301),
+    ],
+)
+def test_literal_limited_by_the_digits_it_stands_for(text, digits):
+    if digits is None:
+        assert _read_rational(text) == Fraction(text)
+    else:
+        with pytest.raises(ValueError, match=f"stands for {digits} digits, over the limit of 4300"):
+            _read_rational(text)
+
+
+def test_literal_limit_follows_python():
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(5000)
+        assert _read_rational("1e-5000") == Fraction(1, 10**5000)
+        with pytest.raises(ValueError, match="over the limit of 5000"):
+            _read_rational("1e5000")
+        # "no limit" keeps Python's default, so a literal's cost stays bounded
+        sys.set_int_max_str_digits(0)
+        with pytest.raises(ValueError, match="over the limit of 4300"):
+            _read_rational("1e100000000")
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_log_distance_basic():

@@ -1,12 +1,10 @@
 """Rules on the package source itself."""
 
 import ast
-import builtins
 import importlib
 from pathlib import Path
 
 import orbita
-from orbita import cli
 
 
 def test_no_assert_statements():
@@ -191,62 +189,3 @@ def test_no_two_functions_share_a_body():
                 key = ast.dump(ast.Module(body=body, type_ignores=[]))
                 bodies.setdefault(key, []).append(f"{path.stem}.{node.name}")
     assert [names for names in bodies.values() if len(names) > 1] == []
-
-
-def _handled_by_main() -> tuple[type, ...]:
-    """The exception types that cli.main turns into an exit status."""
-    main = next(
-        node
-        for node in ast.parse(Path(cli.__file__).read_text(encoding="utf-8")).body
-        if isinstance(node, ast.FunctionDef) and node.name == "main"
-    )
-    names = []
-    for node in ast.walk(main):
-        if isinstance(node, ast.ExceptHandler) and node.type is not None:
-            elts = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
-            names += [elt.id for elt in elts]
-    return tuple(
-        getattr(cli, name, None) or getattr(builtins, name)
-        for name in names
-        if name != "SystemExit"  # argparse's own exit, returned as its status
-    )
-
-
-def _raises(tree: ast.Module):
-    """Each raise that names an exception, with the name of the innermost function around it.
-
-    A bare raise re-raises what was caught, so it is skipped.
-    """
-    found = []
-
-    def visit(node, function):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Raise) and child.exc is not None:
-                found.append((child, function))
-            visit(child, child.name if isinstance(child, ast.FunctionDef) else function)
-
-    visit(tree, None)
-    return found
-
-
-# library argument checks that no command can reach
-UNMAPPED_RAISES = {("projective.canonical_point", "TypeError")}
-
-
-def test_every_raise_has_an_exit_status():
-    # an exception main does not map would end a command in a traceback and exit 1
-    handled = _handled_by_main()
-    sources = sorted(Path(orbita.__file__).parent.glob("*.py"))
-    found = []
-    for path in sources:
-        module = importlib.import_module(
-            "orbita" if path.stem == "__init__" else f"orbita.{path.stem}"
-        )
-        for node, function in _raises(ast.parse(path.read_text(encoding="utf-8"))):
-            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-            name = exc.id if isinstance(exc, ast.Name) else exc.attr
-            raised = getattr(module, name, None) or getattr(builtins, name)
-            where = f"{path.stem}.{function}"
-            if not issubclass(raised, handled) and (where, name) not in UNMAPPED_RAISES:
-                found.append(f"{where}:{node.lineno} raises {name}")
-    assert found == []
