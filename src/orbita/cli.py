@@ -32,7 +32,14 @@ from . import bounds as _bounds
 from .maps import bad_primes, make_map, read_map
 from .numtheory import BudgetError, PlaceSet, factor
 from .orbits import OrbitCertificate, certificate_to_json, detect_orbit
-from .projective import ProjectivePoint, _read_rational, log_distance, parse_point
+from .projective import (
+    ProjectivePoint,
+    _DigitLimitError,
+    _read_int,
+    _read_rational,
+    log_distance,
+    parse_point,
+)
 from .sunit import count_three_term, solve_unit_equation
 from .suites import SUITE_NAMES, run_suite
 
@@ -160,7 +167,9 @@ def _parse_params(tokens: list[str]) -> dict[str, int]:
             if key in out:
                 raise _InputError(f"parameter {key!r} is given more than once")
             try:
-                out[key] = int(value)
+                out[key] = _read_int(value)
+            except _DigitLimitError as exc:
+                raise _InputError(f"parameter {piece!r}: {exc}") from None
             except ValueError:
                 raise _InputError(f"parameter {piece!r} needs an integer value") from None
     return out
@@ -214,7 +223,9 @@ def _parse_places(text: str) -> PlaceSet:
         if not piece or piece.lower() in ("inf", "oo"):
             continue  # the archimedean place is always included
         try:
-            primes.append(int(piece))
+            primes.append(_read_int(piece))
+        except _DigitLimitError as exc:
+            raise _InputError(f"bad prime {piece!r}: {exc}") from None
         except ValueError:
             raise _InputError(f"bad prime {piece!r}") from None
     try:

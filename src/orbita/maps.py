@@ -20,7 +20,7 @@ from .forms import (
     substitute_forms,
 )
 from .numtheory import BudgetError, factor, vp
-from .projective import ProjectivePoint, from_pair
+from .projective import ProjectivePoint, _DigitLimitError, _read_int, from_pair
 
 __all__ = [
     "RationalMap",
@@ -296,8 +296,12 @@ class _Parser:
         tok, start, _ = self.tokens[self.i]
         if not tok.isdecimal():
             raise MapSyntaxError("expected an unsigned integer", start)
+        try:
+            value = _read_int(tok)
+        except _DigitLimitError as exc:
+            raise MapSyntaxError(str(exc), start) from None
         self.i += 1
-        return int(tok)
+        return value
 
     def expr(self):
         neg = self.accept("+-") == "-"
@@ -335,6 +339,15 @@ class _Parser:
 
     def base(self):
         tok, start, end = self.tokens[self.i]
+        if tok.isdecimal():
+            num, den = self.uint(), 1
+            # greedy rational literal: a '/' is its bar when a uint follows
+            if self.tokens[self.i][0] == "/" and self.tokens[self.i + 1][0].isdecimal():
+                self.i += 1
+                den = self.uint()
+                if den == 0:
+                    raise MapSyntaxError("zero denominator in rational literal", end)
+            return ([num], [den])
         self.i += 1
         if tok == "z":
             return ([0, 1], [1])
@@ -343,15 +356,6 @@ class _Parser:
             if not self.accept(")"):
                 raise MapSyntaxError("expected ')'", self.tokens[self.i][1])
             return value
-        if tok.isdecimal():
-            num, den = int(tok), 1
-            # greedy rational literal: a '/' is its bar when a uint follows
-            if self.tokens[self.i][0] == "/" and self.tokens[self.i + 1][0].isdecimal():
-                self.i += 1
-                den = self.uint()
-                if den == 0:
-                    raise MapSyntaxError("zero denominator in rational literal", end)
-            return ([num], [den])
         if not tok:
             raise MapSyntaxError("unexpected end of expression", start)
         raise MapSyntaxError(f"unexpected character {tok!r}", start)

@@ -9,6 +9,7 @@ answer; the refusal carries the primes found so far in the same {p: e} shape.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -339,8 +340,7 @@ def _omega(n: int) -> int:
     if k not in _PRIME_PRODUCTS:
         _PRIME_PRODUCTS[k] = _product_tree([p for p in _sieve(1 << k) if p > _TABLE_LIMIT])
     small = factor(gcd(m, _PRIME_PRODUCTS[k] % m))
-    for p in small:
-        m //= p ** _valuation(m, p)
+    m = _split(m, small)[1]
     # every prime left exceeds 2^k, whose cube is at least m: m is 1, p, p^2 or pq
     rest = 0 if m == 1 else 1 if is_prime(m) or isqrt(m) ** 2 == m else 2
     return len(found) + len(small) + rest
@@ -363,6 +363,22 @@ def _valuation(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
+
+
+def _split(n: int, primes: Iterable[int]) -> tuple[dict[int, int], int]:
+    """{p: v_p(n)} of the listed primes that divide n != 0, in list order, and |n| without them."""
+    if n == 0:
+        raise ValueError("cannot split 0")
+    m = abs(n)
+    found: dict[int, int] = {}
+    for p in primes:
+        v = 0
+        while m % p == 0:
+            m //= p
+            v += 1
+        if v:
+            found[p] = v
+    return found, m
 
 
 @dataclass(frozen=True)
@@ -396,14 +412,6 @@ class PlaceSet:
         return "{" + inner + "}"
 
 
-def _strip_primes(n: int, primes: tuple[int, ...]) -> int:
-    n = abs(n)
-    for p in primes:
-        while n % p == 0:
-            n //= p
-    return n
-
-
 def s_membership(x: Rational | int, S: PlaceSet) -> str:
     """Classify x as zero, S-unit, S-integer-not-unit, or not-S-integer.
 
@@ -413,8 +421,8 @@ def s_membership(x: Rational | int, S: PlaceSet) -> str:
     x = Fraction(x)
     if x == 0:
         return ZERO
-    if _strip_primes(x.denominator, S.finite_primes) != 1:
+    if _split(x.denominator, S.finite_primes)[1] != 1:
         return NOT_S_INTEGER
-    if _strip_primes(x.numerator, S.finite_primes) != 1:
+    if _split(x.numerator, S.finite_primes)[1] != 1:
         return S_INTEGER_NOT_UNIT
     return S_UNIT

@@ -39,8 +39,7 @@ from .numtheory import (
     S_UNIT,
     BudgetError,
     PlaceSet,
-    _strip_primes,
-    _valuation,
+    _split,
     factor,
     is_prime,
     s_membership,
@@ -105,7 +104,7 @@ class OrbitCertificate:
                 raise ValueError(f"bad prime {p} is not prime")
             if res % p:
                 raise ValueError(f"bad prime {p} does not divide the model resultant")
-        if _strip_primes(res, self.bad_primes) != 1:
+        if _split(res, self.bad_primes)[1] != 1:
             raise ValueError("bad primes miss a prime factor of the model resultant")
 
     @property
@@ -406,7 +405,7 @@ def _non_expansion_step(res: int, c: int, image: int) -> tuple[int, tuple[int, i
     what _non_expansion_witness returns.
     """
     before = factor(c)
-    after = None if image == 0 else {p: _valuation(image, p) for p in before}
+    after = None if image == 0 else _split(image, before)[0]
     return _non_expansion_witness(before, after, {p for p in before if res % p == 0})
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, inf, isinf
 
-from .numtheory import FactorizationBudgetError, Rational, _valuation, factor, is_prime
+from .numtheory import FactorizationBudgetError, Rational, _split, _valuation, factor, is_prime
 
 __all__ = [
     "ProjectivePoint",
@@ -82,24 +82,48 @@ def canonical_point(a) -> ProjectivePoint:
 # the parts of a decimal literal with an exponent, underscores removed: the
 # digits before and after the point, and the exponent
 _EXPONENT_LITERAL = re.compile(r"\s*[-+]?(\d*)(?:\.(\d*))?[eE]([-+]?\d+)\s*")
+_DIGIT_RUN = re.compile(r"\d+")
+
+
+class _DigitLimitError(ValueError):
+    """A literal that stands for more digits than the digit limit, refused before it is read."""
+
+
+def _check_digits(digits: int) -> None:
+    """Refuse a literal that stands for more digits than Python's int-string limit.
+
+    With the limit off, its default of 4300 digits still holds, so the cost
+    of a literal stays bounded.
+    """
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    if digits > limit:
+        raise _DigitLimitError(f"the literal stands for {digits} digits, over the limit of {limit}")
+
+
+def _longest_run(text: str) -> int:
+    """The digits of the longest run of decimal digits in text, underscores removed."""
+    return max(map(len, _DIGIT_RUN.findall(text.replace("_", ""))), default=0)
+
+
+def _read_int(text: str) -> int:
+    """int(text), refused (_DigitLimitError) before any integer is formed when it is too long."""
+    _check_digits(_longest_run(text))
+    return int(text)
 
 
 def _read_rational(text: str) -> Fraction:
     """Fraction(text), refused before any integer is formed when it stands for too many digits.
 
-    A literal w.f e k written out has len(w) + k digits before the point and
-    len(f) - k after it. Either count past Python's int-string limit raises
-    ValueError, as the written-out literal does; with the limit off, its
-    default of 4300 digits still holds, so the literal's cost stays bounded.
+    Each run of digits is read as one integer. A literal w.f e k written out
+    has len(w) + k digits before the point and len(f) - k after it. A run,
+    or either count, past the digit limit raises _DigitLimitError.
     """
+    _check_digits(_longest_run(text))
     match = _EXPONENT_LITERAL.fullmatch(text.replace("_", ""))
     if match:
         whole, fraction, exponent = match.groups("")
         k = int(exponent)
-        digits = max(len(whole) + k, len(fraction) - k)
-        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-        if digits > limit:
-            raise ValueError(f"the literal stands for {digits} digits, over the limit of {limit}")
+        _check_digits(max(len(whole) + k, len(fraction) - k))
     return Fraction(text)
 
 
@@ -114,7 +138,7 @@ def parse_point(text: str) -> ProjectivePoint:
         if len(parts) != 2:
             raise ValueError(f"bad projective point syntax: {text!r}")
         try:
-            return from_pair(int(parts[0].strip()), int(parts[1].strip()))
+            return from_pair(_read_int(parts[0]), _read_int(parts[1]))
         except ValueError as exc:
             raise ValueError(f"bad projective point {text!r}: {exc}") from None
     try:
@@ -158,13 +182,7 @@ def distance_table(
             c = cross_term(points[i], points[i + gap])
             if c == 0:
                 raise ValueError("distance_table requires distinct points")
-            found: dict[int, int] = {}
-            m = abs(c)
-            for p in known:
-                v = _valuation(m, p)
-                if v:
-                    found[p] = v
-                    m //= p**v
+            found, m = _split(c, known)
             if m > 1:
                 try:
                     found.update(factor(m))

@@ -21,10 +21,10 @@ from __future__ import annotations
 import random
 from collections.abc import Iterator
 from dataclasses import dataclass
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 from .maps import RationalMap, evaluate, make_map, parse_map
-from .numtheory import BudgetError, _omega, _valuation, factor
+from .numtheory import BudgetError, _omega, _split, factor
 from .orbits import (
     CertificateCheckError,
     OrbitCertificate,
@@ -174,13 +174,11 @@ def _triangle_case(
     """
     terms = (pq, qr, pr)
     shared = factor(lcm(gcd(pq, qr), gcd(qr, pr), gcd(pq, pr)))
-    distances = [{p: v for p in shared if (v := _valuation(c, p))} for c in terms]
-    count, failure = _triangle_witness(*distances)
+    splits = [_split(c, shared) for c in terms]
+    count, failure = _triangle_witness(*(found for found, _ in splits))
     if failure:
         return _triangle_witness(*(factor(c) for c in terms))
-    for c, found in zip(terms, distances):
-        count += 3 * _omega(c // prod(p**v for p, v in found.items()))
-    return count, None
+    return count + sum(3 * _omega(rest) for _, rest in splits), None
 
 
 def prop51_cases(rng: random.Random, n: int) -> Iterator[tuple[int, str | None]]:

@@ -30,8 +30,13 @@ __all__ = [
 # box's largest integer: a scan's time grows with both. The benchmark's
 # largest box is about 1.8e6; the slowest box admitted, the three-term scan
 # over 2, 3, 5, 7, 11, 13 at B = 1 (3.2e7, held by its 2.1e6 candidates),
-# takes about 1 s on a 2-core x86-64 box
+# takes about 1 s on a 2-core x86-64 box. Long operands are charged more
+# than their bits (_sized_box): with coefficients of 200 to 4300 digits, the
+# slowest three-term box admitted takes 0.25 to 0.5 s
 WORK_CAP = 50_000_000
+# past about this many bits, a candidate's gcd, quadratic in its operands,
+# outweighs the rest of its work
+_GCD_BITS = 1 << 15
 
 
 def _box_pairs(primes: tuple[int, ...], B: int):
@@ -73,16 +78,17 @@ def _sized_box(S: PlaceSet, B: int, power: int = 1, operand_bits: int = 0) -> se
     The box holds 2 (2B+1)^r S-units, r = len(S.finite_primes) the rank; a
     scan over pairs of them (power 2) has that count squared as candidates.
     Their work is the count times the bit length of prod p^B, taken from
-    logs without forming the product, or times operand_bits, the bits of
-    the rationals the scan multiplies in, when those are longer: a
-    candidate's operands are about as long as both together.
+    logs without forming the product, or times the charge for operand_bits,
+    the bits of the rationals the scan multiplies in, when that is larger:
+    a candidate's operands are about as long as both together. L operand
+    bits are charged L + L^2 / 2^15, as a candidate's gcd grows with L^2.
     """
     if B < 1:
         raise ValueError("exponent bound must be positive")
     candidates = (2 * (2 * B + 1) ** len(S.finite_primes)) ** power
     # exact in B: a float product overflows for a B beyond float range
     box_bits = int(B * Fraction(sum(log2(p) for p in S.finite_primes))) + 1
-    work = candidates * max(box_bits, operand_bits)
+    work = candidates * max(box_bits, operand_bits + operand_bits**2 // _GCD_BITS)
     if work > WORK_CAP:
         raise BudgetError(work, WORK_CAP, "box candidate bits")
     return _smooth_set(S.finite_primes, B)

@@ -1052,3 +1052,77 @@ def test_exponent_coefficient_refused_before_its_integer(capsys):
         "over the limit of 4300\n",
     )
 
+
+
+LONG = "7" * 4301  # one digit over Python's int-string limit
+REFUSAL = "the literal stands for 4301 digits, over the limit of 4300"
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (("orbit", "--map", "z^2", "--point", LONG), f"bad point syntax {LONG!r}: {REFUSAL}"),
+        (
+            ("orbit", "--map", "z^2", "--point", f"[{LONG}:1]"),
+            f"bad projective point '[{LONG}:1]': {REFUSAL}",
+        ),
+        (("delta", "--p", "2", "--a", LONG, "--b", "1"), f"bad point syntax {LONG!r}: {REFUSAL}"),
+        (
+            ("orbit", "--map", f"{LONG}*z^2", "--point", "1"),
+            f"bad map '{LONG}*z^2': {REFUSAL} (at index 0)",
+        ),
+        (
+            ("bounds", "--formula", "ESS", "--params", f"n={LONG}", "r=1"),
+            f"parameter 'n={LONG}': {REFUSAL}",
+        ),
+        (
+            ("sunit", "--primes", f"2,{LONG}", "--bound", "1"),
+            f"bad prime {LONG!r}: {REFUSAL}",
+        ),
+    ],
+    ids=["point", "bracketed-point", "delta-a", "map-token", "params", "primes"],
+)
+def test_over_long_integer_literal_refused_by_the_digit_limit(capsys, argv, message):
+    # every path that reads an integer from the command line holds it to the
+    # rule exponent literals meet, and none passes on Python's own advice
+    assert run(capsys, *argv) == (2, "", f"orbita: error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (("orbit", "--map", "z^2", "--point", f"1/{LONG}"), f"bad point syntax '1/{LONG}'"),
+        (
+            ("orbit", "--map", "z^2", "--point", f"[1:{LONG}]"),
+            f"bad projective point '[1:{LONG}]'",
+        ),
+        (("orbit", "--map", f"z^2 + 1/{LONG}", "--point", "1"), f"bad map 'z^2 + 1/{LONG}'"),
+        (("orbit", "--map", f"z^{LONG}", "--point", "1"), f"bad map 'z^{LONG}'"),
+        (("semigroup", "--maps", f"z,{LONG}*z"), f"bad map '{LONG}*z'"),
+    ],
+    ids=["point-denominator", "bracketed-y", "map-denominator", "map-exponent", "semigroup"],
+)
+def test_every_digit_run_meets_the_limit(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"orbita: error: {message}") and REFUSAL in err
+    assert "set_int_max_str_digits" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("orbit", "--map", "z^2", "--point", LONG[1:]),
+        ("orbit", "--map", "z^2", "--point", f"[{LONG[1:]}:1]"),
+        ("orbit", "--map", f"{LONG[1:]}*z^2", "--point", "1"),
+        ("bounds", "--formula", "ESS", "--params", f"n={LONG[1:]}", "r=1"),
+        ("sunit", "--primes", f"2,{LONG[1:]}", "--bound", "1"),
+    ],
+    ids=["point", "bracketed-point", "map-token", "params", "primes"],
+)
+def test_literal_at_the_limit_is_read(capsys, argv):
+    # 4300 digits are read as before and meet the budgets after the parse
+    code, out, err = run(capsys, *argv)
+    assert REFUSAL not in err and "stands for" not in err
+    assert code in (2, 3)
+    assert out == ""

@@ -16,10 +16,13 @@ budget are drawn. The points of `orbit` and
 `semigroup` have coordinates up to 10^6, and one point in eight has
 coordinates up to 10^60. Points and `sunit` coefficients also come as
 exponent literals (EXPONENTS), up to one whose written-out form has 10^8 + 1
-digits. `semigroup` factors every resultant, and a closed
-orbit factors its resultant and the cross term of each pair of its points.
-Each factor call spends at most one rho work budget, so a large point ends
-within the cap too, certified or refused.
+digits. A literal of 4301 digits, one over Python's int-string limit, is
+drawn among the malformed points, map integer tokens, `bounds` parameter
+values and `sunit` primes: it must be refused by orbita's digit limit, never
+with Python's advice to raise it. `semigroup` factors every resultant, and a
+closed orbit factors its resultant and the cross term of each pair of its
+points. Each factor call spends at most one rho work budget, so a large
+point ends within the cap too, certified or refused.
 """
 
 import io
@@ -48,6 +51,9 @@ def mostly(valid, invalid):
 
 # a typographic minus, brackets and a colon reach the point parser too
 GARBAGE = st.text(alphabet="z0123456789+-*/^() []:inf−", max_size=10)
+# one digit over Python's int-string limit: refused by the digit limit
+# wherever an integer is read from the command line
+LONG = "9" * 4301
 # parameters: 0, small and negative values, and huge ones
 INTEGERS = st.one_of(
     st.integers(-3, 3),
@@ -77,7 +83,11 @@ def expressions(depth: int):
 def maps(depth: int):
     """Expressions with z kept in one term, so that few are constant."""
     e = expressions(depth)
-    return mostly(st.tuples(e, st.sampled_from("+-*/")).map("({0[0]}) {0[1]} z".format), GARBAGE)
+    long_token = st.sampled_from([f"{LONG}*z", f"z + 1/{LONG}", f"z^{LONG}"])
+    return mostly(
+        st.tuples(e, st.sampled_from("+-*/")).map("({0[0]}) {0[1]} z".format),
+        st.one_of(GARBAGE, long_token),
+    )
 
 
 def nested(exprs):
@@ -100,7 +110,7 @@ def points(integers):
             st.just("inf"),
             EXPONENTS,
         ),
-        GARBAGE,
+        st.one_of(GARBAGE, st.sampled_from([LONG, f"[{LONG}:1]", f"-1/{LONG}"])),
     )
 
 
@@ -125,6 +135,10 @@ def _run(argv: list[str], precision: str | None = None) -> int:
             code = cli.main(argv)
         elapsed = time.perf_counter() - start
     assert code in (0, 2, 3), (argv, err.getvalue())
+    assert "set_int_max_str_digits" not in err.getvalue(), argv
+    if LONG in err.getvalue():
+        # an error that quotes the over-long literal gives the digit limit as its reason
+        assert "stands for 4301 digits, over the limit of 4300" in err.getvalue(), argv
     assert elapsed <= CAP, (argv, elapsed)
     if precision in MALFORMED_PRECISIONS:
         # argparse's usage error, or else the precision error, before any work
@@ -186,7 +200,9 @@ def bounds_lines(draw):
     huge = st.sampled_from([10**9, 2**64, 10**30, 10**400])
     values = mostly(
         st.one_of(st.integers(1, 10**6), huge).map(str),
-        st.one_of(INTEGERS.map(str), st.sampled_from(["", "x", "1.5", "1e3", "-"])),
+        st.one_of(
+            INTEGERS.map(str), st.sampled_from(["", "x", "1.5", "1e3", "-"]), st.just(LONG)
+        ),
     )
     return ["bounds", "--formula", formula, "--params"] + [f"{k}={draw(values)}" for k in names]
 
@@ -210,7 +226,9 @@ NONZERO = st.tuples(st.sampled_from(["", "-"]), st.integers(1, 9), st.integers(1
 @given(
     mostly(
         st.lists(st.sampled_from(["2", "3", "5", "7", "11", "13"]), max_size=4, unique=True),
-        st.sampled_from([["0"], ["1"], ["4"], ["-3"], ["inf", "2"], ["x"], ["2", "2"]]),
+        st.sampled_from(
+            [["0"], ["1"], ["4"], ["-3"], ["inf", "2"], ["x"], ["2", "2"], ["2", LONG]]
+        ),
     ),
     mostly(st.one_of(st.integers(1, 12), st.integers(13, 10**6)), st.integers(-2, 0)),
     st.integers(0, 7),

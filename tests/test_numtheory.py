@@ -24,6 +24,7 @@ from orbita.numtheory import (
     _omega,
     _perfect_power,
     _sieve,
+    _split,
     s_membership,
     vp,
 )
@@ -389,6 +390,45 @@ def test_omega_refusal_propagates():
     with pytest.raises(FactorizationBudgetError) as info:
         _omega(12 * HARD)
     assert str(info.value).startswith("factorization work ")
+
+
+def _split_case(rng: random.Random, primes: list[int]) -> int:
+    """A nonzero n of either sign, up to 256 bits, built from random prime powers."""
+    if rng.random() < 0.1:
+        return rng.choice((1, -1))
+    n = rng.choice((1, -1))
+    for _ in range(rng.randint(1, 6)):
+        p = rng.choice(primes)
+        # one factor in four is a high power: as many bits as the budget left
+        room = (256 - n.bit_length()) // p.bit_length()
+        e = room if rng.random() < 0.25 else rng.randint(1, 3)
+        if 1 <= e <= room:
+            n *= p**e
+    return n
+
+
+def test_split_reads_the_factor_exponents_of_the_listed_primes():
+    # primes below 200 and of 12 to 24 bits, so that factor, the oracle, stays fast
+    rng = random.Random("split")
+    primes = list(_sieve(200))
+    primes += [_next_prime(rng.getrandbits(rng.randint(12, 24))) for _ in range(40)]
+    for _ in range(2000):
+        n = _split_case(rng, primes)
+        whole = factor(n) if abs(n) > 1 else {}
+        # primes of n and primes that do not divide it, in any order, or none
+        listed = rng.sample(primes, rng.randint(0, 8))
+        listed += rng.sample(list(whole), rng.randint(0, len(whole)))
+        listed = list(dict.fromkeys(rng.sample(listed, len(listed))))
+        found, rest = _split(n, listed)
+        expected = {p: whole[p] for p in listed if p in whole}
+        assert list(found.items()) == list(expected.items()), (n, listed)
+        assert rest == abs(n) // prod(p**e for p, e in expected.items()), (n, listed)
+
+
+def test_split_refuses_zero():
+    for listed in ([], [2], (3, 5)):
+        with pytest.raises(ValueError, match="cannot split 0"):
+            _split(0, listed)
 
 
 @pytest.mark.parametrize(

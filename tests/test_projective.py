@@ -11,6 +11,8 @@ from orbita.projective import (
     ProjectivePoint,
     canonical_point,
     cross_term,
+    _DigitLimitError,
+    _read_int,
     _read_rational,
     distance_table,
     from_pair,
@@ -108,13 +110,23 @@ def test_parse_point_rejects(text):
         ("1.25e-4299", 4301),
         ("-.5e-4300", 4301),
         ("1_0e4_299", 4301),
+        # every run of digits is one integer that Fraction forms
+        pytest.param("7" * 4300, None, id="4300-digits"),
+        pytest.param("7" * 4301, 4301, id="4301-digits"),
+        pytest.param("0" * 4301, 4301, id="4301-zeros"),
+        pytest.param(f"1/{'7' * 4301}", 4301, id="4301-digit-denominator"),
+        pytest.param(f"{'7' * 4301}.5", 4301, id="4301-digit-whole-part"),
+        pytest.param(f"{'7' * 4300}.{'7' * 4300}", None, id="4300-digits-each-side"),
+        # an exponent that is itself too long is refused before it is read
+        pytest.param("1e" + "0" * 4301, 4301, id="4301-digit-exponent"),
     ],
 )
 def test_literal_limited_by_the_digits_it_stands_for(text, digits):
     if digits is None:
         assert _read_rational(text) == Fraction(text)
     else:
-        with pytest.raises(ValueError, match=f"stands for {digits} digits, over the limit of 4300"):
+        refusal = f"stands for {digits} digits, over the limit of 4300"
+        with pytest.raises(_DigitLimitError, match=refusal):
             _read_rational(text)
 
 
@@ -129,6 +141,26 @@ def test_literal_limit_follows_python():
         sys.set_int_max_str_digits(0)
         with pytest.raises(ValueError, match="over the limit of 4300"):
             _read_rational("1e100000000")
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_integer_literal_held_to_the_same_limit():
+    assert _read_int(" -" + "7" * 4300) == -int("7" * 4300)
+    assert _read_int("1_000") == 1000
+    refusal = "stands for 4301 digits, over the limit of 4300"
+    for text in ("7" * 4301, "1_" * 4300 + "1"):
+        with pytest.raises(_DigitLimitError, match=refusal):
+            _read_int(text)
+    with pytest.raises(ValueError, match="invalid literal"):
+        _read_int("12x")
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(5000)
+        assert _read_int("7" * 4301) == int("7" * 4301)
+        sys.set_int_max_str_digits(0)
+        with pytest.raises(_DigitLimitError, match="over the limit of 4300"):
+            _read_int("7" * 4301)
     finally:
         sys.set_int_max_str_digits(limit)
 

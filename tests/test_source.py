@@ -189,3 +189,18 @@ def test_no_two_functions_share_a_body():
                 key = ast.dump(ast.Module(body=body, type_ignores=[]))
                 bodies.setdefault(key, []).append(f"{path.stem}.{node.name}")
     assert [names for names in bodies.values() if len(names) > 1] == []
+
+
+def test_valuation_is_read_where_it_lives():
+    # dividing known primes out of an integer is numtheory._split; _valuation
+    # is for one prime, and only log_distance reads it outside numtheory, so
+    # a hand-written split elsewhere shows up as a new import
+    sources = sorted(Path(orbita.__file__).parent.glob("*.py"))
+    importers = {
+        path.stem
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom)
+        and any(alias.name == "_valuation" for alias in node.names)
+    }
+    assert importers <= {"projective"}

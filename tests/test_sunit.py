@@ -235,16 +235,17 @@ class TestThreeTerm:
         assert (info.value.observed, info.value.limit) == (3_992_004 * 1847, WORK_CAP)
 
     def test_long_coefficients_size_the_work(self, monkeypatch):
-        # 1/10^4000 has 1 + 13288 bits, the other two 2 each: 13293 bits
-        # outweigh the box's 8, so (2 * 7^2)^2 = 9604 candidates are refused;
-        # the same literal refuses a two-way box that its 56 bits admit
+        # 1/10^4000 has 1 + 13288 bits, the other two 2 each: 13293 bits,
+        # charged 13293 + 13293^2 // 2^15 = 18685, outweigh the box's 8, so
+        # (2 * 7^2)^2 = 9604 candidates are refused; the same literal
+        # (13289 bits, charged 18678) refuses a two-way box that its 56 bits admit
         monkeypatch.setattr(sunit, "_box_pairs", None)
         with pytest.raises(BudgetError) as info:
             count_three_term(PlaceSet.of(2, 3), (F(1, 10**4000), 1, 1), 3, 60)
-        assert (info.value.observed, info.value.limit) == (9604 * 13293, WORK_CAP)
+        assert (info.value.observed, info.value.limit) == (9604 * 18685, WORK_CAP)
         with pytest.raises(BudgetError) as info:
             two_way_representations(F(1, 10**4000), PlaceSet.of(2, 3, 5, 7, 11), 5)
-        assert (info.value.observed, info.value.limit) == (2 * 11**5 * 13289, WORK_CAP)
+        assert (info.value.observed, info.value.limit) == (2 * 11**5 * 18678, WORK_CAP)
 
     def test_degenerate_subsums_excluded(self):
         # x + y + z = 1 with x = -y leaves z = 1; all such triples are skipped,
