@@ -19,7 +19,8 @@ from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 import mpmath
 from mpmath import libmp, mp
 
-from .numtheory import BudgetError
+from .numtheory import BudgetError, _excerpt
+from .projective import _DigitLimitError, _read_int
 
 __all__ = [
     "BoundFormula",
@@ -95,9 +96,11 @@ def working_precision() -> int:
     if raw is None:
         return DEFAULT_PRECISION
     try:
-        value = int(raw)
+        value = _read_int(raw)
+    except _DigitLimitError as exc:
+        raise ValueError(f"{PRECISION_ENV}: {exc}") from None
     except ValueError:
-        raise ValueError(f"{PRECISION_ENV} must be an integer, got {raw!r}") from None
+        raise ValueError(f"{PRECISION_ENV} must be an integer, got {_excerpt(raw)}") from None
     if value < 10:
         raise ValueError(f"{PRECISION_ENV} must be at least 10")
     if value > MAX_PRECISION:
@@ -189,14 +192,14 @@ class BoundFormula:
         spec = FORMULAS.get(self.name)
         if spec is None:
             known = ", ".join(sorted(FORMULAS))
-            raise ValueError(f"unknown formula {self.name!r}; known: {known}")
+            raise ValueError(f"unknown formula {_excerpt(self.name)}; known: {known}")
         if tuple(k for k, _ in self.params) != spec.param_names:
             raise ValueError(f"{self.name} expects parameters {', '.join(spec.param_names)}")
         for (k, v), (_, floor) in zip(self.params, spec.params):
             if not isinstance(v, int) or isinstance(v, bool):
                 raise ValueError(f"parameter {k} must be an integer")
             if v < floor:
-                raise ValueError(f"parameter {k}={v} below minimum {floor}")
+                raise ValueError(f"parameter {k}={_excerpt(v)} below minimum {floor}")
 
     @classmethod
     def of(cls, name: str, /, **params: int) -> BoundFormula:

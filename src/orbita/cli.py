@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from . import bounds as _bounds
 from .maps import bad_primes, make_map, read_map
-from .numtheory import BudgetError, PlaceSet, factor
+from .numtheory import BudgetError, PlaceSet, _excerpt, factor
 from .orbits import OrbitCertificate, certificate_to_json, detect_orbit
 from .projective import (
     ProjectivePoint,
@@ -58,7 +58,7 @@ def _read_map_arg(text: str) -> tuple[list[int], list[int]]:
     try:
         return read_map(text)
     except ValueError as exc:
-        raise _InputError(f"bad map {text!r}: {exc}") from None
+        raise _InputError(f"bad map {_excerpt(text)}: {exc}") from None
 
 
 def _parse_point_arg(text: str) -> ProjectivePoint:
@@ -162,16 +162,16 @@ def _parse_params(tokens: list[str]) -> dict[str, int]:
                 continue
             key, sep, value = piece.partition("=")
             if not sep:
-                raise _InputError(f"parameter {piece!r} is not of the form key=value")
+                raise _InputError(f"parameter {_excerpt(piece)} is not of the form key=value")
             key = key.strip()
             if key in out:
-                raise _InputError(f"parameter {key!r} is given more than once")
+                raise _InputError(f"parameter {_excerpt(key)} is given more than once")
             try:
                 out[key] = _read_int(value)
             except _DigitLimitError as exc:
-                raise _InputError(f"parameter {piece!r}: {exc}") from None
+                raise _InputError(f"parameter {_excerpt(piece)}: {exc}") from None
             except ValueError:
-                raise _InputError(f"parameter {piece!r} needs an integer value") from None
+                raise _InputError(f"parameter {_excerpt(piece)} needs an integer value") from None
     return out
 
 
@@ -225,9 +225,9 @@ def _parse_places(text: str) -> PlaceSet:
         try:
             primes.append(_read_int(piece))
         except _DigitLimitError as exc:
-            raise _InputError(f"bad prime {piece!r}: {exc}") from None
+            raise _InputError(f"bad prime {_excerpt(piece)}: {exc}") from None
         except ValueError:
-            raise _InputError(f"bad prime {piece!r}") from None
+            raise _InputError(f"bad prime {_excerpt(piece)}") from None
     try:
         return PlaceSet.of(*primes)
     except ValueError as exc:
@@ -376,6 +376,16 @@ def _cmd_semigroup(args) -> int:
 # ---------------------------------------------------------------- driver
 
 
+def _int_arg(text: str) -> int:
+    """The type of every integer flag: _read_int, in argparse's words for a non-integer."""
+    try:
+        return _read_int(text)
+    except _DigitLimitError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_excerpt(text)}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orbita",
@@ -390,7 +400,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("delta", help="p-adic logarithmic distance between two points")
-    p.add_argument("--p", type=int, required=True, help="prime")
+    p.add_argument("--p", type=_int_arg, required=True, help="prime")
     p.add_argument("--a", required=True, help="first point")
     p.add_argument("--b", required=True, help="second point")
 
@@ -405,14 +415,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sunit", help="scan S-unit equations inside an exponent box")
     p.add_argument("--primes", required=True, help="comma-separated finite primes")
-    p.add_argument("--bound", type=int, required=True, help="exponent box radius")
+    p.add_argument("--bound", type=_int_arg, required=True, help="exponent box radius")
     p.add_argument("--three-term", default=None, metavar="a1,a2,a3")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("verify", help="run the randomized property suites")
     p.add_argument("--suite", required=True, choices=SUITE_NAMES + ("all",))
-    p.add_argument("--iterations", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--iterations", type=_int_arg, default=None)
+    p.add_argument("--seed", type=_int_arg, default=0)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("semigroup", help="common good-reduction place set of generators")

@@ -34,6 +34,24 @@ __all__ = [
 
 DEFAULT_FACTOR_BITS = 4096
 
+# a message quotes a value from outside whole up to this many characters
+_QUOTED = 100
+
+
+def _excerpt(value: object) -> str:
+    """How a message shows a value from outside: repr(value), bounded in length.
+
+    Up to _QUOTED characters of str(value) that is repr(value), so a text is
+    quoted and an integer shows its digits; past that, the first 40 of them
+    and the full length, so a refusal never echoes an over-long input whole.
+    """
+    text = str(value)
+    if len(text) <= _QUOTED:
+        return repr(value)
+    head = repr(text[:40]) if isinstance(value, str) else text[:40]
+    return f"{head}... ({len(text)} characters)"
+
+
 # s_membership classification labels
 ZERO = "zero"
 S_UNIT = "S-unit"
@@ -349,7 +367,7 @@ def _omega(n: int) -> int:
 def vp(x: Rational | int, p: int) -> int:
     """p-adic valuation of a nonzero rational, normalized so vp(p) = 1."""
     if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+        raise ValueError(f"{_excerpt(p)} is not prime")
     x = Fraction(x)
     if x == 0:
         raise ValueError("valuation of 0 is undefined at this layer")
@@ -393,7 +411,7 @@ class PlaceSet:
             raise ValueError("finite primes must be sorted and duplicate-free")
         for p in ps:
             if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
+                raise ValueError(f"{_excerpt(p)} is not prime")
 
     @classmethod
     def of(cls, *primes: int) -> "PlaceSet":

@@ -39,6 +39,7 @@ from .numtheory import (
     S_UNIT,
     BudgetError,
     PlaceSet,
+    _excerpt,
     _split,
     factor,
     is_prime,
@@ -536,7 +537,7 @@ def certificate_from_json(doc: dict) -> OrbitCertificate:
     certificate derives from its points, tail length and bad primes.
     """
     if doc.get("schema") != SCHEMA_TAG:
-        raise ValueError(f"unsupported schema {doc.get('schema')!r}")
+        raise ValueError(f"unsupported schema {_excerpt(doc.get('schema'))}")
     m = RationalMap(
         tuple(int(c) for c in doc["map"]["F"]),
         tuple(int(c) for c in doc["map"]["G"]),

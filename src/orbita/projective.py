@@ -15,7 +15,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, inf, isinf
 
-from .numtheory import FactorizationBudgetError, Rational, _split, _valuation, factor, is_prime
+from .numtheory import (
+    _QUOTED,
+    FactorizationBudgetError,
+    Rational,
+    _excerpt,
+    _split,
+    _valuation,
+    factor,
+    is_prime,
+)
 
 __all__ = [
     "ProjectivePoint",
@@ -105,10 +114,24 @@ def _longest_run(text: str) -> int:
     return max(map(len, _DIGIT_RUN.findall(text.replace("_", ""))), default=0)
 
 
+def _parsed(parse, text: str):
+    """parse(text) with Python's own refusal, quoting only an excerpt of a long text."""
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        if len(text) <= _QUOTED:
+            raise  # Python's message, which quotes text whole
+        raise type(exc)(f"invalid literal for {parse.__name__}: {_excerpt(text)}") from None
+
+
 def _read_int(text: str) -> int:
-    """int(text), refused (_DigitLimitError) before any integer is formed when it is too long."""
+    """int(text), refused (_DigitLimitError) before any integer is formed when it is too long.
+
+    The one reader of an integer from outside: point coordinates, map
+    tokens, every integer flag and option value, and ORBITA_PRECISION.
+    """
     _check_digits(_longest_run(text))
-    return int(text)
+    return _parsed(int, text)
 
 
 def _read_rational(text: str) -> Fraction:
@@ -124,7 +147,7 @@ def _read_rational(text: str) -> Fraction:
         whole, fraction, exponent = match.groups("")
         k = int(exponent)
         _check_digits(max(len(whole) + k, len(fraction) - k))
-    return Fraction(text)
+    return _parsed(Fraction, text)
 
 
 def parse_point(text: str) -> ProjectivePoint:
@@ -136,15 +159,15 @@ def parse_point(text: str) -> ProjectivePoint:
         body = t[1:-1]
         parts = body.split(":")
         if len(parts) != 2:
-            raise ValueError(f"bad projective point syntax: {text!r}")
+            raise ValueError(f"bad projective point syntax: {_excerpt(text)}")
         try:
             return from_pair(_read_int(parts[0]), _read_int(parts[1]))
         except ValueError as exc:
-            raise ValueError(f"bad projective point {text!r}: {exc}") from None
+            raise ValueError(f"bad projective point {_excerpt(text)}: {exc}") from None
     try:
         return canonical_point(_read_rational(t))
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad point syntax {text!r}: {exc}") from None
+        raise ValueError(f"bad point syntax {_excerpt(text)}: {exc}") from None
 
 
 def cross_term(P: ProjectivePoint, Q: ProjectivePoint) -> int:
@@ -159,7 +182,7 @@ def log_distance(P: ProjectivePoint, Q: ProjectivePoint, p: int) -> int | float:
     Raises ValueError when p is not prime, also for P = Q.
     """
     if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+        raise ValueError(f"{_excerpt(p)} is not prime")
     c = cross_term(P, Q)
     return INFINITE_DISTANCE if c == 0 else _valuation(c, p)
 

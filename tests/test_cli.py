@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -784,14 +785,22 @@ class TestDriver:
         assert run(capsys, "orbit", "--map", "z", "--no-such-flag") == usage
         assert run(capsys, argv[0], "--help") == helped
 
-    @pytest.mark.skipif(shutil.which("orbita") is None, reason="entry point not on PATH")
     def test_console_script(self):
-        proc = subprocess.run(
-            ["orbita", "orbit", "--map", "z^2 - 29/16", "--point", "-1/4", "--json"],
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
+        # the installed script when it is on PATH, else the entry point that
+        # pyproject.toml declares for it, run from the source tree
+        argv = ["orbit", "--map", "z^2 - 29/16", "--point", "-1/4", "--json"]
+        env = dict(os.environ)
+        if shutil.which("orbita") is not None:
+            command = ["orbita"]
+        else:
+            pyproject = (Path(SRC).parent / "pyproject.toml").read_text()
+            # the [project.scripts] line, read without tomllib (Python 3.11+)
+            entry = re.search(r'^orbita = "([\w.]+):(\w+)"$', pyproject, re.M)
+            module, function = entry.groups()
+            call = f"import sys, {module}; sys.exit({module}.{function}())"
+            command = [sys.executable, "-c", call]
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+        proc = subprocess.run(command + argv, capture_output=True, env=env, text=True, timeout=60)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["period"] == "3"
 
@@ -1058,26 +1067,37 @@ LONG = "7" * 4301  # one digit over Python's int-string limit
 REFUSAL = "the literal stands for 4301 digits, over the limit of 4300"
 
 
+def excerpt(text: str) -> str:
+    """How a refusal quotes a text over 100 characters: its first 40 and its length."""
+    return f"{text[:40]!r}... ({len(text)} characters)"
+
+
 @pytest.mark.parametrize(
     ("argv", "message"),
     [
-        (("orbit", "--map", "z^2", "--point", LONG), f"bad point syntax {LONG!r}: {REFUSAL}"),
+        (
+            ("orbit", "--map", "z^2", "--point", LONG),
+            f"bad point syntax {excerpt(LONG)}: {REFUSAL}",
+        ),
         (
             ("orbit", "--map", "z^2", "--point", f"[{LONG}:1]"),
-            f"bad projective point '[{LONG}:1]': {REFUSAL}",
+            f"bad projective point {excerpt(f'[{LONG}:1]')}: {REFUSAL}",
         ),
-        (("delta", "--p", "2", "--a", LONG, "--b", "1"), f"bad point syntax {LONG!r}: {REFUSAL}"),
+        (
+            ("delta", "--p", "2", "--a", LONG, "--b", "1"),
+            f"bad point syntax {excerpt(LONG)}: {REFUSAL}",
+        ),
         (
             ("orbit", "--map", f"{LONG}*z^2", "--point", "1"),
-            f"bad map '{LONG}*z^2': {REFUSAL} (at index 0)",
+            f"bad map {excerpt(f'{LONG}*z^2')}: {REFUSAL} (at index 0)",
         ),
         (
             ("bounds", "--formula", "ESS", "--params", f"n={LONG}", "r=1"),
-            f"parameter 'n={LONG}': {REFUSAL}",
+            f"parameter {excerpt(f'n={LONG}')}: {REFUSAL}",
         ),
         (
             ("sunit", "--primes", f"2,{LONG}", "--bound", "1"),
-            f"bad prime {LONG!r}: {REFUSAL}",
+            f"bad prime {excerpt(LONG)}: {REFUSAL}",
         ),
     ],
     ids=["point", "bracketed-point", "delta-a", "map-token", "params", "primes"],
@@ -1091,14 +1111,20 @@ def test_over_long_integer_literal_refused_by_the_digit_limit(capsys, argv, mess
 @pytest.mark.parametrize(
     ("argv", "message"),
     [
-        (("orbit", "--map", "z^2", "--point", f"1/{LONG}"), f"bad point syntax '1/{LONG}'"),
+        (
+            ("orbit", "--map", "z^2", "--point", f"1/{LONG}"),
+            f"bad point syntax {excerpt(f'1/{LONG}')}",
+        ),
         (
             ("orbit", "--map", "z^2", "--point", f"[1:{LONG}]"),
-            f"bad projective point '[1:{LONG}]'",
+            f"bad projective point {excerpt(f'[1:{LONG}]')}",
         ),
-        (("orbit", "--map", f"z^2 + 1/{LONG}", "--point", "1"), f"bad map 'z^2 + 1/{LONG}'"),
-        (("orbit", "--map", f"z^{LONG}", "--point", "1"), f"bad map 'z^{LONG}'"),
-        (("semigroup", "--maps", f"z,{LONG}*z"), f"bad map '{LONG}*z'"),
+        (
+            ("orbit", "--map", f"z^2 + 1/{LONG}", "--point", "1"),
+            f"bad map {excerpt(f'z^2 + 1/{LONG}')}",
+        ),
+        (("orbit", "--map", f"z^{LONG}", "--point", "1"), f"bad map {excerpt(f'z^{LONG}')}"),
+        (("semigroup", "--maps", f"z,{LONG}*z"), f"bad map {excerpt(f'{LONG}*z')}"),
     ],
     ids=["point-denominator", "bracketed-y", "map-denominator", "map-exponent", "semigroup"],
 )
@@ -1109,6 +1135,99 @@ def test_every_digit_run_meets_the_limit(capsys, argv, message):
     assert "set_int_max_str_digits" not in err
 
 
+# the integer flags, which argparse reads through orbita's reader
+INTEGER_FLAGS = [
+    ("delta", "--p", "--a", "1", "--b", "2"),
+    ("sunit", "--bound", "--primes", "2"),
+    ("verify", "--iterations", "--suite", "remark"),
+    ("verify", "--seed", "--suite", "remark"),
+]
+
+
+@pytest.mark.parametrize("line", INTEGER_FLAGS, ids=lambda line: line[1])
+def test_integer_flag_held_to_the_digit_limit(capsys, line):
+    command, flag, *rest = line
+    code, out, err = run(capsys, command, flag, LONG, *rest)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"orbita {command}: error: argument {flag}: {REFUSAL}\n")
+    # a plain non-integer keeps argparse's own wording
+    code, out, err = run(capsys, command, flag, "x", *rest)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"orbita {command}: error: argument {flag}: invalid int value: 'x'\n")
+    code, out, err = run(capsys, command, flag, "x" * 101, *rest)
+    assert err.endswith(f"argument {flag}: invalid int value: {excerpt('x' * 101)}\n")
+
+
+def test_precision_held_to_the_digit_limit(capsys, monkeypatch):
+    argv = ("bounds", "--formula", "CanciC", "--params", "s=2")
+    monkeypatch.setenv("ORBITA_PRECISION", LONG)
+    assert run(capsys, *argv) == (2, "", f"orbita: error: ORBITA_PRECISION: {REFUSAL}\n")
+    monkeypatch.setenv("ORBITA_PRECISION", "7" * 4300)
+    assert run(capsys, *argv) == (2, "", "orbita: error: ORBITA_PRECISION must be at most 20000\n")
+    monkeypatch.setenv("ORBITA_PRECISION", "x" * 101)
+    message = f"ORBITA_PRECISION must be an integer, got {excerpt('x' * 101)}"
+    assert run(capsys, *argv) == (2, "", f"orbita: error: {message}\n")
+
+
+NINES = "9" * 4300
+BRACKETED = f"[{NINES}x:1]"
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        # a text of at most 100 characters is quoted whole, as repr quotes it
+        (
+            ("orbit", "--map", "z^", "--point", "1"),
+            "bad map 'z^': expected an unsigned integer (at index 2)",
+        ),
+        (("orbit", "--map", "z", "--point", "x" * 100), f"bad point syntax {'x' * 100!r}"),
+        # past 100 characters, the first 40 and the length
+        (("orbit", "--map", "z", "--point", "x" * 101), f"bad point syntax {excerpt('x' * 101)}"),
+        (
+            ("orbit", "--map", "z", "--point", BRACKETED),
+            f"bad projective point {excerpt(BRACKETED)}: invalid literal for int: ",
+        ),
+        (
+            ("orbit", "--map", "z", "--point", f"{'9' * 4300}/0"),
+            f"bad point syntax {excerpt(f'{NINES}/0')}: invalid literal for Fraction: ",
+        ),
+        (("bounds", "--formula", "F" * 101), f"unknown formula {excerpt('F' * 101)}; known: "),
+        (
+            ("bounds", "--formula", "CanciC", "--params", f"s=-{NINES}"),
+            f"parameter s=-{NINES[:39]}... (4301 characters) below minimum 1",
+        ),
+        (
+            ("delta", "--p", f"1{'0' * 400}", "--a", "1", "--b", "2"),
+            f"1{'0' * 39}... (401 characters) is not prime",
+        ),
+        (("sunit", "--primes", "x" * 101, "--bound", "1"), f"bad prime {excerpt('x' * 101)}"),
+        (
+            ("sunit", "--primes", "2", "--bound", "1", "--three-term", f"1,1,{'x' * 101}"),
+            f"bad coefficient list: invalid literal for Fraction: {excerpt('x' * 101)}",
+        ),
+    ],
+    ids=[
+        "short-map",
+        "100-characters",
+        "101-characters",
+        "bracketed-non-integer",
+        "zero-denominator",
+        "formula",
+        "parameter-below-minimum",
+        "not-prime",
+        "prime",
+        "coefficient",
+    ],
+)
+def test_refusal_quotes_an_excerpt(capsys, argv, message):
+    # no refusal echoes a long input whole: every line stays under 300 bytes
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"orbita: error: {message}")
+    assert max(len(line.encode()) for line in err.splitlines()) <= 300
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1117,8 +1236,11 @@ def test_every_digit_run_meets_the_limit(capsys, argv, message):
         ("orbit", "--map", f"{LONG[1:]}*z^2", "--point", "1"),
         ("bounds", "--formula", "ESS", "--params", f"n={LONG[1:]}", "r=1"),
         ("sunit", "--primes", f"2,{LONG[1:]}", "--bound", "1"),
+        ("delta", "--p", LONG[1:], "--a", "1", "--b", "2"),
+        ("sunit", "--primes", "2", "--bound", LONG[1:]),
+        ("verify", "--suite", "prop51", "--iterations", LONG[1:]),
     ],
-    ids=["point", "bracketed-point", "map-token", "params", "primes"],
+    ids=["point", "bracketed-point", "map-token", "params", "primes", "p", "bound", "iterations"],
 )
 def test_literal_at_the_limit_is_read(capsys, argv):
     # 4300 digits are read as before and meet the budgets after the parse

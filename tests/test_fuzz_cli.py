@@ -7,7 +7,9 @@ in-process through `cli.main`. An error exit must leave stdout empty. Every
 exit 3 is a budget refusal and must name what it used against what it
 allowed. One field in eight is drawn malformed on purpose, and so is
 ORBITA_PRECISION for every command: a malformed value is read before any
-work, so a line whose flags parse must exit 2 within PRECISION_CAP.
+work, so a line whose flags parse must exit 2 within PRECISION_CAP. An exit 2
+quotes at most an excerpt of what it refuses: each of its stderr lines is at
+most LINE_CAP bytes, save argparse's own list of unrecognized arguments.
 
 Maps come from the parser's grammar at depth 2 (depth 1 for `semigroup`),
 with exponents up to 3 and one-digit literals. One map in eight is wrapped
@@ -18,11 +20,16 @@ coordinates up to 10^60. Points and `sunit` coefficients also come as
 exponent literals (EXPONENTS), up to one whose written-out form has 10^8 + 1
 digits. A literal of 4301 digits, one over Python's int-string limit, is
 drawn among the malformed points, map integer tokens, `bounds` parameter
-values and `sunit` primes: it must be refused by orbita's digit limit, never
-with Python's advice to raise it. `semigroup` factors every resultant, and a
-closed orbit factors its resultant and the cross term of each pair of its
-points. Each factor call spends at most one rho work budget, so a large
-point ends within the cap too, certified or refused.
+values, `sunit` primes, the integer flags (`delta --p`, `sunit --bound`,
+`verify --iterations` and `--seed`) and ORBITA_PRECISION: a line that holds
+it exits 2, refused by orbita's digit limit or, when an input read before it
+is malformed, by the same refusal as with the literal cut to one digit, and
+never with Python's advice to raise the limit; explicit examples put it on
+each integer flag and ORBITA_PRECISION whatever the draws. `semigroup`
+factors every resultant, and a closed orbit factors its resultant and the
+cross term of each pair of its points. Each factor call spends at most one
+rho work budget, so a large point ends within the cap too, certified or
+refused.
 """
 
 import io
@@ -31,7 +38,7 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from orbita import cli
@@ -40,7 +47,12 @@ from orbita.maps import MAX_DEPTH
 
 CAP = 3.0  # seconds per call
 PRECISION_CAP = 0.2  # seconds per call under a malformed ORBITA_PRECISION
-MALFORMED_PRECISIONS = ["9", "20001", "x", "", "1.5"]
+LINE_CAP = 300  # bytes per stderr line of an exit 2
+# one digit over Python's int-string limit: refused by the digit limit
+# wherever an integer is read from the command line
+LONG = "9" * 4301
+REFUSAL = "the literal stands for 4301 digits, over the limit of 4300"
+MALFORMED_PRECISIONS = ["9", "20001", "x", "", "1.5", LONG]
 BUDGET_EXIT = re.compile(r"orbita: error: budget exhausted: \w[\w ]* \d+ exceeds budget \d+\n")
 
 
@@ -51,9 +63,6 @@ def mostly(valid, invalid):
 
 # a typographic minus, brackets and a colon reach the point parser too
 GARBAGE = st.text(alphabet="z0123456789+-*/^() []:inf−", max_size=10)
-# one digit over Python's int-string limit: refused by the digit limit
-# wherever an integer is read from the command line
-LONG = "9" * 4301
 # parameters: 0, small and negative values, and huge ones
 INTEGERS = st.one_of(
     st.integers(-3, 3),
@@ -124,7 +133,8 @@ ORBIT_POINTS = st.tuples(
 ).map(lambda drawn: drawn[2] if drawn[0] == 7 else drawn[1])
 
 
-def _run(argv: list[str], precision: str | None = None) -> int:
+def _call(argv: list[str], precision: str | None) -> tuple[int, str, str, float]:
+    """cli.main(argv) under the given ORBITA_PRECISION: exit code, stdout, stderr, seconds."""
     with pytest.MonkeyPatch.context() as mp:
         mp.delenv(PRECISION_ENV, raising=False)
         if precision is not None:
@@ -133,23 +143,40 @@ def _run(argv: list[str], precision: str | None = None) -> int:
         start = time.perf_counter()
         with redirect_stdout(out), redirect_stderr(err):
             code = cli.main(argv)
-        elapsed = time.perf_counter() - start
-    assert code in (0, 2, 3), (argv, err.getvalue())
-    assert "set_int_max_str_digits" not in err.getvalue(), argv
-    if LONG in err.getvalue():
-        # an error that quotes the over-long literal gives the digit limit as its reason
-        assert "stands for 4301 digits, over the limit of 4300" in err.getvalue(), argv
+        return code, out.getvalue(), err.getvalue(), time.perf_counter() - start
+
+
+def _run(argv: list[str], precision: str | None = None) -> int:
+    code, out, err, elapsed = _call(argv, precision)
+    assert code in (0, 2, 3), (argv, err)
+    assert "set_int_max_str_digits" not in err, argv
+    if any(LONG in arg for arg in argv) or precision == LONG:
+        # the over-long literal is refused for its length, unless an input read
+        # before it is malformed: that refusal stands with the literal cut short
+        assert code == 2, argv
+        if REFUSAL not in err:
+            short = [arg.replace(LONG, "9") for arg in argv]
+            cut = None if precision is None else precision.replace(LONG, "9")
+            assert _call(short, cut)[:3] == (code, out, err), argv
+    if code == 2:
+        # argparse's list of arguments a command does not take is its own echo
+        quoting = [line for line in err.splitlines() if "unrecognized arguments" not in line]
+        assert all(len(line.encode()) <= LINE_CAP for line in quoting), argv
     assert elapsed <= CAP, (argv, elapsed)
     if precision in MALFORMED_PRECISIONS:
         # argparse's usage error, or else the precision error, before any work
-        assert code == 2, (argv, precision, err.getvalue())
+        assert code == 2, (argv, precision, err)
         assert elapsed <= PRECISION_CAP, (argv, elapsed)
-        expected = ("usage: ", f"orbita: error: {PRECISION_ENV} must be")
-        assert err.getvalue().startswith(expected), argv
+        expected = (
+            "usage: ",
+            f"orbita: error: {PRECISION_ENV} must be",
+            f"orbita: error: {PRECISION_ENV}: {REFUSAL}",
+        )
+        assert err.startswith(expected), argv
     if code:
-        assert out.getvalue() == "", argv
+        assert out == "", argv
     if code == 3:
-        assert BUDGET_EXIT.fullmatch(err.getvalue()), (argv, err.getvalue())
+        assert BUDGET_EXIT.fullmatch(err), (argv, err)
     return code
 
 
@@ -213,6 +240,7 @@ def bounds_lines(draw):
     mostly(st.sampled_from([None, "10", "60", "200"]), st.sampled_from(MALFORMED_PRECISIONS)),
     st.booleans(),
 )
+@example(["bounds", "--formula", "CanciC", "--params", "s=2"], LONG, False)
 def test_bounds(argv, precision, as_json):
     _run(argv + ["--json"] * as_json, precision)
 
@@ -230,7 +258,10 @@ NONZERO = st.tuples(st.sampled_from(["", "-"]), st.integers(1, 9), st.integers(1
             [["0"], ["1"], ["4"], ["-3"], ["inf", "2"], ["x"], ["2", "2"], ["2", LONG]]
         ),
     ),
-    mostly(st.one_of(st.integers(1, 12), st.integers(13, 10**6)), st.integers(-2, 0)),
+    mostly(
+        st.one_of(st.integers(1, 12), st.integers(13, 10**6)).map(str),
+        st.one_of(st.integers(-2, 0).map(str), st.just(LONG)),
+    ),
     st.integers(0, 7),
     st.integers(7, 4300).flatmap(lambda k: st.integers(10 ** (k - 1), 10**k - 1)),
     st.one_of(
@@ -243,11 +274,12 @@ NONZERO = st.tuples(st.sampled_from(["", "-"]), st.integers(1, 9), st.integers(1
     st.booleans(),
     PRECISIONS,
 )
+@example(["2"], LONG, 0, 10**6, None, False, None)
 def test_sunit(primes, small, stratum, large, three_term, as_json, precision):
     # one radius in eight has 7 to 4300 digits: its box work can outgrow
     # the digits Python prints, and the refusal must still print it
-    B = large if stratum == 7 else small
-    argv = ["sunit", "--primes", ",".join(primes), "--bound", str(B)]
+    B = str(large) if stratum == 7 else small
+    argv = ["sunit", "--primes", ",".join(primes), "--bound", B]
     if three_term is not None:
         argv += ["--three-term", three_term]
     _run(argv + ["--json"] * as_json, precision)
@@ -255,13 +287,17 @@ def test_sunit(primes, small, stratum, large, three_term, as_json, precision):
 
 @fuzz(200)
 @given(
-    mostly(st.sampled_from([2, 3, 5, 7, 10**9 + 7, 2**61 - 1]), INTEGERS),
+    mostly(
+        st.sampled_from([2, 3, 5, 7, 10**9 + 7, 2**61 - 1]).map(str),
+        st.one_of(INTEGERS.map(str), st.just(LONG)),
+    ),
     points(INTEGERS),
     points(INTEGERS),
     PRECISIONS,
 )
+@example(LONG, "1", "2", None)
 def test_delta(p, a, b, precision):
-    _run(["delta", "--p", str(p), "--a", a, "--b", b], precision)
+    _run(["delta", "--p", p, "--a", a, "--b", b], precision)
 
 
 @fuzz(100)
@@ -281,7 +317,7 @@ def test_semigroup(exprs, point, as_json, precision):
 # an explicit count of 1 to 10 cases, or one over the 10000 ceiling
 ITERATIONS = mostly(
     st.one_of(st.integers(1, 10), st.integers(10001, 10**9)).map(str),
-    st.sampled_from(["0", "-1", "", "x", "1.5"]),
+    st.one_of(st.sampled_from(["0", "-1", "", "x", "1.5"]), st.just(LONG)),
 )
 
 
@@ -292,10 +328,12 @@ ITERATIONS = mostly(
         st.sampled_from(["", "none", "ALL"]),
     ),
     ITERATIONS,
-    mostly(INTEGERS.map(str), st.sampled_from(["", "x", "1.5"])),
+    mostly(INTEGERS.map(str), st.one_of(st.sampled_from(["", "x", "1.5"]), st.just(LONG))),
     st.booleans(),
     PRECISIONS,
 )
+@example("remark", LONG, "0", False, None)
+@example("remark", "1", LONG, False, None)
 def test_verify(suite, iterations, seed, as_json, precision):
     argv = ["verify", "--suite", suite, "--iterations", iterations, "--seed", seed]
     code = _run(argv + ["--json"] * as_json, precision)

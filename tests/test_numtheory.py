@@ -19,6 +19,7 @@ from orbita.numtheory import (
     BudgetError,
     FactorizationBudgetError,
     PlaceSet,
+    _excerpt,
     factor,
     is_prime,
     _omega,
@@ -504,3 +505,31 @@ def test_s_membership_avoids_factoring():
     # classification must work even when the S-free part is far too big to factor
     huge = Fraction(2**60 * ((1 << 4200) + 1))
     assert s_membership(huge, PlaceSet.of(2)) == S_INTEGER_NOT_UNIT
+
+
+@pytest.mark.parametrize(
+    ("value", "shown"),
+    [
+        ("x", "'x'"),
+        ("it's", '"it\'s"'),
+        ("7" * 100, repr("7" * 100)),
+        ("7" * 101, f"{'7' * 40!r}... (101 characters)"),
+        ("\t" * 101, repr("\t" * 40) + "... (101 characters)"),
+        (-5, "-5"),
+        (10**99, str(10**99)),
+        (10**100, f"1{'0' * 39}... (101 characters)"),
+        (None, "None"),
+        (["orbita/1"] * 30, f"{str(['orbita/1'] * 30)[:40]}... (360 characters)"),
+    ],
+)
+def test_excerpt_quotes_at_most_100_characters_whole(value, shown):
+    # up to 100 characters repr itself; past that, the first 40 and the length
+    assert _excerpt(value) == shown
+
+
+def test_not_prime_names_an_excerpt():
+    with pytest.raises(ValueError, match=r"^4 is not prime$"):
+        PlaceSet.of(4)
+    with pytest.raises(ValueError) as refused:
+        vp(3, 10**400)
+    assert str(refused.value) == f"1{'0' * 39}... (401 characters) is not prime"

@@ -165,6 +165,35 @@ def test_integer_literal_held_to_the_same_limit():
         sys.set_int_max_str_digits(limit)
 
 
+@pytest.mark.parametrize(
+    ("read", "text"),
+    [(_read_int, "x" * 100), (_read_rational, "x" * 100), (_read_rational, "7" * 98 + "/0")],
+)
+def test_short_refusal_is_pythons_own(read, text):
+    # up to 100 characters a refusal is the one Python writes, quoting text whole
+    parse = int if read is _read_int else Fraction
+    with pytest.raises((ValueError, ZeroDivisionError)) as python:
+        parse(text)
+    with pytest.raises(type(python.value)) as orbita:
+        read(text)
+    assert str(orbita.value) == str(python.value)
+
+
+@pytest.mark.parametrize(
+    ("read", "text", "message"),
+    [
+        (_read_int, "x" * 101, "invalid literal for int: "),
+        (_read_int, "7" * 4300 + "x", "invalid literal for int: "),
+        (_read_rational, "x" * 101, "invalid literal for Fraction: "),
+        (_read_rational, "7" * 4300 + "/0", "invalid literal for Fraction: "),
+    ],
+)
+def test_long_refusal_quotes_an_excerpt(read, text, message):
+    with pytest.raises((ValueError, ZeroDivisionError)) as refused:
+        read(text)
+    assert str(refused.value) == f"{message}{text[:40]!r}... ({len(text)} characters)"
+
+
 def test_log_distance_basic():
     P = canonical_point(Fraction(1, 4))
     Q = canonical_point(Fraction(7, 4))

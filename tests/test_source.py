@@ -59,7 +59,7 @@ IMPORT_GRAPH = {
     "numtheory": set(),
     "forms": set(),
     "projective": {"numtheory"},
-    "bounds": {"numtheory"},
+    "bounds": {"numtheory", "projective"},
     "maps": {"forms", "numtheory", "projective"},
     "sunit": {"bounds", "numtheory"},
     "orbits": {"bounds", "forms", "maps", "numtheory", "projective"},
@@ -204,3 +204,35 @@ def test_valuation_is_read_where_it_lives():
         and any(alias.name == "_valuation" for alias in node.names)
     }
     assert importers <= {"projective"}
+
+
+def test_outside_integers_have_one_reader():
+    # projective._read_int reads every integer from outside, so each one meets
+    # the digit limit: cli gives argparse no type=int flag, and no function
+    # that reads the environment calls int() on what it read
+    sources = sorted(Path(orbita.__file__).parent.glob("*.py"))
+    cli = ast.parse(Path(orbita.__file__).with_name("cli.py").read_text(encoding="utf-8"))
+    assert [
+        node.lineno
+        for node in ast.walk(cli)
+        if isinstance(node, ast.keyword)
+        and node.arg == "type"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "int"
+    ] == []
+    found = []
+    for path in sources:
+        for function in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            nodes = list(ast.walk(function))
+            names = {n.id for n in nodes if isinstance(n, ast.Name)}
+            names |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+            reads = names & {"environ", "environb", "getenv", "getenvb"}
+            converts = any(
+                isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "int"
+                for n in nodes
+            )
+            if reads and converts:
+                found.append(f"{path.stem}.{function.name}")
+    assert found == []
